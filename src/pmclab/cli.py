@@ -4,15 +4,19 @@ Subcommands: ``solve`` runs a JSON config file, ``scenario`` runs one or
 more bundled scenarios by name, ``verify`` runs the identity/refinement
 battery.  Reports are emitted as JSON (stdout or ``--out``).  Exit codes:
 0 when the outcome matched the scenario's expectation and every check
-passed, 2 for validation problems, 3 when the solver diverged or ran out
-of iterations, 4 for failed checks or a verdict that contradicts the
-expectation.  No environment variables are consulted.
+passed, 2 for validation problems (including formulas nested too deeply
+and grids or refinements over the node budget), 3 when the solver
+diverged or ran out of iterations, 4 for failed checks or a verdict that
+contradicts the expectation.  Reports are strict JSON: non-finite
+numbers are written as the strings ``"inf"``, ``"-inf"`` and ``"nan"``.
+No environment variables are consulted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -32,8 +36,19 @@ _CONFIG_ERRORS = (ValidationError, FormulaError, ConstructionError,
                   GridMismatchError, ModelDomainError)
 
 
+def _finite_json(value):
+    """``value`` with every non-finite float replaced by ``"inf"``, ``"-inf"`` or ``"nan"``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        return {key: _finite_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(item) for item in value]
+    return value
+
+
 def _emit(payload, out_path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_finite_json(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -90,22 +105,24 @@ def main(argv=None) -> int:
     if args.command == "solve":
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                config = parse_config(fh.read())
+                text = fh.read()
         except OSError as e:
             print(f"cannot read config: {e}", file=sys.stderr)
             return 2
+        try:
+            report = run_scenario(parse_config(text), dump_dir=args.dump_fields,
+                                  refine=args.refine, seed_override=args.seed)
         except _CONFIG_ERRORS as e:
             print(f"invalid config: {e}", file=sys.stderr)
             return 2
-        report = run_scenario(config, dump_dir=args.dump_fields,
-                              refine=args.refine, seed_override=args.seed)
         _emit(report.to_json_dict(), args.out)
         return report.exit_code()
 
     if args.command == "scenario":
         try:
             if args.parallel and len(args.names) > 1:
-                with ThreadPoolExecutor(max_workers=len(args.names)) as pool:
+                workers = min(len(args.names), os.cpu_count() or 1)
+                with ThreadPoolExecutor(max_workers=workers) as pool:
                     reports = list(pool.map(lambda n: _scenario_report(n, args), args.names))
             else:
                 reports = [_scenario_report(name, args) for name in args.names]

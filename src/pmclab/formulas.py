@@ -7,6 +7,8 @@ right-associative; unary minus binds between ``*`` and ``^`` so that
 ``-x^2`` means ``-(x^2)``.  Parsing is strict: an unknown name or a
 stray character reports its character position, so config errors point
 at the offending spot rather than surfacing later as evaluation noise.
+Formulas nested more than ``_MAX_DEPTH`` levels deep are rejected the
+same way.
 
 The special initial-data form ``random(seed, amplitude)`` is not part of
 the expression grammar; :func:`parse_random_spec` recognizes it whole.
@@ -64,6 +66,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 _BINARY_BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30, "**": 30}
 _UNARY_BP = 25
+# Deepest nesting of subexpressions, and deepest syntax tree, a formula
+# may have.  Parsing and evaluation both recurse on it, so this keeps them
+# well inside Python's recursion limit.
+_MAX_DEPTH = 100
 
 
 class _Parser:
@@ -72,6 +78,7 @@ class _Parser:
         self.names = names
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -87,16 +94,24 @@ class _Parser:
             raise FormulaError(f"expected {op!r} at position {at}")
 
     def parse(self):
-        node = self.expression(0)
+        node, _ = self.expression(0)
         kind, value, at = self.peek()
         if kind != "end":
             raise FormulaError(f"unexpected {value!r} at position {at}")
         return node
 
+    @staticmethod
+    def limit(depth: int, at: int) -> int:
+        if depth > _MAX_DEPTH:
+            raise FormulaError(f"formula nests deeper than {_MAX_DEPTH} levels at position {at}")
+        return depth
+
     def expression(self, min_bp: int):
-        node = self.prefix()
+        """Parse down to binding power ``min_bp``; returns the node and its tree depth."""
+        self.nesting = self.limit(self.nesting + 1, self.peek()[2])
+        node, depth = self.prefix()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, at = self.peek()
             if kind != "op" or value not in _BINARY_BP:
                 break
             bp = _BINARY_BP[value]
@@ -104,33 +119,35 @@ class _Parser:
                 break
             self.advance()
             # right-associative power re-enters at one below its own level
-            right = self.expression(bp - 1 if value in ("^", "**") else bp)
+            right, right_depth = self.expression(bp - 1 if value in ("^", "**") else bp)
             op = "^" if value == "**" else value
-            node = ("bin", op, node, right)
-        return node
+            node, depth = ("bin", op, node, right), self.limit(1 + max(depth, right_depth), at)
+        self.nesting -= 1
+        return node, depth
 
     def prefix(self):
         kind, value, at = self.advance()
         if kind == "num":
-            return ("num", float(value))
+            return ("num", float(value)), 1
         if kind == "op" and value == "-":
-            return ("neg", self.expression(_UNARY_BP))
+            node, depth = self.expression(_UNARY_BP)
+            return ("neg", node), self.limit(depth + 1, at)
         if kind == "op" and value == "+":
             return self.expression(_UNARY_BP)
         if kind == "op" and value == "(":
-            node = self.expression(0)
+            inner = self.expression(0)
             self.expect_op(")")
-            return node
+            return inner
         if kind == "name":
             if value in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expression(0)
+                arg, depth = self.expression(0)
                 self.expect_op(")")
-                return ("call", value, arg)
+                return ("call", value, arg), self.limit(depth + 1, at)
             if value in _CONSTANTS:
-                return ("num", _CONSTANTS[value])
+                return ("num", _CONSTANTS[value]), 1
             if value in self.names:
-                return ("sym", value)
+                return ("sym", value), 1
             raise FormulaError(f"unknown symbol {value!r} at position {at}")
         raise FormulaError(f"unexpected {value!r} at position {at}")
 

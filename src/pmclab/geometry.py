@@ -263,42 +263,29 @@ class MetricField:
         self.inv = inv
 
 
-def _conformal_polar_matrix(grid: FiberGrid, factor: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Polar-chart matrix of ``factor * (d rho^2 + rho^2 d theta^2)``."""
-    rho = grid.meshes()[0]
-    mat = np.zeros(grid.shape + (2, 2))
-    mat[..., 0, 0] = factor
-    mat[..., 1, 1] = factor * rho**2
-    return mat
-
-
-def _metric_from_spec(grid: FiberGrid, metric_spec) -> MetricField:
-    d = grid.ndim
-    polar = grid.kind is GridKind.disk_polar
-    if metric_spec is None or (isinstance(metric_spec, str) and metric_spec == "flat"):
-        if polar:
-            return MetricField(grid, _conformal_polar_matrix(grid, np.ones(grid.shape)))
-        mat = np.zeros(grid.shape + (d, d))
-        for i in range(d):
-            mat[..., i, i] = 1.0
-        return MetricField(grid, mat)
-    if callable(metric_spec):
-        raw = np.asarray(metric_spec(*grid.meshes()), dtype=float)
-    else:
-        raw = np.asarray(metric_spec, dtype=float)
-    if raw.shape == grid.shape + (d, d):
-        return MetricField(grid, raw)
-    factor = np.array(np.broadcast_to(raw, grid.shape))
-    if polar:
-        return MetricField(grid, _conformal_polar_matrix(grid, factor))
-    mat = np.zeros(grid.shape + (d, d))
-    for i in range(d):
-        mat[..., i, i] = factor
+def _flat_metric(grid: FiberGrid) -> MetricField:
+    """The flat chart metric: the identity on tori, ``d rho^2 + rho^2 d theta^2`` on disks."""
+    mat = np.zeros(grid.shape + (grid.ndim, grid.ndim))
+    for i in range(grid.ndim):
+        mat[..., i, i] = 1.0
+    if grid.kind is GridKind.disk_polar:
+        mat[..., 1, 1] = grid.meshes()[0] ** 2
     return MetricField(grid, mat)
 
 
-def build_torus(dims, extents=None, metric_spec="flat") -> tuple[FiberGrid, MetricField]:
-    """Build a periodic torus grid with its metric.
+def conformal_scale(metric: MetricField, factor: ScalarField) -> MetricField:
+    """Scale a metric node-wise by a positive conformal factor."""
+    metric.grid.require_same(factor.grid, "conformal_scale")
+    if factor.values.min() <= 0.0:
+        bad = np.argwhere(factor.values <= 0.0)[0]
+        raise ConstructionError(
+            f"conformal factor must stay positive, offending node {tuple(int(i) for i in bad)}"
+        )
+    return MetricField(metric.grid, factor.values[..., None, None] * metric.mat)
+
+
+def build_torus(dims, extents=None) -> tuple[FiberGrid, MetricField]:
+    """Build a periodic torus grid with its flat metric.
 
     Parameters
     ----------
@@ -306,10 +293,8 @@ def build_torus(dims, extents=None, metric_spec="flat") -> tuple[FiberGrid, Metr
         Two or three node counts; three axes produce the lifted 3-D kind.
     extents:
         Axis lengths, default ``2 pi`` each.
-    metric_spec:
-        ``"flat"``, a callable evaluated on the coordinate meshes returning
-        either a conformal factor or full ``(d, d)`` matrices per node, or
-        an array of either shape.
+
+    A conformally flat torus is ``conformal_scale`` of the returned metric.
     """
     dims = tuple(int(n) for n in dims)
     if len(dims) not in (2, 3):
@@ -318,36 +303,32 @@ def build_torus(dims, extents=None, metric_spec="flat") -> tuple[FiberGrid, Metr
     if extents is None:
         extents = (2.0 * math.pi,) * len(dims)
     grid = FiberGrid(kind, dims, tuple(extents), BoundaryKind.periodic_all)
-    return grid, _metric_from_spec(grid, metric_spec)
+    return grid, _flat_metric(grid)
 
 
-def build_polar_disk(n_r: int, n_theta: int, radius: float,
-                     metric_spec="flat") -> tuple[FiberGrid, MetricField]:
-    """Build a polar disk grid with cell-centered radii and a pinned outer ring."""
+def build_polar_disk(n_r: int, n_theta: int, radius: float) -> tuple[FiberGrid, MetricField]:
+    """Build a polar disk grid with cell-centered radii, a pinned outer ring and its flat metric."""
     grid = FiberGrid(GridKind.disk_polar, (int(n_r), int(n_theta)),
                      (float(radius), 2.0 * math.pi), BoundaryKind.dirichlet_radial)
-    return grid, _metric_from_spec(grid, metric_spec)
+    return grid, _flat_metric(grid)
 
 
 def build_hyperbolic_disk(n_r: int, n_theta: int, radius: float) -> tuple[FiberGrid, MetricField]:
     """Build a disk carrying the curvature -1 ball-model metric.
 
-    The conformal factor is ``4 / (1 - rho^2)^2``, so the model is only
-    valid for ``radius < 1``.
+    The flat disk metric scaled by :func:`hyperbolic_conformal_factor`,
+    so the model is only valid for ``radius < 1``.
     """
     if not (0.0 < radius < 1.0):
         raise ModelDomainError(
             f"the hyperbolic ball model needs an outer radius in (0, 1), got {radius}"
         )
-    grid = FiberGrid(GridKind.disk_polar, (int(n_r), int(n_theta)),
-                     (float(radius), 2.0 * math.pi), BoundaryKind.dirichlet_radial)
-    rho = grid.meshes()[0]
-    factor = 4.0 / (1.0 - rho**2) ** 2
-    return grid, MetricField(grid, _conformal_polar_matrix(grid, factor))
+    grid, flat = build_polar_disk(n_r, n_theta, radius)
+    return grid, conformal_scale(flat, hyperbolic_conformal_factor(grid))
 
 
 def hyperbolic_conformal_factor(grid: FiberGrid) -> ScalarField:
-    """Node values of the ball-model conformal factor ``4 / (1 - rho^2)^2``."""
+    """Node values of the conformal factor of the curvature -1 ball model."""
     if grid.kind is not GridKind.disk_polar:
         raise GridMismatchError("the ball-model factor lives on disk grids")
     rho = grid.meshes()[0]

@@ -28,17 +28,17 @@ from .geometry import (
     ConstructionError,
     FiberGrid,
     GridKind,
-    GridMismatchError,
     MetricField,
     ModelDomainError,
     ScalarField,
+    build_hyperbolic_disk,
     build_polar_disk,
     build_torus,
+    conformal_scale,
     dump_field_csv,
     gradient,
     laplace_beltrami,
     lift_to_circle,
-    norm_sq,
 )
 from .solver import Gauge, SolveOptions, SolveReport, Verdict, flow_solve, newton_solve
 from .warped import (
@@ -50,7 +50,6 @@ from .warped import (
     check_height_identity,
     check_superharmonic,
     compatibility_integral,
-    conformal_scale,
     mean_curvature_residual,
     obstruction_threshold,
     quasi_isometry_constants,
@@ -81,6 +80,9 @@ _CONFORMAL_CHECK_TOL = 5e-2
 _SUPERHARMONIC_TOL = 1e-6
 _RICCI_ZERO_TOL = 1e-14
 _LIFT_CIRCLE_NODES = 16
+# Largest grid a config or a refinement may ask for: 256 times the 64^2
+# grids of the bundled scenarios.
+_MAX_NODES = 2**20
 
 _SOLVER_FIELD_TYPES = {
     "tol_abs": float,
@@ -140,9 +142,7 @@ def _as_field(formula: Formula, grid: FiberGrid, env: dict, where: str) -> Scala
 class ScenarioConfig:
     """A validated scenario: built grid objects plus the normalized echo."""
 
-    grid: FiberGrid
-    metric: MetricField
-    warping: ScalarField
+    warped: WarpedProduct
     target: ScalarField
     initial_spec: tuple
     boundary_values: np.ndarray | None
@@ -152,6 +152,14 @@ class ScenarioConfig:
     checks: tuple[str, ...]
     expect: str
     normalized: dict = field(repr=False)
+
+    @property
+    def grid(self) -> FiberGrid:
+        return self.warped.fiber
+
+    @property
+    def metric(self) -> MetricField:
+        return self.warped.metric
 
     def echo_json(self) -> str:
         return json.dumps(self.normalized, sort_keys=True)
@@ -170,6 +178,16 @@ class ScenarioConfig:
         if self.boundary_values is not None:
             vals[-1, :] = self.boundary_values
         return vals
+
+
+def _check_budget(dims, refine: int = 0) -> None:
+    """Reject grids over ``_MAX_NODES`` nodes, after ``refine`` doublings of every axis."""
+    nodes = math.prod(dims)
+    # compare exponents, so that a huge refine never forms 2^(refine * d)
+    if nodes > _MAX_NODES or (refine > 0 and refine * len(dims)
+                              > (_MAX_NODES // nodes).bit_length() - 1):
+        what = f"dims {list(dims)}" + (f" refined {refine} times" if refine else "")
+        raise ValidationError(f"{what} exceed the budget of {_MAX_NODES} grid nodes")
 
 
 def _parse_fiber(raw) -> tuple[dict, str]:
@@ -203,49 +221,25 @@ def _parse_fiber(raw) -> tuple[dict, str]:
 
 def _build_geometry(fiber_echo: dict, family: str, metric_text: str):
     dims = fiber_echo["dims"]
+    if family == "torus" and metric_text == "hyperbolic":
+        raise ValidationError("the hyperbolic metric lives on disk fibers")
     try:
-        if family == "torus":
-            if metric_text == "hyperbolic":
-                raise ValidationError("the hyperbolic metric lives on disk fibers")
-            if metric_text == "flat":
-                return build_torus(dims, fiber_echo["extents"])
-            grid, _ = build_torus(dims, fiber_echo["extents"])
-            formula = _field_formula(metric_text, _fiber_env(grid).keys(), "metric")
-            factor = _as_field(formula, grid, _fiber_env(grid), "metric")
-            if factor.values.min() <= 0.0:
-                bad = np.argwhere(factor.values <= 0.0)[0]
-                raise ValidationError(
-                    "metric conformal factor must stay positive, offending node "
-                    f"{tuple(int(i) for i in bad)}"
-                )
-            return build_torus(dims, fiber_echo["extents"], metric_spec=factor.values)
-        radius = fiber_echo["R"]
         if metric_text == "hyperbolic":
-            if not (0.0 < radius < 1.0):
-                raise ValidationError(
-                    f"the hyperbolic ball model needs an outer radius in (0, 1), got {radius}"
-                )
-            grid, _ = build_polar_disk(dims[0], dims[1], radius)
-            rho = grid.meshes()[0]
-            return build_polar_disk(dims[0], dims[1], radius,
-                                    metric_spec=4.0 / (1.0 - rho**2) ** 2)
+            return build_hyperbolic_disk(dims[0], dims[1], fiber_echo["R"])
+        if family == "torus":
+            grid, flat = build_torus(dims, fiber_echo["extents"])
+        else:
+            grid, flat = build_polar_disk(dims[0], dims[1], fiber_echo["R"])
         if metric_text == "flat":
-            return build_polar_disk(dims[0], dims[1], radius)
-        grid, _ = build_polar_disk(dims[0], dims[1], radius)
-        formula = _field_formula(metric_text, _fiber_env(grid).keys(), "metric")
-        factor = _as_field(formula, grid, _fiber_env(grid), "metric")
-        if factor.values.min() <= 0.0:
-            bad = np.argwhere(factor.values <= 0.0)[0]
-            raise ValidationError(
-                "metric conformal factor must stay positive, offending node "
-                f"{tuple(int(i) for i in bad)}"
-            )
-        return build_polar_disk(dims[0], dims[1], radius, metric_spec=factor.values)
+            return grid, flat
+        env = _fiber_env(grid)
+        factor = _as_field(_field_formula(metric_text, env.keys(), "metric"), grid, env, "metric")
+        return grid, conformal_scale(flat, factor)
     except (ConstructionError, ModelDomainError) as e:
         raise ValidationError(str(e)) from e
 
 
-def _parse_solver(raw, n_dof_hint: str) -> tuple[str, float, SolveOptions, dict]:
+def _parse_solver(raw) -> tuple[str, float, SolveOptions, dict]:
     if not isinstance(raw, dict):
         raise ValidationError("solver must be an object")
     allowed = set(_SOLVER_FIELD_TYPES) | {"method", "t_max", "gauge"}
@@ -288,8 +282,7 @@ def _parse_solver(raw, n_dof_hint: str) -> tuple[str, float, SolveOptions, dict]
     return method, float(t_max), opts, echo
 
 
-def _validate_checks(checks, grid: FiberGrid, warping: ScalarField,
-                     target: ScalarField) -> tuple[str, ...]:
+def _validate_checks(checks, wp: WarpedProduct, target: ScalarField) -> tuple[str, ...]:
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
         raise ValidationError("checks must be a list of check names")
     seen = set()
@@ -299,18 +292,16 @@ def _validate_checks(checks, grid: FiberGrid, warping: ScalarField,
         if name in seen:
             raise ValidationError(f"check {name!r} requested twice")
         seen.add(name)
-    is_disk = grid.kind is GridKind.disk_polar
-    h = warping.values
-    h_constant = (h.max() - h.min()) <= 1e-12 * h.max()
+    is_disk = wp.fiber.kind is GridKind.disk_polar
     if "conformal_laplacian" in seen and is_disk:
         raise ValidationError("the conformal_laplacian check lifts the fiber by a circle "
                               "and therefore needs a torus fiber")
-    if "compatibility" in seen and not grid.closed:
+    if "compatibility" in seen and not wp.fiber.closed:
         raise ValidationError("the compatibility check integrates over a closed fiber")
     if "superharmonic" in seen:
         if np.any(target.values > 0.0):
             raise ValidationError("the superharmonic check needs H_target <= 0 node-wise")
-        if is_disk and not h_constant:
+        if is_disk and not wp.warping_is_constant:
             raise ValidationError("on a disk the superharmonic check needs constant warping")
     return tuple(checks)
 
@@ -329,6 +320,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if "fiber" not in raw:
         raise ValidationError("config needs a fiber section")
     fiber_echo, family = _parse_fiber(raw["fiber"])
+    _check_budget(fiber_echo["dims"])
 
     metric_text = raw.get("metric", "flat")
     if not isinstance(metric_text, str):
@@ -339,11 +331,10 @@ def parse_config(text: str) -> ScenarioConfig:
 
     warping_text = raw.get("warping", "1")
     warping = _as_field(_field_formula(warping_text, coords, "warping"), grid, env, "warping")
-    if warping.values.min() <= 0.0:
-        bad = np.argwhere(warping.values <= 0.0)[0]
-        raise ValidationError(
-            f"warping must stay positive, offending node {tuple(int(i) for i in bad)}"
-        )
+    try:
+        wp = WarpedProduct(grid, metric, warping)
+    except ConstructionError as e:
+        raise ValidationError(str(e)) from e
 
     target_text = raw.get("H_target", "0")
     target = _as_field(_field_formula(target_text, coords, "H_target"), grid, env, "H_target")
@@ -371,8 +362,8 @@ def parse_config(text: str) -> ScenarioConfig:
     elif "boundary" in raw:
         raise ValidationError("boundary data only applies to disk fibers")
 
-    method, t_max, opts, solver_echo = _parse_solver(raw.get("solver", {}), family)
-    checks = _validate_checks(raw.get("checks", []), grid, warping, target)
+    method, t_max, opts, solver_echo = _parse_solver(raw.get("solver", {}))
+    checks = _validate_checks(raw.get("checks", []), wp, target)
     expect = raw.get("expect", "converged")
     if expect not in _EXPECTATIONS:
         raise ValidationError(f"expect must be one of {_EXPECTATIONS}, got {expect!r}")
@@ -388,7 +379,7 @@ def parse_config(text: str) -> ScenarioConfig:
         "checks": list(checks),
         "expect": expect,
     }
-    return ScenarioConfig(grid, metric, warping, target, initial_spec, boundary_values,
+    return ScenarioConfig(wp, target, initial_spec, boundary_values,
                           method, t_max, opts, checks, expect, normalized)
 
 
@@ -400,17 +391,23 @@ def _check_tol_solve(opts: SolveOptions) -> float:
     return max(1e-8, 100.0 * opts.tol_abs)
 
 
+def _quasi_isometry(wp: WarpedProduct, u: ScalarField) -> tuple[float, float, float, bool]:
+    """Graph-metric eigenvalue range, its pinch ``1 + sup(h^2 |grad u|^2)``, and whether it holds."""
+    lam_min, lam_max = quasi_isometry_constants(wp, u)
+    _, _, grad_sq, _ = _tilt_pieces(wp, u)
+    bound = 1.0 + float((wp.warping.values**2 * grad_sq).max())
+    return lam_min, lam_max, bound, lam_min >= 1.0 - 1e-12 and lam_max <= bound + 1e-10
+
+
 def _run_check(name: str, wp: WarpedProduct, state: GraphState,
                config: ScenarioConfig) -> dict:
     tol_solve = _check_tol_solve(config.solver_opts)
     u, target = state.height, state.target
     try:
         if name == "quasi_isometry":
-            lam_min, lam_max = quasi_isometry_constants(wp, u)
-            _, _, grad_sq, _ = _tilt_pieces(wp, u)
-            bound = 1.0 + float((wp.warping.values**2 * grad_sq).max())
+            lam_min, lam_max, bound, ok = _quasi_isometry(wp, u)
             return {"lambda_min": lam_min, "lambda_max": lam_max, "upper_bound": bound,
-                    "pass": lam_min >= 1.0 - 1e-12 and lam_max <= bound + 1e-10}
+                    "pass": ok}
         if name == "ricci_sign":
             ric = radial_ricci(wp)
             rmin = float(ric.values.min())
@@ -490,7 +487,7 @@ class RunReport:
 
 
 def _solve_config(config: ScenarioConfig, seed_override: int | None):
-    wp = WarpedProduct(config.grid, config.metric, config.warping)
+    wp = config.warped
     u0 = ScalarField(config.grid, config.initial_values(seed_override))
     if config.method == "flow":
         state, report = flow_solve(wp, config.target, u0, config.solver_opts,
@@ -503,7 +500,7 @@ def _solve_config(config: ScenarioConfig, seed_override: int | None):
 def _run_once(config: ScenarioConfig, seed_override: int | None) -> tuple[dict, SolveReport]:
     wp, state, solve_report = _solve_config(config, seed_override)
     _, _, angle = unit_normal(wp, state.height)
-    graph = {"theta_min": angle.min, "theta_max": angle.max}
+    graph = {"theta_min": float(angle.values.min()), "theta_max": float(angle.values.max())}
     checks = {name: _run_check(name, wp, state, config) for name in config.checks}
     observed = solve_report.verdict.value
     expectation = {"expected": config.expect, "observed": observed,
@@ -528,6 +525,7 @@ def run_scenario(config: ScenarioConfig, *, scenario_name: str | None = None,
     ``seed_override`` replaces the seed of a ``random(...)`` initial field.
     ``dump_dir`` writes final height and residual fields as CSV.
     """
+    _check_budget(config.grid.dims, refine)
     start = time.perf_counter()
     body, solve_report = _run_once(config, seed_override)
 
@@ -725,12 +723,10 @@ def _suite_quasi_isometry() -> dict:
         u = ScalarField(grid, rng.uniform(-1.0, 1.0, grid.shape))
         h = ScalarField(grid, 0.5 + rng.uniform(0.0, 1.0, grid.shape))
         wp = WarpedProduct(grid, metric, h)
-        lam_min, lam_max = quasi_isometry_constants(wp, u)
-        _, _, grad_sq, _ = _tilt_pieces(wp, u)
-        bound = 1.0 + float((h.values**2 * grad_sq).max())
+        lam_min, lam_max, bound, within = _quasi_isometry(wp, u)
         worst_low = min(worst_low, lam_min)
         worst_high = max(worst_high, lam_max - bound)
-        ok = ok and lam_min >= 1.0 - 1e-12 and lam_max <= bound + 1e-10
+        ok = ok and within
     return {
         "suite": "quasi_isometry",
         "values": {"worst_lambda_min": worst_low, "worst_excess_over_bound": worst_high},

@@ -314,20 +314,9 @@ class _Problem:
         return lu.solve(z), info
 
 
-def _final_state(wp: WarpedProduct, u_arr: np.ndarray, target: ScalarField) -> GraphState:
-    return GraphState(wp, ScalarField(wp.fiber, u_arr), target)
-
-
-def _report_fields(state: GraphState) -> tuple[float, float]:
-    u = state.height.values
-    with np.errstate(over="ignore"):
-        osc = float(u.max() - u.min())
-    return osc, state.grad_sup
-
-
 def _safe_state(wp: WarpedProduct, u_arr: np.ndarray, target: ScalarField
                 ) -> tuple[GraphState, float, float]:
-    """State for a terminal report, robust to unrepresentable iterates.
+    """Terminal state with its height oscillation and gradient sup.
 
     A finite height can still overflow its derived fields (a near-max
     float spike does).  Divergence must be reported, not raised, so fall
@@ -336,12 +325,12 @@ def _safe_state(wp: WarpedProduct, u_arr: np.ndarray, target: ScalarField
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            state = _final_state(wp, u_arr, target)
+            state = GraphState(wp, ScalarField(wp.fiber, u_arr), target)
+            u = state.height.values
+            return state, float(u.max() - u.min()), state.grad_sup
     except ConstructionError:
-        state = _final_state(wp, np.zeros(wp.fiber.shape), target)
-        return state, math.inf, math.inf
-    osc, gsup = _report_fields(state)
-    return state, osc, gsup
+        zero = ScalarField.constant(wp.fiber, 0.0)
+        return GraphState(wp, zero, target), math.inf, math.inf
 
 
 def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField,

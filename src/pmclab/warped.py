@@ -23,7 +23,6 @@ their convergence under refinement can be measured.
 from __future__ import annotations
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .geometry import (
     ConstructionError,
@@ -33,11 +32,13 @@ from .geometry import (
     MetricField,
     ScalarField,
     VectorField,
+    conformal_scale,
     coordinate_partials,
     divergence,
     integrate,
     laplace_beltrami,
     lift_to_circle,
+    volume,
 )
 
 
@@ -86,6 +87,23 @@ def _tilt_pieces(wp: WarpedProduct, u: ScalarField):
     return du, gu, grad_sq, W
 
 
+def _drift(wp: WarpedProduct, gu, W):
+    """The drift term ``sigma(grad h, grad u) / W`` from the tilt pieces."""
+    dh = coordinate_partials(wp.warping)
+    return np.einsum("...i,...i->...", dh, gu) / W
+
+
+def _residual(wp: WarpedProduct, pieces, target_curvature: ScalarField) -> ScalarField:
+    """The residual from the tilt pieces of ``u``; see :func:`mean_curvature_residual`."""
+    wp.fiber.require_same(target_curvature.grid, "target curvature")
+    _, gu, _, W = pieces
+    h = wp.warping.values
+    flux = VectorField(wp.fiber, (h / W)[..., None] * gu)
+    div = divergence(flux, wp.metric).values
+    n = wp.dimension
+    return ScalarField(wp.fiber, div + _drift(wp, gu, W) - n * target_curvature.values)
+
+
 def mean_curvature_residual(wp: WarpedProduct, u: ScalarField,
                             target_curvature: ScalarField) -> ScalarField:
     """Residual of the prescribed-mean-curvature equation at every node.
@@ -95,58 +113,30 @@ def mean_curvature_residual(wp: WarpedProduct, u: ScalarField,
     shifts of ``u`` leave the residual unchanged; on a disk the pinned
     ring is evaluated too but is never an unknown.
     """
-    wp.fiber.require_same(target_curvature.grid, "target curvature")
-    du, gu, grad_sq, W = _tilt_pieces(wp, u)
-    h = wp.warping.values
-    flux = VectorField(wp.fiber, (h / W)[..., None] * gu)
-    div = divergence(flux, wp.metric).values
-    dh = coordinate_partials(wp.warping)
-    drift = np.einsum("...i,...i->...", dh, gu) / W
-    n = wp.dimension
-    return ScalarField(wp.fiber, div + drift - n * target_curvature.values)
+    return _residual(wp, _tilt_pieces(wp, u), target_curvature)
 
 
 class GraphState:
     """A height function together with its derived graph quantities."""
 
-    __slots__ = ("warped", "height", "area_factor", "residual", "target", "grad_sup")
+    __slots__ = ("warped", "height", "residual", "target", "grad_sup")
 
     def __init__(self, warped: WarpedProduct, height: ScalarField,
                  target: ScalarField) -> None:
-        du, gu, grad_sq, W = _tilt_pieces(warped, height)
+        pieces = _tilt_pieces(warped, height)
         self.warped = warped
         self.height = height
         self.target = target
-        self.area_factor = ScalarField(warped.fiber, W)
-        self.residual = mean_curvature_residual(warped, height, target)
-        self.grad_sup = float(np.sqrt(grad_sq.max()))
+        self.residual = _residual(warped, pieces, target)
+        self.grad_sup = float(np.sqrt(pieces[2].max()))
 
     def interior_residual_sup(self) -> float:
         mask = self.warped.fiber.interior_mask
         return float(np.abs(self.residual.values[mask]).max())
 
 
-class AngleFunction:
-    """Pairing of the graph's unit normal with the vertical direction: ``h / W``."""
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid: FiberGrid, values: NDArray[np.float64]) -> None:
-        field = ScalarField(grid, values)
-        self.grid = grid
-        self.values = field.values
-
-    @property
-    def min(self) -> float:
-        return float(self.values.min())
-
-    @property
-    def max(self) -> float:
-        return float(self.values.max())
-
-
 def unit_normal(wp: WarpedProduct, u: ScalarField
-                ) -> tuple[VectorField, ScalarField, AngleFunction]:
+                ) -> tuple[VectorField, ScalarField, ScalarField]:
     """Downward unit normal of the graph.
 
     Returns the fiber part ``-(h/W) grad u`` (contravariant), the vertical
@@ -157,7 +147,7 @@ def unit_normal(wp: WarpedProduct, u: ScalarField
     h = wp.warping.values
     fiber_part = VectorField(wp.fiber, (-h / W)[..., None] * gu)
     vertical = ScalarField(wp.fiber, 1.0 / (h * W))
-    angle = AngleFunction(wp.fiber, h / W)
+    angle = ScalarField(wp.fiber, h / W)
     return fiber_part, vertical, angle
 
 
@@ -182,17 +172,6 @@ def quasi_isometry_constants(wp: WarpedProduct, u: ScalarField) -> tuple[float, 
     A = np.linalg.solve(L, np.swapaxes(T, -1, -2))
     eigs = np.linalg.eigvalsh(A)
     return float(eigs.min()), float(eigs.max())
-
-
-def conformal_scale(metric: MetricField, factor: ScalarField) -> MetricField:
-    """Scale a metric node-wise by a positive conformal factor."""
-    metric.grid.require_same(factor.grid, "conformal_scale")
-    if factor.values.min() <= 0.0:
-        bad = np.argwhere(factor.values <= 0.0)[0]
-        raise ConstructionError(
-            f"conformal factor must stay positive, offending node {tuple(int(i) for i in bad)}"
-        )
-    return MetricField(metric.grid, factor.values[..., None, None] * metric.mat)
 
 
 def check_conformal_laplacian(metric: MetricField, factor: ScalarField,
@@ -331,11 +310,9 @@ def compatibility_integral(wp: WarpedProduct, u: ScalarField,
             "Dirichlet disks have boundary flux instead"
         )
     wp.fiber.require_same(target_curvature.grid, "target curvature")
-    du, gu, grad_sq, W = _tilt_pieces(wp, u)
-    dh = coordinate_partials(wp.warping)
-    drift = np.einsum("...i,...i->...", dh, gu) / W
+    _, gu, _, W = _tilt_pieces(wp, u)
     n = wp.dimension
-    field = ScalarField(wp.fiber, drift - n * target_curvature.values)
+    field = ScalarField(wp.fiber, _drift(wp, gu, W) - n * target_curvature.values)
     return integrate(field, wp.metric)
 
 
@@ -353,9 +330,4 @@ def obstruction_witness(wp: WarpedProduct, target_curvature: ScalarField) -> flo
 
 def obstruction_threshold(wp: WarpedProduct) -> float:
     """Scale below which a compatibility witness is treated as zero."""
-    vol = volume_of(wp)
-    return 1e-9 * max(1.0, wp.dimension * vol)
-
-
-def volume_of(wp: WarpedProduct) -> float:
-    return integrate(ScalarField.constant(wp.fiber, 1.0), wp.metric)
+    return 1e-9 * max(1.0, wp.dimension * volume(wp.metric))

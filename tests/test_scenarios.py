@@ -11,8 +11,10 @@ import math
 import numpy as np
 import pytest
 
+from pmclab import cli
 from pmclab.cli import main
 from pmclab.formulas import (
+    _MAX_DEPTH,
     Formula,
     FormulaError,
     evaluate_formula,
@@ -22,11 +24,18 @@ from pmclab.formulas import (
 from pmclab.scenarios import (
     BUILTIN_SCENARIOS,
     ValidationError,
+    _check_budget,
     builtin_config,
     parse_config,
     run_scenario,
     run_verification_suite,
 )
+
+_TOO_DEEP = {
+    "parentheses": "(" * 5000 + "1" + ")" * 5000,
+    "unary_minus": "-" * 3000 + "1",
+    "sum_chain": "+".join(["1"] * 3000),
+}
 
 
 def _cfg(**overrides) -> str:
@@ -75,6 +84,19 @@ def test_formula_missing_environment_value():
     f = Formula("x1+x2", ("x1", "x2"))
     with pytest.raises(FormulaError, match="no value supplied"):
         f.evaluate({"x1": 1.0})
+
+
+@pytest.mark.parametrize("text", _TOO_DEEP.values(), ids=_TOO_DEEP.keys())
+def test_deeply_nested_formula_is_rejected_with_its_position(text):
+    with pytest.raises(ValidationError, match=r"warping: formula nests deeper than \d+ "
+                                              r"levels at position \d+"):
+        parse_config(_cfg(warping=text))
+
+
+def test_formula_depth_limit_admits_its_own_depth():
+    assert evaluate_formula("-" * (_MAX_DEPTH - 1) + "x", {"x": 2.0}) == -2.0
+    with pytest.raises(FormulaError, match=f"at position {_MAX_DEPTH}$"):
+        Formula("-" * _MAX_DEPTH + "x", ("x",))
 
 
 def test_random_spec_recognition_and_reproducibility():
@@ -174,6 +196,24 @@ def test_hyperbolic_metric_domain_guards():
 def test_metric_conformal_factor_must_stay_positive():
     with pytest.raises(ValidationError, match="conformal factor must stay positive"):
         parse_config(_cfg(metric="cos(x1)"))
+
+
+def test_node_budget_counts_refinement_doublings():
+    _check_budget([1024, 1024])
+    _check_budget([64, 64], refine=4)
+    for dims, refine in (([1024, 1025], 0), ([64, 64], 5), ([8, 8, 8], 10**9)):
+        with pytest.raises(ValidationError, match="budget of 1048576 grid nodes"):
+            _check_budget(dims, refine)
+
+
+@pytest.mark.parametrize("fiber", [
+    {"kind": "torus", "dims": [2048, 1024]},
+    {"kind": "torus", "dims": [10**6, 10**6, 10**6]},
+    {"kind": "disk", "dims": [10**6, 10**6], "R": 0.5},
+])
+def test_grids_over_the_node_budget_are_rejected(fiber):
+    with pytest.raises(ValidationError, match="exceed the budget"):
+        parse_config(json.dumps({"fiber": fiber}))
 
 
 @pytest.mark.parametrize("solver,fragment", [
@@ -317,6 +357,61 @@ def test_cli_invalid_json_exits_2(tmp_path, capsys):
     config.write_text('{"fiber": {"kind": "torus",\n dims = oops}')
     assert main(["solve", str(config)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_cli_deeply_nested_formula_exits_2(tmp_path, capsys):
+    config = tmp_path / "deep.json"
+    config.write_text(_cfg(H_target=_TOO_DEEP["parentheses"]))
+    assert main(["solve", str(config)]) == 2
+    assert "nests deeper than" in capsys.readouterr().err
+
+
+def test_cli_refinement_over_the_node_budget_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(_cfg())
+    assert main(["solve", str(config), "--refine", "8"]) == 2
+    assert main(["scenario", "obstruction_torus", "--refine", str(10**9)]) == 2
+    err = capsys.readouterr().err
+    assert "dims [8, 8] refined 8 times exceed the budget" in err
+    assert "dims [64, 64] refined 1000000000 times exceed the budget" in err
+
+
+def test_emit_writes_non_finite_numbers_as_strings(tmp_path):
+    out = tmp_path / "report.json"
+    cli._emit({"solve": {"grad_sup": math.inf, "u_oscillation": -math.inf,
+                         "residual_history": [1.0, math.nan]}}, str(out))
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    assert json.loads(out.read_text(), parse_constant=reject) == {
+        "solve": {"grad_sup": "inf", "u_oscillation": "-inf",
+                  "residual_history": [1.0, "nan"]},
+    }
+
+
+@pytest.mark.parametrize("cpus,workers", [(2, 2), (8, 3), (None, 1)])
+def test_cli_parallel_pool_is_capped_by_the_cpu_count(monkeypatch, tmp_path, cpus, workers):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    out = tmp_path / "reports.json"
+    assert main(["scenario", *["obstruction_torus"] * 3, "--parallel", "--out", str(out)]) == 0
+    assert sizes == [workers]
 
 
 def test_cli_unknown_scenario_exits_2(capsys):

@@ -135,7 +135,7 @@ def test_unit_normal_identities():
     # angle function times area factor recovers the warping
     w_factor = 1.0 / (h * vertical.values)
     np.testing.assert_allclose(angle.values * w_factor, h, atol=1e-12)
-    assert 0.0 < angle.min <= angle.max <= 1.3 + 1e-12
+    assert 0.0 < angle.values.min() <= angle.values.max() <= 1.3 + 1e-12
 
 
 def test_induced_metric_determinant_is_rank_one_update():
