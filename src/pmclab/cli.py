@@ -4,7 +4,8 @@ Subcommands: ``solve`` runs a JSON config file, ``scenario`` runs one or
 more bundled scenarios by name, ``verify`` runs the identity/refinement
 battery.  Reports are emitted as JSON (stdout or ``--out``).  Exit codes:
 0 when the outcome matched the scenario's expectation and every check
-passed, 2 for validation problems (including formulas nested too deeply
+passed, 2 for validation problems (including a config file that cannot
+be read as UTF-8, formulas nested too deeply, a negative ``--refine``
 and grids or refinements over the node budget), 3 when the solver
 diverged or ran out of iterations, 4 for failed checks or a verdict that
 contradicts the expectation.  Reports are strict JSON: non-finite
@@ -106,7 +107,7 @@ def main(argv=None) -> int:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             print(f"cannot read config: {e}", file=sys.stderr)
             return 2
         try:

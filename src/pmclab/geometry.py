@@ -20,6 +20,12 @@ X^i`` is averaged onto faces and differenced, so the volume integral of a
 divergence telescopes to zero on fully periodic grids up to rounding.
 Integration uses exact (fsum) accumulation in a fixed traversal order, so
 repeated runs are bit-identical.
+
+Both stencils index shifted slabs of the node array through slices that
+each grid builds once (``FiberGrid.shifts``), and write into caller-owned
+arrays; the wrap of a periodic axis is the two end slabs, so no call
+copies a rolled array.  :func:`coordinate_partials`, :func:`divergence`
+and the prepared residual of :mod:`pmclab.warped` share these stencils.
 """
 
 from __future__ import annotations
@@ -58,6 +64,14 @@ class BoundaryKind(str, Enum):
 
 
 _MIN_NODES_PER_AXIS = 8
+
+
+# slabs of a node array along one axis that the stencils read: without
+# the last/first node, without both ends, without the last/first two, and
+# the single first, second, last and second-to-last slab
+_SLABS = {"head": slice(None, -1), "tail": slice(1, None), "inner": slice(1, -1),
+          "head2": slice(None, -2), "tail2": slice(2, None),
+          "first": 0, "second": 1, "last": -1, "penult": -2}
 
 
 @dataclass(frozen=True)
@@ -165,6 +179,12 @@ class FiberGrid:
             mask[-1, :] = False
         mask.setflags(write=False)
         return mask
+
+    @cached_property
+    def shifts(self) -> tuple[dict[str, tuple], ...]:
+        """Per axis, the index tuple of each slab in ``_SLABS``."""
+        return tuple({name: (slice(None),) * axis + (key,) for name, key in _SLABS.items()}
+                     for axis in range(self.ndim))
 
     def require_same(self, other: "FiberGrid", what: str) -> None:
         if self is not other and self != other:
@@ -339,29 +359,78 @@ def hyperbolic_conformal_factor(grid: FiberGrid) -> ScalarField:
 # difference stencils
 
 
-def _axis_derivative(values: NDArray[np.float64], grid: FiberGrid, axis: int) -> NDArray[np.float64]:
-    """Second-order derivative of node values along one coordinate axis.
+def partial_into(values: NDArray[np.float64], grid: FiberGrid, axis: int,
+                 out: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Second-order derivative of node values along one axis, written into ``out``.
 
     Works for scalars and for radial flux densities alike: with the signed
     extension of the area density through the disk center, both continue
     across the axis onto the ring ``theta + pi`` with a plus sign.
     """
+    s = grid.shifts[axis]
+    if grid.periodic_axes[axis]:
+        np.subtract(values[s["tail2"]], values[s["head2"]], out=out[s["inner"]])
+        np.subtract(values[s["second"]], values[s["last"]], out=out[s["first"]])
+        np.subtract(values[s["first"]], values[s["penult"]], out=out[s["last"]])
+    else:
+        # disk radial axis; the ring theta + pi lies half a turn away
+        half = grid.dims[1] // 2
+        np.subtract(values[2:], values[:-2], out=out[1:-1])
+        np.subtract(values[1, :half], values[0, half:], out=out[0, :half])
+        np.subtract(values[1, half:], values[0, :half], out=out[0, half:])
+        out[-1] = 3.0 * values[-1] - 4.0 * values[-2] + values[-3]
+    return np.divide(out, 2.0 * grid.spacings[axis], out=out)
+
+
+def _flux_difference_into(q: NDArray[np.float64], grid: FiberGrid, axis: int,
+                          faces: NDArray[np.float64], out: NDArray[np.float64]
+                          ) -> NDArray[np.float64]:
+    """Difference along one axis of the face means of a flux density, written into ``out``.
+
+    ``faces`` is scratch of grid shape.  On the disk's radial axis its
+    last ring holds the face through the center, between the innermost
+    ring and its partner half a turn away.
+    """
+    s = grid.shifts[axis]
     d = grid.spacings[axis]
     if grid.periodic_axes[axis]:
-        return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * d)
-    # disk radial axis
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * d)
-    paired = np.roll(values[0], grid.dims[1] // 2, axis=0)
-    out[0] = (values[1] - paired) / (2.0 * d)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * d)
+        np.add(q[s["head"]], q[s["tail"]], out=faces[s["head"]])
+        np.add(q[s["last"]], q[s["first"]], out=faces[s["last"]])
+        np.multiply(faces, 0.5, out=faces)
+        np.subtract(faces[s["tail"]], faces[s["head"]], out=out[s["tail"]])
+        np.subtract(faces[s["first"]], faces[s["last"]], out=out[s["first"]])
+        return np.divide(out, d, out=out)
+    half = grid.dims[1] // 2
+    np.add(q[:-1], q[1:], out=faces[:-1])
+    np.add(q[0, :half], q[0, half:], out=faces[-1, :half])
+    np.add(q[0, half:], q[0, :half], out=faces[-1, half:])
+    np.multiply(faces, 0.5, out=faces)
+    np.subtract(faces[0], faces[-1], out=out[0])
+    np.subtract(faces[1:-1], faces[:-2], out=out[1:-1])
+    np.divide(out[:-1], d, out=out[:-1])
+    out[-1] = (3.0 * q[-1] - 4.0 * q[-2] + q[-3]) / (2.0 * d)
     return out
+
+
+def flux_divergence(q, grid: FiberGrid, sqrt_det: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``(1/sqrt(det)) sum_i d_i q_i`` for flux densities ``q_i = sqrt(det) X^i``, one per axis."""
+    # summing from zero leaves no -0.0 in the sum, whatever the signs of
+    # zero in q; the residual kernel relies on that to match bit for bit
+    acc = np.zeros(grid.shape)
+    faces = np.empty(grid.shape)
+    der = np.empty(grid.shape)
+    for axis, qi in enumerate(q):
+        acc += _flux_difference_into(qi, grid, axis, faces, der)
+    return np.divide(acc, sqrt_det, out=acc)
 
 
 def coordinate_partials(f: ScalarField) -> NDArray[np.float64]:
     """Covariant components ``d_i f`` as an array of shape ``grid.shape + (d,)``."""
     grid = f.grid
-    return np.stack([_axis_derivative(f.values, grid, ax) for ax in range(grid.ndim)], axis=-1)
+    out = np.empty(grid.shape + (grid.ndim,))
+    for axis in range(grid.ndim):
+        partial_into(f.values, grid, axis, out[..., axis])
+    return out
 
 
 def gradient(f: ScalarField, metric: MetricField) -> VectorField:
@@ -382,22 +451,8 @@ def divergence(X: VectorField, metric: MetricField) -> ScalarField:
     grid = metric.grid
     grid.require_same(X.grid, "divergence")
     q = metric.sqrt_det[..., None] * X.components
-    acc = np.zeros(grid.shape)
-    for axis in range(grid.ndim):
-        qi = q[..., axis]
-        d = grid.spacings[axis]
-        if grid.periodic_axes[axis]:
-            faces = 0.5 * (qi + np.roll(qi, -1, axis=axis))
-            acc += (faces - np.roll(faces, 1, axis=axis)) / d
-        else:
-            der = np.empty_like(qi)
-            faces = 0.5 * (qi[:-1] + qi[1:])
-            inner0 = 0.5 * (qi[0] + np.roll(qi[0], grid.dims[1] // 2, axis=0))
-            der[0] = (faces[0] - inner0) / d
-            der[1:-1] = (faces[1:] - faces[:-1]) / d
-            der[-1] = (3.0 * qi[-1] - 4.0 * qi[-2] + qi[-3]) / (2.0 * d)
-            acc += der
-    return ScalarField(grid, acc / metric.sqrt_det)
+    return ScalarField(grid, flux_divergence([q[..., axis] for axis in range(grid.ndim)],
+                                             grid, metric.sqrt_det))
 
 
 def laplace_beltrami(f: ScalarField, metric: MetricField) -> ScalarField:

@@ -181,7 +181,12 @@ class ScenarioConfig:
 
 
 def _check_budget(dims, refine: int = 0) -> None:
-    """Reject grids over ``_MAX_NODES`` nodes, after ``refine`` doublings of every axis."""
+    """Reject grids over ``_MAX_NODES`` nodes, after ``refine`` doublings of every axis.
+
+    A negative ``refine`` is rejected too: it would silently run no refinement.
+    """
+    if refine < 0:
+        raise ValidationError(f"refine counts refinement levels and must be >= 0, got {refine}")
     nodes = math.prod(dims)
     # compare exponents, so that a huge refine never forms 2^(refine * d)
     if nodes > _MAX_NODES or (refine > 0 and refine * len(dims)

@@ -38,6 +38,7 @@ from .geometry import ConstructionError, FiberGrid, GridKind, ScalarField, integ
 from .warped import (
     GraphState,
     PreconditionError,
+    ResidualKernel,
     WarpedProduct,
     mean_curvature_residual,
     obstruction_threshold,
@@ -176,6 +177,7 @@ class _Problem:
     def __init__(self, wp: WarpedProduct, target: ScalarField, opts: SolveOptions):
         wp.fiber.require_same(target.grid, "target curvature")
         self.wp = wp
+        self.kernel = ResidualKernel(wp)
         self.target = target
         self.opts = opts
         self.grid = wp.fiber
@@ -189,7 +191,7 @@ class _Problem:
             # the overflow this probe exists to catch would otherwise warn
             with np.errstate(over="ignore", invalid="ignore"):
                 u = ScalarField(self.grid, u_arr)
-                return mean_curvature_residual(self.wp, u, self.target).values
+                return mean_curvature_residual(self.kernel, u, self.target).values
         except ConstructionError:
             return None
 
@@ -459,6 +461,11 @@ def _flow_time_step(wp: WarpedProduct, opts: SolveOptions) -> float:
     return opts.flow_dt_safety * l_min**2 * wp.h_inf / (1.0 + wp.h_sup**2)
 
 
+def _window_start(last: int) -> int:
+    """First step of the drift window of a run whose last evaluated step is ``last``."""
+    return min(int(0.8 * last), last - 1)
+
+
 def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField,
                opts: SolveOptions = SolveOptions(), t_max: float = 10.0
                ) -> tuple[GraphState, SolveReport]:
@@ -467,7 +474,10 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
     The recorded ``mean_drift_rate`` is minus the time derivative of the
     mean height averaged over the final fifth of the run; mass balance
     makes it equal ``n * integral(H) / Vol`` on closed fibers with
-    constant warping, where the flow cannot settle.
+    constant warping, where the flow cannot settle.  It is computed from
+    two exact means, at the window's first and last step: the height is
+    kept every ``ceil(n_steps / 64)`` steps, and the window's first height
+    is recovered by replaying the steps after the last kept one before it.
     """
     wp.fiber.require_same(u0.grid, "initial height")
     if t_max <= 0.0:
@@ -476,27 +486,37 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
     dt = _flow_time_step(wp, opts)
     n_steps = max(1, math.ceil(t_max / dt))
     stride = max(1, -(-n_steps // 512))
-    vol = volume(wp.metric)
+    spacing = -(-n_steps // 64)
     interior = wp.fiber.interior_mask
 
+    def advance(u, res):
+        return u + dt * np.where(interior, res, 0.0)
+
     u = u0.values.copy()
-    means = []
+    kept = []  # (step, height) pairs; the first one is never after the window start
+    latest_start = _window_start(n_steps)  # no run goes past n_steps
+    last, u_last = -1, u
     history = []
     verdict = Verdict.max_iter
     steps_taken = 0
     blowup_scale = None
 
     for k in range(n_steps + 1):
+        if k % spacing == 0 and k <= latest_start:
+            kept.append((k, u))
+            # the run ends at step k - 1 or later, so its window cannot start earlier
+            while len(kept) > 1 and kept[1][0] <= _window_start(k - 1):
+                del kept[0]
         res = prob.residual_full(u)
         if res is None:
             verdict = Verdict.diverged
             break
+        last, u_last = k, u
         sup = float(np.abs(res[interior]).max())
         if blowup_scale is None:
             blowup_scale = _BLOWUP_FACTOR * (1.0 + sup)
         if k % stride == 0 or k == n_steps:
             history.append(sup)
-        means.append(integrate(ScalarField(wp.fiber, u), wp.metric) / vol)
         if sup <= opts.tol_abs:
             verdict = Verdict.converged
             break
@@ -505,17 +525,22 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
             break
         if k == n_steps:
             break
-        u = u + dt * np.where(interior, res, 0.0)
+        u = advance(u, res)
         steps_taken += 1
 
     if not history:
         history = [math.inf]
 
     drift = 0.0
-    if len(means) >= 2:
-        k0 = min(int(0.8 * (len(means) - 1)), len(means) - 2)
-        span = (len(means) - 1 - k0) * dt
-        drift = -(means[-1] - means[k0]) / span
+    if last >= 1:
+        k0 = _window_start(last)
+        start, u_start = [pair for pair in kept if pair[0] <= k0][-1]
+        for _ in range(start, k0):
+            u_start = advance(u_start, prob.residual_full(u_start))
+        vol = volume(wp.metric)
+        mean_start = integrate(ScalarField(wp.fiber, u_start), wp.metric) / vol
+        mean_last = integrate(ScalarField(wp.fiber, u_last), wp.metric) / vol
+        drift = -(mean_last - mean_start) / ((last - k0) * dt)
 
     if not np.isfinite(u).all():
         u = u0.values.copy()

