@@ -243,12 +243,39 @@ class VectorField:
         self.components = comps
 
 
+def _cofactors(mat: NDArray[np.float64]) -> tuple[dict, tuple]:
+    """Cofactors ``C_ij`` (``i <= j``) and leading principal minors of symmetric 2x2 or 3x3 nodes.
+
+    The cofactor matrix of a symmetric matrix is symmetric, so its upper
+    triangle is all of it.  The last minor is the determinant, expanded
+    along the first row.
+    """
+    def m(i, j):
+        return mat[..., i, j]
+
+    if mat.shape[-1] == 2:
+        det = m(0, 0) * m(1, 1) - m(0, 1) * m(0, 1)
+        return {(0, 0): m(1, 1), (0, 1): -m(0, 1), (1, 1): m(0, 0)}, (m(0, 0), det)
+    c = {(0, 0): m(1, 1) * m(2, 2) - m(1, 2) * m(1, 2),
+         (0, 1): m(0, 2) * m(1, 2) - m(0, 1) * m(2, 2),
+         (0, 2): m(0, 1) * m(1, 2) - m(0, 2) * m(1, 1),
+         (1, 1): m(0, 0) * m(2, 2) - m(0, 2) * m(0, 2),
+         (1, 2): m(0, 1) * m(0, 2) - m(0, 0) * m(1, 2),
+         (2, 2): m(0, 0) * m(1, 1) - m(0, 1) * m(0, 1)}
+    det = m(0, 0) * c[0, 0] + m(0, 1) * c[0, 1] + m(0, 2) * c[0, 2]
+    return c, (m(0, 0), c[2, 2], det)
+
+
 class MetricField:
     """Node-wise symmetric positive-definite metric with cached derived data.
 
     ``mat[..., i, j]`` holds sigma_ij; ``inv`` is the contravariant metric
-    and ``sqrt_det`` the area/volume density, both computed directly from
-    ``mat`` so they agree with it to machine precision.
+    and ``sqrt_det`` the area/volume density.  Fibers have two or three
+    axes, so both come in closed form from whole-array arithmetic on the
+    components: the determinant from cofactors, the inverse as the
+    adjugate over it (exactly symmetric, since the adjugate of a symmetric
+    matrix is).  Positive definiteness is Sylvester's criterion: every
+    leading principal minor is positive.
     """
 
     __slots__ = ("grid", "mat", "sqrt_det", "inv")
@@ -262,19 +289,31 @@ class MetricField:
             )
         if not np.isfinite(mat).all():
             raise ConstructionError("metric contains non-finite values")
-        skew = np.abs(mat - np.swapaxes(mat, -1, -2)).max()
+        skew = max(np.abs(mat[..., i, j] - mat[..., j, i]).max()
+                   for i in range(d) for j in range(i + 1, d))
         if skew > 1e-12 * (1.0 + np.abs(mat).max()):
             raise ConstructionError(f"metric is not symmetric (max asymmetry {skew:.3e})")
         mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs.min() <= 0.0:
-            bad = np.argwhere(eigs.min(axis=-1) <= 0.0)[0]
+        # products of large entries may overflow; the check below names the node
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            cofactors, minors = _cofactors(mat)
+            det = minors[-1]
+            inv = np.empty_like(mat)
+            for (i, j), c in cofactors.items():
+                np.divide(c, det, out=inv[..., i, j])
+                inv[..., j, i] = inv[..., i, j]
+            # a minor that overflowed to nan fails the comparison as well
+            definite = np.logical_and.reduce([minor > 0.0 for minor in minors])
+        if not (definite.all() and np.isfinite(det).all() and np.isfinite(inv).all()):
+            bad = ~definite | ~np.isfinite(det) | ~np.isfinite(inv).all(axis=(-2, -1))
+            node = tuple(int(i) for i in np.argwhere(bad)[0])
+            at = [float(minor[node]) for minor in minors]
+            if all(map(math.isfinite, at)) and min(at) <= 0.0:
+                raise ConstructionError(f"metric is not positive definite at node {node}")
             raise ConstructionError(
-                f"metric is not positive definite at node {tuple(int(i) for i in bad)}"
+                f"metric determinant or inverse overflows at node {node}"
             )
-        sqrt_det = np.sqrt(np.linalg.det(mat))
-        inv = np.linalg.inv(mat)
-        inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
+        sqrt_det = np.sqrt(det)
         for arr in (mat, sqrt_det, inv):
             arr.setflags(write=False)
         self.grid = grid
@@ -528,11 +567,14 @@ def dump_field_csv(f: ScalarField, path) -> None:
     grid = f.grid
     idx_names = ["i", "j", "k"][: grid.ndim]
     coord_names = ["x1", "x2", "x3"][: grid.ndim]
-    meshes = grid.meshes()
+    index = np.indices(grid.shape)
+    columns = grid.meshes() + (f.values,)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(idx_names + coord_names + ["value"]) + "\n")
-        for idx in np.ndindex(grid.shape):
-            cells = [str(i) for i in idx]
-            cells += [repr(float(m[idx])) for m in meshes]
-            cells.append(repr(float(f.values[idx])))
-            fh.write(",".join(cells) + "\n")
+        # whole columns of one slab along the first axis at a time, in the
+        # node order of np.ndindex: tolist gives Python ints and floats, whose
+        # str and repr are the cells, and a slab keeps few strings alive
+        for i in range(grid.shape[0]):
+            cells = [map(str, a[i].ravel().tolist()) for a in index]
+            cells += [map(repr, a[i].ravel().tolist()) for a in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags
@@ -104,6 +104,37 @@ def _stencil_pairs(grid: FiberGrid) -> tuple[np.ndarray, np.ndarray]:
         rows.append(flat[inside])
         cols.append(flat[tuple(pos)][inside])
     return np.concatenate(rows), np.concatenate(cols)
+
+
+@lru_cache(maxsize=8)
+def _jacobian_layout(grid: FiberGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jacobian sparsity ``(rows, cols)`` over the unknowns of a grid and a column grouping.
+
+    Columns in one group share no row, so one central difference along
+    the sum of their unit vectors recovers every entry of the group
+    (Curtis, Powell and Reid).  Groups are assigned greedily, a Python
+    loop over the unknowns, so the layout is cached per grid value and
+    shared read-only by every solve on an equal grid.
+    """
+    mask = grid.interior_mask.ravel()
+    n_dof = int(mask.sum())
+    rows, cols = _stencil_pairs(grid)
+    dof = np.full(mask.size, -1)
+    dof[mask] = np.arange(n_dof)
+    rows, cols = dof[rows], dof[cols]
+    keep = (rows >= 0) & (cols >= 0)
+    pattern = csr_matrix((np.ones(int(keep.sum())), (rows[keep], cols[keep])),
+                         shape=(n_dof, n_dof))
+    sharing = (pattern.T @ pattern).tocsr()
+    group = np.full(n_dof, -1)
+    for col in range(n_dof):
+        taken = set(group[sharing.indices[sharing.indptr[col]:sharing.indptr[col + 1]]].tolist())
+        group[col] = next(g for g in itertools.count() if g not in taken)
+    pattern = pattern.tocoo()
+    layout = (pattern.row, pattern.col, group)
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
 
 
 @dataclass(frozen=True)
@@ -238,32 +269,9 @@ class _Problem:
         out = self.pack(rp - rm) / (2.0 * eps)
         return self.project(out) if project_out else out
 
-    @cached_property
-    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Jacobian sparsity ``(rows, cols)`` over unknowns and a column grouping.
-
-        Columns in one group share no row, so one central difference along
-        the sum of their unit vectors recovers every entry of the group
-        (Curtis, Powell and Reid).  Groups are assigned greedily.
-        """
-        rows, cols = _stencil_pairs(self.grid)
-        dof = np.full(self.mask.size, -1)
-        dof[self.mask] = np.arange(self.n_dof)
-        rows, cols = dof[rows], dof[cols]
-        keep = (rows >= 0) & (cols >= 0)
-        pattern = csr_matrix((np.ones(int(keep.sum())), (rows[keep], cols[keep])),
-                             shape=(self.n_dof, self.n_dof))
-        sharing = (pattern.T @ pattern).tocsr()
-        group = np.full(self.n_dof, -1)
-        for col in range(self.n_dof):
-            taken = set(group[sharing.indices[sharing.indptr[col]:sharing.indptr[col + 1]]].tolist())
-            group[col] = next(g for g in itertools.count() if g not in taken)
-        pattern = pattern.tocoo()
-        return pattern.row, pattern.col, group
-
     def jacobian(self, u_arr: np.ndarray) -> csr_matrix:
         """Sparse Jacobian of the packed residual, by grouped central differences."""
-        rows, cols, group = self._layout
+        rows, cols, group = _jacobian_layout(self.grid)
         eps = _FD_STEP * (1.0 + float(np.abs(u_arr).max()))
         diffs = np.empty((int(group.max()) + 1, self.n_dof))
         for g in range(len(diffs)):
@@ -487,10 +495,11 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
     n_steps = max(1, math.ceil(t_max / dt))
     stride = max(1, -(-n_steps // 512))
     spacing = -(-n_steps // 64)
-    interior = wp.fiber.interior_mask
+    closed, interior = wp.fiber.closed, wp.fiber.interior_mask
 
-    def advance(u, res):
-        return u + dt * np.where(interior, res, 0.0)
+    def rate(res):
+        """``du/dt``: the residual, held at zero on a pinned ring (a closed fiber has none)."""
+        return res if closed else np.where(interior, res, 0.0)
 
     u = u0.values.copy()
     kept = []  # (step, height) pairs; the first one is never after the window start
@@ -512,7 +521,8 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
             verdict = Verdict.diverged
             break
         last, u_last = k, u
-        sup = float(np.abs(res[interior]).max())
+        du = rate(res)
+        sup = float(np.abs(du).max())
         if blowup_scale is None:
             blowup_scale = _BLOWUP_FACTOR * (1.0 + sup)
         if k % stride == 0 or k == n_steps:
@@ -525,7 +535,7 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
             break
         if k == n_steps:
             break
-        u = advance(u, res)
+        u = u + dt * du
         steps_taken += 1
 
     if not history:
@@ -536,7 +546,7 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
         k0 = _window_start(last)
         start, u_start = [pair for pair in kept if pair[0] <= k0][-1]
         for _ in range(start, k0):
-            u_start = advance(u_start, prob.residual_full(u_start))
+            u_start = u_start + dt * rate(prob.residual_full(u_start))
         vol = volume(wp.metric)
         mean_start = integrate(ScalarField(wp.fiber, u_start), wp.metric) / vol
         mean_last = integrate(ScalarField(wp.fiber, u_last), wp.metric) / vol

@@ -291,3 +291,34 @@ def test_dump_field_csv_round_trips(tmp_path):
     assert float(x1) == rho[3, 4]
     assert float(x2) == theta[3, 4]
     assert float(value) == f.values[3, 4]
+
+
+def _dump_field_csv_per_node(f, path):
+    """The per-node writer ``dump_field_csv`` replaced; its bytes are the reference."""
+    grid = f.grid
+    idx_names = ["i", "j", "k"][: grid.ndim]
+    coord_names = ["x1", "x2", "x3"][: grid.ndim]
+    meshes = grid.meshes()
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(",".join(idx_names + coord_names + ["value"]) + "\n")
+        for idx in np.ndindex(grid.shape):
+            cells = [str(i) for i in idx]
+            cells += [repr(float(m[idx])) for m in meshes]
+            cells.append(repr(float(f.values[idx])))
+            fh.write(",".join(cells) + "\n")
+
+
+def test_dump_field_csv_bytes_match_per_node_writer(tmp_path):
+    disk, _ = build_polar_disk(16, 32, radius=0.875)
+    rho, theta = disk.meshes()
+    # signed zeros on the outer rings, mixed magnitudes inside
+    disk_values = np.where(rho < 0.6, np.sin(3.0 * theta) * rho**5 / 3.0, -0.0)
+    torus, metric = build_torus((8, 8))
+    _, _, lift = lift_to_circle(torus, metric, ScalarField.constant(torus, 1.0), 8)
+    x1, x2 = torus.meshes()
+    fields = {"disk": ScalarField(disk, disk_values),
+              "lifted": lift(ScalarField(torus, 1e-7 * np.cos(x1) * np.exp(np.sin(x2))))}
+    for name, f in fields.items():
+        dump_field_csv(f, tmp_path / f"{name}.csv")
+        _dump_field_csv_per_node(f, tmp_path / f"{name}_ref.csv")
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes()
