@@ -266,6 +266,25 @@ def _cofactors(mat: NDArray[np.float64]) -> tuple[dict, tuple]:
     return c, (m(0, 0), c[2, 2], det)
 
 
+_NORMAL_MIN = np.finfo(np.float64).tiny
+
+
+def _node_failure(node: NDArray[np.float64]) -> str:
+    """Why one node matrix failed the check of :class:`MetricField`.
+
+    Sylvester's criterion again, on the node congruent to it by a diagonal
+    of powers of two that brings its diagonal entries near 1 in magnitude.
+    A congruence keeps the sign of every minor, so a positive definite
+    node whose determinant or inverse left the float range is told apart
+    from one that is not positive definite.
+    """
+    scale = np.ldexp(1.0, [-(math.frexp(float(a))[1] // 2) for a in np.diagonal(node)])
+    _, minors = _cofactors(scale[:, None] * node * scale[None, :])
+    if min(minors) > 0.0:
+        return "determinant or inverse is out of floating-point range"
+    return "is not positive definite"
+
+
 class MetricField:
     """Node-wise symmetric positive-definite metric with cached derived data.
 
@@ -294,25 +313,23 @@ class MetricField:
         if skew > 1e-12 * (1.0 + np.abs(mat).max()):
             raise ConstructionError(f"metric is not symmetric (max asymmetry {skew:.3e})")
         mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
-        # products of large entries may overflow; the check below names the node
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # products of large or small entries may leave the float range;
+        # the check below names the node
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             cofactors, minors = _cofactors(mat)
             det = minors[-1]
             inv = np.empty_like(mat)
             for (i, j), c in cofactors.items():
                 np.divide(c, det, out=inv[..., i, j])
                 inv[..., j, i] = inv[..., i, j]
-            # a minor that overflowed to nan fails the comparison as well
-            definite = np.logical_and.reduce([minor > 0.0 for minor in minors])
-        if not (definite.all() and np.isfinite(det).all() and np.isfinite(inv).all()):
-            bad = ~definite | ~np.isfinite(det) | ~np.isfinite(inv).all(axis=(-2, -1))
-            node = tuple(int(i) for i in np.argwhere(bad)[0])
-            at = [float(minor[node]) for minor in minors]
-            if all(map(math.isfinite, at)) and min(at) <= 0.0:
-                raise ConstructionError(f"metric is not positive definite at node {node}")
-            raise ConstructionError(
-                f"metric determinant or inverse overflows at node {node}"
-            )
+            # a minor that overflowed to nan fails its comparison as well; a
+            # subnormal det has lost its relative precision
+            good = np.logical_and.reduce([minor > 0.0 for minor in minors[:-1]]
+                                         + [det >= _NORMAL_MIN, det < np.inf,
+                                            np.isfinite(inv).all(axis=(-2, -1))])
+        if not good.all():
+            node = tuple(int(i) for i in np.argwhere(~good)[0])
+            raise ConstructionError(f"metric {_node_failure(mat[node])} at node {node}")
         sqrt_det = np.sqrt(det)
         for arr in (mat, sqrt_det, inv):
             arr.setflags(write=False)

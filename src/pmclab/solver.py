@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags
@@ -104,37 +104,6 @@ def _stencil_pairs(grid: FiberGrid) -> tuple[np.ndarray, np.ndarray]:
         rows.append(flat[inside])
         cols.append(flat[tuple(pos)][inside])
     return np.concatenate(rows), np.concatenate(cols)
-
-
-@lru_cache(maxsize=8)
-def _jacobian_layout(grid: FiberGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jacobian sparsity ``(rows, cols)`` over the unknowns of a grid and a column grouping.
-
-    Columns in one group share no row, so one central difference along
-    the sum of their unit vectors recovers every entry of the group
-    (Curtis, Powell and Reid).  Groups are assigned greedily, a Python
-    loop over the unknowns, so the layout is cached per grid value and
-    shared read-only by every solve on an equal grid.
-    """
-    mask = grid.interior_mask.ravel()
-    n_dof = int(mask.sum())
-    rows, cols = _stencil_pairs(grid)
-    dof = np.full(mask.size, -1)
-    dof[mask] = np.arange(n_dof)
-    rows, cols = dof[rows], dof[cols]
-    keep = (rows >= 0) & (cols >= 0)
-    pattern = csr_matrix((np.ones(int(keep.sum())), (rows[keep], cols[keep])),
-                         shape=(n_dof, n_dof))
-    sharing = (pattern.T @ pattern).tocsr()
-    group = np.full(n_dof, -1)
-    for col in range(n_dof):
-        taken = set(group[sharing.indices[sharing.indptr[col]:sharing.indptr[col + 1]]].tolist())
-        group[col] = next(g for g in itertools.count() if g not in taken)
-    pattern = pattern.tocoo()
-    layout = (pattern.row, pattern.col, group)
-    for arr in layout:
-        arr.setflags(write=False)
-    return layout
 
 
 @dataclass(frozen=True)
@@ -269,9 +238,32 @@ class _Problem:
         out = self.pack(rp - rm) / (2.0 * eps)
         return self.project(out) if project_out else out
 
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Jacobian sparsity ``(rows, cols)`` over unknowns and a column grouping.
+
+        Columns in one group share no row, so one central difference along
+        the sum of their unit vectors recovers every entry of the group
+        (Curtis, Powell and Reid).  Groups are assigned greedily.
+        """
+        rows, cols = _stencil_pairs(self.grid)
+        dof = np.full(self.mask.size, -1)
+        dof[self.mask] = np.arange(self.n_dof)
+        rows, cols = dof[rows], dof[cols]
+        keep = (rows >= 0) & (cols >= 0)
+        pattern = csr_matrix((np.ones(int(keep.sum())), (rows[keep], cols[keep])),
+                             shape=(self.n_dof, self.n_dof))
+        sharing = (pattern.T @ pattern).tocsr()
+        group = np.full(self.n_dof, -1)
+        for col in range(self.n_dof):
+            taken = set(group[sharing.indices[sharing.indptr[col]:sharing.indptr[col + 1]]].tolist())
+            group[col] = next(g for g in itertools.count() if g not in taken)
+        pattern = pattern.tocoo()
+        return pattern.row, pattern.col, group
+
     def jacobian(self, u_arr: np.ndarray) -> csr_matrix:
         """Sparse Jacobian of the packed residual, by grouped central differences."""
-        rows, cols, group = _jacobian_layout(self.grid)
+        rows, cols, group = self._layout
         eps = _FD_STEP * (1.0 + float(np.abs(u_arr).max()))
         diffs = np.empty((int(group.max()) + 1, self.n_dof))
         for g in range(len(diffs)):

@@ -66,14 +66,15 @@ def test_rejected_node_is_first_flagged_by_eigvalsh(d):
     grid, _ = build_torus(_GRIDS[d])
     rng = np.random.default_rng(40 + d)
     mats = _random_spd(grid.shape, seed=50 + d)
-    # clearly indefinite nodes, one with two negative eigenvalues (positive det in 3-D)
+    # clearly indefinite nodes; the first one has two negative eigenvalues,
+    # so in 3-D its det is positive and det alone does not flag it
     flat = mats.reshape(-1, d, d)
-    planted = rng.choice(flat.shape[0], size=6, replace=False)
+    planted = np.sort(rng.choice(flat.shape[0], size=6, replace=False))
     for k, node in enumerate(planted):
         lam = rng.uniform(0.5, 2.0, size=d)
         lam[k % d] = -rng.uniform(0.05, 1.0)
         if k == 0:
-            lam[1:] = -0.4
+            lam[0], lam[1:] = 1.0, -0.4
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         flat[node] = (q * lam) @ q.T
         flat[node] = 0.5 * (flat[node] + flat[node].T)
@@ -84,12 +85,35 @@ def test_rejected_node_is_first_flagged_by_eigvalsh(d):
         MetricField(grid, mats)
 
 
-@pytest.mark.parametrize("d, big", [(2, 1e200), (3, 1e150)])
-def test_overflowed_invariants_name_the_node(d, big):
-    # positive definite, but det = big**d leaves the float range
+@pytest.mark.parametrize("d, node_mat", [
+    (2, 1e200 * np.eye(2)),  # det = 1e400 overflows
+    (3, 1e150 * np.eye(3)),  # det = 1e450 overflows
+    (3, 1e-120 * np.eye(3)),  # det = 1e-360 underflows to 0
+    (2, 1e-160 * np.eye(2)),  # det = 1e-320 is subnormal
+    (3, np.diag([1.0, 1e-200, 1e-200])),  # det underflows even with entries scaled to 1
+    (2, np.diag([1e-310, 1e300])),  # det = 1e-10 is fine, inv[0, 0] = 1e310 overflows
+])
+def test_out_of_range_invariants_name_the_node(d, node_mat):
+    # positive definite, but the determinant or inverse leaves the normal float range
     grid, _ = build_torus(_GRIDS[d])
     mats = np.tile(np.eye(d), grid.shape + (1, 1))
     node = (1, 2, 3)[:d]
-    mats[node] = big * np.eye(d)
-    with pytest.raises(ConstructionError, match=re.escape(f"overflows at node {node}")):
+    mats[node] = node_mat
+    with pytest.raises(ConstructionError,
+                       match=re.escape(f"out of floating-point range at node {node}")):
+        MetricField(grid, mats)
+
+
+@pytest.mark.parametrize("d, node_mat", [
+    (2, 1e200 * np.array([[1.0, 2.0], [2.0, 1.0]])),  # minors overflow, det -> -inf
+    (3, 1e-120 * np.diag([1.0, -1.0, 1.0])),  # det underflows to -0
+    (3, np.diag([1e200, 1e200, -1e-200])),
+])
+def test_indefinite_node_out_of_range_still_reads_not_positive_definite(d, node_mat):
+    grid, _ = build_torus(_GRIDS[d])
+    mats = np.tile(np.eye(d), grid.shape + (1, 1))
+    node = (4, 0, 7)[:d]
+    mats[node] = node_mat
+    with pytest.raises(ConstructionError,
+                       match=re.escape(f"is not positive definite at node {node}")):
         MetricField(grid, mats)

@@ -20,10 +20,7 @@ from pmclab import (
     mean_curvature_residual,
     newton_solve,
 )
-from pmclab import solver
-from pmclab.scenarios import parse_config
 from pmclab.solver import _Problem
-from pmclab.solver import _jacobian_layout
 
 
 def _torus_problem(n=32):
@@ -357,24 +354,3 @@ def test_flow_matches_newton_on_dirichlet_cap():
     assert flow_report.verdict == "converged"
     gap = np.abs(newton_state.height.values - flow_state.height.values).max()
     assert gap < 1e-6
-
-
-def test_equal_grids_share_one_jacobian_layout(monkeypatch):
-    text = '{"fiber": {"kind": "disk", "dims": [8, 16], "R": 0.5}, "boundary": "0"}'
-    a, b = parse_config(text), parse_config(text)
-    assert a.grid is not b.grid and a.grid == b.grid
-    stencil_pairs = solver._stencil_pairs
-    calls = []
-
-    def counted(grid):
-        calls.append(grid)
-        return stencil_pairs(grid)
-
-    monkeypatch.setattr(solver, "_stencil_pairs", counted)
-    _jacobian_layout.cache_clear()
-    for config in (a, b):
-        _Problem(config.warped, config.target, SolveOptions()).jacobian(np.zeros(config.grid.shape))
-    assert len(calls) == 1  # the second problem reuses the first one's colouring
-    layout = _jacobian_layout(a.grid)
-    assert all(x is y for x, y in zip(layout, _jacobian_layout(b.grid)))
-    assert not any(arr.flags.writeable for arr in layout)
