@@ -38,6 +38,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.sparse import csr_matrix
 
 
 class GridMismatchError(ValueError):
@@ -198,7 +199,21 @@ class ScalarField:
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: FiberGrid, values: NDArray) -> None:
-        vals = np.asarray(values, dtype=np.float64)
+        self._hold(grid, np.array(values, dtype=np.float64, order="C"))
+
+    @classmethod
+    def _borrow(cls, grid: FiberGrid, values: NDArray[np.float64]) -> "ScalarField":
+        """A field over a read-only view of a float array, without the defensive copy.
+
+        Only for values that no one writes while the field lives: a fresh
+        result, or a height held for one residual evaluation.  The checks
+        are those of the constructor.
+        """
+        field = cls.__new__(cls)
+        field._hold(grid, values.view())
+        return field
+
+    def _hold(self, grid: FiberGrid, vals: NDArray[np.float64]) -> None:
         if vals.shape != grid.shape:
             raise ConstructionError(
                 f"scalar field shape {vals.shape} does not match grid {grid.shape}"
@@ -209,7 +224,6 @@ class ScalarField:
                 "scalar field contains a non-finite value at node "
                 f"{tuple(int(i) for i in bad)}"
             )
-        vals = vals.copy()
         vals.setflags(write=False)
         self.grid = grid
         self.values = vals
@@ -308,10 +322,14 @@ class MetricField:
             )
         if not np.isfinite(mat).all():
             raise ConstructionError("metric contains non-finite values")
-        skew = max(np.abs(mat[..., i, j] - mat[..., j, i]).max()
-                   for i in range(d) for j in range(i + 1, d))
-        if skew > 1e-12 * (1.0 + np.abs(mat).max()):
-            raise ConstructionError(f"metric is not symmetric (max asymmetry {skew:.3e})")
+        # each node's asymmetry against that node's own largest entry
+        skew = np.maximum.reduce([np.abs(mat[..., i, j] - mat[..., j, i])
+                                  for i in range(d) for j in range(i + 1, d)])
+        lopsided = skew > 1e-12 * (1.0 + np.abs(mat).max(axis=(-2, -1)))
+        if lopsided.any():
+            node = tuple(int(i) for i in np.argwhere(lopsided)[0])
+            raise ConstructionError(
+                f"metric is not symmetric at node {node} (asymmetry {skew[node]:.3e})")
         mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
         # products of large or small entries may leave the float range;
         # the check below names the node
@@ -436,6 +454,30 @@ def partial_into(values: NDArray[np.float64], grid: FiberGrid, axis: int,
         np.subtract(values[1, half:], values[0, :half], out=out[0, half:])
         out[-1] = 3.0 * values[-1] - 4.0 * values[-2] + values[-3]
     return np.divide(out, 2.0 * grid.spacings[axis], out=out)
+
+
+def partial_matrix(grid: FiberGrid, axis: int) -> csr_matrix:
+    """:func:`partial_into` along one axis as a sparse matrix on flat node indices.
+
+    The face-mean difference of :func:`flux_divergence` telescopes to the
+    same stencil (across-center pair and one-sided rim included), so this
+    matrix is the linear part of both the gradient and the divergence.
+    """
+    node = np.arange(math.prod(grid.shape)).reshape(grid.shape)
+    plus, minus = np.roll(node, -1, axis), np.roll(node, 1, axis)
+    rows, cols, vals = [node, node], [plus, minus], [1.0, -1.0]
+    if not grid.periodic_axes[axis]:
+        # disk radial axis: below the innermost ring lies the ring theta + pi,
+        # and the rim ring closes one-sided
+        minus[0] = np.roll(node[0], grid.dims[1] // 2)
+        rows, cols = [r[:-1] for r in rows], [c[:-1] for c in cols]
+        rows += [node[-1]] * 3
+        cols += [node[-1], node[-2], node[-3]]
+        vals += [3.0, -4.0, 1.0]
+    data = np.concatenate([np.full(r.size, v) for r, v in zip(rows, vals)])
+    return csr_matrix((data / (2.0 * grid.spacings[axis]),
+                       (np.concatenate([r.ravel() for r in rows]),
+                        np.concatenate([c.ravel() for c in cols]))), shape=(node.size,) * 2)
 
 
 def _flux_difference_into(q: NDArray[np.float64], grid: FiberGrid, axis: int,

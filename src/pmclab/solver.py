@@ -2,16 +2,17 @@
 
 Two drivers share one residual:
 
-* :func:`newton_solve` is damped Newton on a sparse Jacobian assembled once
-  per step by column-grouped central differences of the residual, and a
-  GMRES linear solve preconditioned by the sparse LU factor of that
-  Jacobian.  On closed fibers the equation only sees the centered
-  differences of ``u``, so the constants and the fields alternating in
-  sign along each even axis span a known null space; the factor comes
-  from a companion in which one grid cell pins those modes, and the
-  gauge (``fix_mean`` or ``pin_node``) then fixes the free constant of
-  each step.  Non-existence is declared before iterating when the
-  warping is constant and the compatibility integral cannot vanish, and
+* :func:`newton_solve` is damped Newton on the exact sparse Jacobian of
+  the discrete residual, assembled once per step by the chain rule from
+  the difference matrices of the grid, and a GMRES linear solve
+  preconditioned by the sparse LU factor of that Jacobian.  On closed
+  fibers the equation only sees the centered differences of ``u``, so
+  the constants and the fields alternating in sign along each even axis
+  span a known null space; the factor comes from a companion in which
+  one grid cell pins those modes, and the gauge (``fix_mean`` or
+  ``pin_node``) then fixes the free constant of each step.
+  Non-existence is declared before iterating when the warping is
+  constant and the compatibility integral cannot vanish, and
   behaviorally when damped steps stagnate at the minimum step length.
 * :func:`flow_solve` is explicit parabolic relaxation ``du/dt = F(u)``
   whose equilibria are exactly the solved graphs.  On obstructed problems
@@ -24,17 +25,16 @@ the unknown vector and every update leaves it untouched.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags
+from scipy.sparse import bmat, csr_matrix, diags, hstack, vstack
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
-from .geometry import ConstructionError, FiberGrid, GridKind, ScalarField, integrate, volume
+from .geometry import ConstructionError, ScalarField, integrate, partial_matrix, volume
 from .warped import (
     GraphState,
     PreconditionError,
@@ -74,36 +74,6 @@ _STEP_CAP_FACTOR = 20.0
 # keeps the Krylov basis small beside the factor, and max_linear still
 # bounds the total count across restarts.
 _KRYLOV_RESTART = 20
-
-
-def _stencil_pairs(grid: FiberGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Flat node pairs ``(row, col)`` where the residual at ``row`` may see ``u`` at ``col``.
-
-    The residual differences a flux built from centered first differences,
-    so it reaches every node within two index steps (L1 distance, at most
-    two axes).  Periodic axes wrap; on a disk an index below the axis
-    continues on the ring ``theta + pi`` (the across-center pairing) and
-    nothing lies beyond the pinned rim, whose one-sided closure stays
-    inside the same reach.
-    """
-    shape = grid.shape
-    flat = np.arange(math.prod(shape)).reshape(shape)
-    index = np.indices(shape)
-    rows, cols = [], []
-    for offset in itertools.product(range(-2, 3), repeat=grid.ndim):
-        if sum(abs(o) for o in offset) > 2:
-            continue
-        pos = [index[ax] + o for ax, o in enumerate(offset)]
-        inside = np.ones(shape, dtype=bool)
-        if grid.kind is GridKind.disk_polar:
-            across = pos[0] < 0
-            pos[0] = np.where(across, -pos[0] - 1, pos[0])
-            pos[1] = np.where(across, pos[1] + shape[1] // 2, pos[1])
-            inside = pos[0] < shape[0]
-        pos = [np.where(inside, p % n, 0) for p, n in zip(pos, shape)]
-        rows.append(flat[inside])
-        cols.append(flat[tuple(pos)][inside])
-    return np.concatenate(rows), np.concatenate(cols)
 
 
 @dataclass(frozen=True)
@@ -190,7 +160,7 @@ class _Problem:
         try:
             # the overflow this probe exists to catch would otherwise warn
             with np.errstate(over="ignore", invalid="ignore"):
-                u = ScalarField(self.grid, u_arr)
+                u = ScalarField._borrow(self.grid, u_arr)
                 return mean_curvature_residual(self.kernel, u, self.target).values
         except ConstructionError:
             return None
@@ -239,42 +209,49 @@ class _Problem:
         return self.project(out) if project_out else out
 
     @cached_property
-    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Jacobian sparsity ``(rows, cols)`` over unknowns and a column grouping.
+    def _stencils(self) -> tuple[csr_matrix, csr_matrix]:
+        """The divergence and gradient stencils of the residual, restricted to unknowns.
 
-        Columns in one group share no row, so one central difference along
-        the sum of their unit vectors recovers every entry of the group
-        (Curtis, Powell and Reid).  Groups are assigned greedily.
+        With ``D_a`` the matrix of :func:`partial_matrix` along axis ``a``,
+        the first is ``[diag(1/sqrt_det) D_a]_a`` side by side, with only
+        the unknown rows kept; the second is ``[D_c]_c`` stacked, with
+        only the unknown columns kept.  Every node, the pinned ring too,
+        stays in between, where the fluxes live.
         """
-        rows, cols = _stencil_pairs(self.grid)
-        dof = np.full(self.mask.size, -1)
-        dof[self.mask] = np.arange(self.n_dof)
-        rows, cols = dof[rows], dof[cols]
-        keep = (rows >= 0) & (cols >= 0)
-        pattern = csr_matrix((np.ones(int(keep.sum())), (rows[keep], cols[keep])),
-                             shape=(self.n_dof, self.n_dof))
-        sharing = (pattern.T @ pattern).tocsr()
-        group = np.full(self.n_dof, -1)
-        for col in range(self.n_dof):
-            taken = set(group[sharing.indices[sharing.indptr[col]:sharing.indptr[col + 1]]].tolist())
-            group[col] = next(g for g in itertools.count() if g not in taken)
-        pattern = pattern.tocoo()
-        return pattern.row, pattern.col, group
+        partials = [partial_matrix(self.grid, axis) for axis in range(self.grid.ndim)]
+        div = (diags(1.0 / self.kernel.sqrt_det.ravel()) @ hstack(partials)).tocsr()[self.mask]
+        grad = vstack(partials, format="csc")[:, self.mask].tocsr()
+        return div, grad
 
-    def jacobian(self, u_arr: np.ndarray) -> csr_matrix:
-        """Sparse Jacobian of the packed residual, by grouped central differences."""
-        rows, cols, group = self._layout
-        eps = _FD_STEP * (1.0 + float(np.abs(u_arr).max()))
-        diffs = np.empty((int(group.max()) + 1, self.n_dof))
-        for g in range(len(diffs)):
-            step = eps * self.scatter((group == g).astype(float))
-            rp = self.residual_full(u_arr + step)
-            rm = self.residual_full(u_arr - step)
-            if rp is None or rm is None:
-                raise _ResidualBlewUp
-            diffs[g] = self.pack(rp - rm) / (2.0 * eps)
-        return csr_matrix((diffs[group[cols], rows], (rows, cols)),
-                          shape=(self.n_dof, self.n_dof))
+    def jacobian(self, u_arr: np.ndarray) -> csr_matrix | None:
+        """Sparse Jacobian of the packed residual, or None when an entry is not finite.
+
+        The exact derivative of the discrete residual by the chain rule.
+        With ``g = sigma^{-1} D u`` and ``s = sqrt_det``, the derivative of
+        the flux ``q_a = s (h/W) g^a`` is ``sum_c diag(m_ac) D_c`` with
+        ``m_ac = s (h/W)(sigma^{ac} - h^2 g^a g^c / W^2)``, so
+        ``J = diag(1/s) sum_ac D_a diag(m_ac) D_c``, plus
+        ``sum_c diag(e_c) D_c`` for the drift of a varying warping, with
+        ``e_c = sum_a dh_a (sigma^{ac} / W - h^2 g^a g^c / W^3)``.  Only
+        the unknown rows and columns are kept.
+        """
+        k = self.kernel
+        d = self.grid.ndim
+        div, grad = self._stencils
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, gu, _, W = k.tilt(u_arr)
+            flux = k.sqrt_det * k.h / W
+            bend = k.h2 / W**2
+            m = [[diags((flux * (k.inv[a][c] - bend * gu[a] * gu[c])).ravel())
+                  for c in range(d)] for a in range(d)]
+            jac = div @ (bmat(m, format="csr") @ grad)
+            if k.dh is not None:
+                pull = sum(k.dh[a] * gu[a] for a in range(d)) * bend
+                e = [(sum(k.dh[a] * k.inv[a][c] for a in range(d)) - pull * gu[c]) / W
+                     for c in range(d)]
+                rows = hstack([diags(ec.ravel()) for ec in e], format="csr")[self.mask]
+                jac = jac + rows @ grad
+        return jac if np.isfinite(jac.data).all() else None
 
     @cached_property
     def _pinned(self) -> np.ndarray:
@@ -309,7 +286,8 @@ class _Problem:
         # pivoting the same fill takes ten times as long to compute
         lu = splu(companion, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                   options={"SymmetricMode": True})
-        A = LinearOperator(companion.shape, matvec=lambda z: companion @ lu.solve(z))
+        A = LinearOperator(companion.shape, matvec=lambda z: companion @ lu.solve(z),
+                           dtype=float)
         restart = min(_KRYLOV_RESTART, self.opts.max_linear)
         z, info = gmres(A, -free * f_dof, rtol=self.opts.linear_rtol, atol=0.0,
                         restart=restart, maxiter=-(-self.opts.max_linear // restart))
@@ -339,15 +317,16 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
                  opts: SolveOptions = SolveOptions()) -> tuple[GraphState, SolveReport]:
     """Damped Newton iteration on the prescribed-curvature residual.
 
-    Each step assembles the sparse Jacobian by grouped central differences
-    and solves for the step by GMRES preconditioned with the LU factor of
-    its pinned companion (see :meth:`_Problem.linear_step`);
+    Each step assembles the exact sparse Jacobian (see
+    :meth:`_Problem.jacobian`) and solves for the step by GMRES
+    preconditioned with the LU factor of its pinned companion (see
+    :meth:`_Problem.linear_step`);
     :meth:`_Problem.project` then fixes the step's gauge on closed fibers.  Damping is Armijo
     backtracking on half the squared residual norm.  Verdicts:
     ``converged`` (sup residual at or below ``tol_abs``), ``obstructed``
     (declared from the compatibility witness before iterating, or after
     ten consecutive steps stuck at the minimum step length), ``diverged``
-    (non-finite iterate or step), ``max_iter`` otherwise, which includes
+    (non-finite iterate, Jacobian entry or step), ``max_iter`` otherwise, which includes
     a linear solve that misses ``linear_rtol`` within ``max_linear``
     iterations: its step is not taken.  On divergence the
     returned state holds the last representable iterate; if none is, the
@@ -381,9 +360,8 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
         verdict = Verdict.converged
     else:
         for _ in range(opts.max_newton):
-            try:
-                jac = prob.jacobian(u)
-            except _ResidualBlewUp:
+            jac = prob.jacobian(u)
+            if jac is None:
                 verdict = Verdict.diverged
                 break
             delta, info = prob.linear_step(jac, f_dof)

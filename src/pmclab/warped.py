@@ -163,7 +163,7 @@ def mean_curvature_residual(wp: WarpedProduct | ResidualKernel, u: ScalarField,
     kernel = wp if isinstance(wp, ResidualKernel) else ResidualKernel(wp)
     kernel.fiber.require_same(u.grid, "graph height")
     kernel.fiber.require_same(target_curvature.grid, "target curvature")
-    return ScalarField(kernel.fiber, kernel.residual(u.values, target_curvature.values)[0])
+    return ScalarField._borrow(kernel.fiber, kernel.residual(u.values, target_curvature.values)[0])
 
 
 class GraphState:

@@ -117,3 +117,14 @@ def test_indefinite_node_out_of_range_still_reads_not_positive_definite(d, node_
     with pytest.raises(ConstructionError,
                        match=re.escape(f"is not positive definite at node {node}")):
         MetricField(grid, mats)
+
+
+def test_asymmetry_is_measured_against_its_own_node():
+    # a huge node elsewhere must not lend its scale to a lopsided one
+    grid, _ = build_torus(_GRIDS[2])
+    mats = np.tile(np.eye(2), grid.shape + (1, 1))
+    mats[0, 0] = 1e100 * np.eye(2)
+    mats[5, 9] = [[1.0, 0.5], [0.1, 1.0]]
+    with pytest.raises(ConstructionError,
+                       match=re.escape("metric is not symmetric at node (5, 9)")):
+        MetricField(grid, mats)
