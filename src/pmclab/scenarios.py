@@ -91,7 +91,6 @@ _SOLVER_FIELD_TYPES = {
     "linear_rtol": float,
     "armijo_c": float,
     "min_step": float,
-    "flow_dt_safety": float,
 }
 
 
@@ -247,6 +246,9 @@ def _build_geometry(fiber_echo: dict, family: str, metric_text: str):
 def _parse_solver(raw) -> tuple[str, float, SolveOptions, dict]:
     if not isinstance(raw, dict):
         raise ValidationError("solver must be an object")
+    if "flow_dt_safety" in raw:
+        raise ValidationError("flow_dt_safety was retired: the flow takes linearly implicit "
+                              "steps of at most t_max/16; set t_max")
     allowed = set(_SOLVER_FIELD_TYPES) | {"method", "t_max", "gauge"}
     _reject_unknown(raw, allowed, "solver")
     method = raw.get("method", "newton")
@@ -280,7 +282,7 @@ def _parse_solver(raw) -> tuple[str, float, SolveOptions, dict]:
         "tol_abs": opts.tol_abs, "max_newton": opts.max_newton,
         "max_linear": opts.max_linear, "linear_rtol": opts.linear_rtol,
         "armijo_c": opts.armijo_c, "min_step": opts.min_step,
-        "gauge": opts.gauge.value, "flow_dt_safety": opts.flow_dt_safety,
+        "gauge": opts.gauge.value,
     }
     if method == "flow":
         echo["t_max"] = float(t_max)

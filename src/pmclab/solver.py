@@ -14,10 +14,12 @@ Two drivers share one residual:
   Non-existence is declared before iterating when the warping is
   constant and the compatibility integral cannot vanish, and
   behaviorally when damped steps stagnate at the minimum step length.
-* :func:`flow_solve` is explicit parabolic relaxation ``du/dt = F(u)``
-  whose equilibria are exactly the solved graphs.  On obstructed problems
-  the mean height drifts at a rate fixed by mass balance, which the
-  report records.
+* :func:`flow_solve` is the parabolic relaxation ``du/dt = F(u)``, whose
+  equilibria are exactly the solved graphs, taken in linearly implicit
+  (Rosenbrock-Euler) steps on the same Jacobian, with at most 16 steps
+  to ``t_max`` and the residual judging each one.  On obstructed
+  problems the mean height drifts at a rate fixed by mass balance, which
+  the report records.
 
 Dirichlet grids keep their pinned ring as data: packing strips it from
 the unknown vector and every update leaves it untouched.
@@ -65,7 +67,10 @@ _MACHINE_EPS = float(np.finfo(np.float64).eps)
 # that its own error stays below the O(eps^2) comparisons made against it.
 _FD_STEP = _MACHINE_EPS ** (1.0 / 3.0)
 _STAGNATION_LIMIT = 10
-_BLOWUP_FACTOR = 1e6
+# The flow's step control: a step is at most t_max / _FLOW_MIN_STEPS, and a
+# run ends after _FLOW_MAX_FACTORS factorizations.
+_FLOW_MIN_STEPS = 16
+_FLOW_MAX_FACTORS = 64
 # Where the flux saturates (h |grad u| >> 1) the Jacobian is nearly
 # singular and a Krylov step can come back astronomically long; capping
 # its sup norm keeps failing iterates inspectable instead of overflowing.
@@ -87,11 +92,10 @@ class SolveOptions:
     armijo_c: float = 1e-4
     min_step: float = 1e-6
     gauge: Gauge = Gauge.fix_mean
-    flow_dt_safety: float = 0.2
 
     def __post_init__(self):
         object.__setattr__(self, "gauge", Gauge(self.gauge))
-        for name in ("tol_abs", "linear_rtol", "min_step", "flow_dt_safety"):
+        for name in ("tol_abs", "linear_rtol", "min_step"):
             if not getattr(self, name) > 0.0:
                 raise ConstructionError(f"{name} must be positive")
         if not (0.0 < self.armijo_c < 0.5):
@@ -280,18 +284,26 @@ class _Problem:
         """
         free = np.ones(self.n_dof)
         free[self._pinned] = 0.0
-        companion = (diags(free) @ jac @ diags(free) + diags(1.0 - free)).tocsc()
-        # the stencil pattern is symmetric and the operator elliptic, so
-        # order on A + A^T and prefer diagonal pivots; left to general row
-        # pivoting the same fill takes ten times as long to compute
-        lu = splu(companion, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                  options={"SymmetricMode": True})
+        if self._pinned.size:
+            companion = (diags(free) @ jac @ diags(free) + diags(1.0 - free)).tocsc()
+        else:
+            companion = jac.tocsc()
+        lu = _factor(companion)
         A = LinearOperator(companion.shape, matvec=lambda z: companion @ lu.solve(z),
                            dtype=float)
         restart = min(_KRYLOV_RESTART, self.opts.max_linear)
         z, info = gmres(A, -free * f_dof, rtol=self.opts.linear_rtol, atol=0.0,
                         restart=restart, maxiter=-(-self.opts.max_linear // restart))
         return lu.solve(z), info
+
+
+def _factor(matrix):
+    """Sparse LU factor of a matrix with the residual's stencil pattern."""
+    # the stencil pattern is symmetric and the operator elliptic, so order
+    # on A + A^T and prefer diagonal pivots; left to general row pivoting
+    # the same fill takes ten times as long to compute
+    return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                options={"SymmetricMode": True})
 
 
 def _safe_state(wp: WarpedProduct, u_arr: np.ndarray, target: ScalarField
@@ -429,105 +441,89 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
     return state, report
 
 
-def _flow_time_step(wp: WarpedProduct, opts: SolveOptions) -> float:
-    """Stability-limited explicit step from the smallest physical spacing."""
-    lengths = []
-    for ax in range(wp.fiber.ndim):
-        sigma_ax = wp.metric.mat[..., ax, ax]
-        lengths.append(wp.fiber.spacings[ax] * math.sqrt(float(sigma_ax.min())))
-    l_min = min(lengths)
-    return opts.flow_dt_safety * l_min**2 * wp.h_inf / (1.0 + wp.h_sup**2)
-
-
-def _window_start(last: int) -> int:
-    """First step of the drift window of a run whose last evaluated step is ``last``."""
-    return min(int(0.8 * last), last - 1)
-
-
 def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField,
                opts: SolveOptions = SolveOptions(), t_max: float = 10.0
                ) -> tuple[GraphState, SolveReport]:
-    """Explicit relaxation ``du/dt = F(u)`` until ``t_max`` or convergence.
+    """Linearly implicit relaxation ``du/dt = F(u)`` until ``t_max`` or convergence.
+
+    Each step is Rosenbrock-Euler, ``(I - dt J) delta = dt F(u)`` on the
+    unknowns, with the exact Jacobian ``J`` of :meth:`_Problem.jacobian`
+    and one LU factor.  A step is at most ``t_max / 16`` and the last one
+    ends the run at ``t_max``.  The residual judges each trial: along the
+    exact flow ``F`` solves a linear parabolic equation and its sup cannot
+    rise, so a trial that raises it beyond its own rounding, is not finite,
+    or meets a singular matrix is not taken and ``dt`` halves; after each
+    accepted step ``dt`` doubles back toward the maximum.  The run ends
+    ``max_iter`` after 64 factorizations.  ``iterations`` counts accepted
+    steps, and ``diverged`` means a non-finite start or Jacobian entry.
 
     The recorded ``mean_drift_rate`` is minus the time derivative of the
-    mean height averaged over the final fifth of the run; mass balance
-    makes it equal ``n * integral(H) / Vol`` on closed fibers with
-    constant warping, where the flow cannot settle.  It is computed from
-    two exact means, at the window's first and last step: the height is
-    kept every ``ceil(n_steps / 64)`` steps, and the window's first height
-    is recovered by replaying the steps after the last kept one before it.
+    mean height over the final fifth of the accepted steps, from the exact
+    means at the window's ends.  On closed fibers with constant warping
+    ``sqrt_det^T J = 0``, so every step moves the mean by exactly
+    ``dt * mean(F)`` and the rate equals ``n * integral(H) / Vol``.
     """
     wp.fiber.require_same(u0.grid, "initial height")
     if t_max <= 0.0:
         raise ConstructionError("t_max must be positive")
     prob = _Problem(wp, target_curvature, opts)
-    dt = _flow_time_step(wp, opts)
-    n_steps = max(1, math.ceil(t_max / dt))
-    stride = max(1, -(-n_steps // 512))
-    spacing = -(-n_steps // 64)
-    closed, interior = wp.fiber.closed, wp.fiber.interior_mask
+    vol = volume(wp.metric)
+    identity = diags(np.ones(prob.n_dof), format="csr")
 
-    def rate(res):
-        """``du/dt``: the residual, held at zero on a pinned ring (a closed fiber has none)."""
-        return res if closed else np.where(interior, res, 0.0)
+    def mean(u):
+        return integrate(ScalarField(wp.fiber, u), wp.metric) / vol
 
     u = u0.values.copy()
-    kept = []  # (step, height) pairs; the first one is never after the window start
-    latest_start = _window_start(n_steps)  # no run goes past n_steps
-    last, u_last = -1, u
-    history = []
+    res = prob.residual_full(u)
+    if res is None:
+        state, osc, gsup = _safe_state(wp, u, target_curvature)
+        return state, SolveReport(Verdict.diverged, 0, [math.inf], osc, 0.0, gsup)
+    f_dof = prob.pack(res)
+    history = [float(np.abs(f_dof).max())]
+    # times as fractions of t_max: halving and doubling keep them exact
+    times, means = [0.0], [mean(u)]
+    span = 1.0 / _FLOW_MIN_STEPS
     verdict = Verdict.max_iter
-    steps_taken = 0
-    blowup_scale = None
+    jac = None
 
-    for k in range(n_steps + 1):
-        if k % spacing == 0 and k <= latest_start:
-            kept.append((k, u))
-            # the run ends at step k - 1 or later, so its window cannot start earlier
-            while len(kept) > 1 and kept[1][0] <= _window_start(k - 1):
-                del kept[0]
-        res = prob.residual_full(u)
-        if res is None:
-            verdict = Verdict.diverged
+    for _ in range(_FLOW_MAX_FACTORS):
+        if history[-1] <= opts.tol_abs or times[-1] >= 1.0:
             break
-        last, u_last = k, u
-        du = rate(res)
-        sup = float(np.abs(du).max())
-        if blowup_scale is None:
-            blowup_scale = _BLOWUP_FACTOR * (1.0 + sup)
-        if k % stride == 0 or k == n_steps:
-            history.append(sup)
-        if sup <= opts.tol_abs:
-            verdict = Verdict.converged
-            break
-        if sup > blowup_scale:
-            verdict = Verdict.diverged
-            break
-        if k == n_steps:
-            break
-        u = u + dt * du
-        steps_taken += 1
+        if jac is None:
+            jac = prob.jacobian(u)
+            if jac is None:
+                verdict = Verdict.diverged
+                break
+            # a rise within the residual's own rounding, about eps |J| |u|, is no rise
+            slack = (_MACHINE_EPS * (1.0 + float(np.abs(u).max()))
+                     * float(abs(jac).sum(axis=1).max()))
+        step = min(span, 1.0 - times[-1])
+        dt = step * t_max
+        try:  # the factor dies with this expression, before the next one is built
+            delta = _factor(identity - dt * jac).solve(dt * f_dof)
+        except RuntimeError:  # splu found the matrix singular: reject as not finite
+            delta = np.full(prob.n_dof, np.nan)
+        trial = u + prob.scatter(delta)
+        trial_res = prob.residual_full(trial)
+        sup = math.inf if trial_res is None else float(np.abs(prob.pack(trial_res)).max())
+        if sup > history[-1] + slack:
+            span = 0.5 * step
+            continue
+        u, f_dof, jac = trial, prob.pack(trial_res), None
+        history.append(sup)
+        times.append(times[-1] + step)
+        means.append(mean(u))
+        span = min(2.0 * step, 1.0 / _FLOW_MIN_STEPS)
 
-    if not history:
-        history = [math.inf]
-
+    if history[-1] <= opts.tol_abs:
+        verdict = Verdict.converged
+    last = len(times) - 1
     drift = 0.0
     if last >= 1:
-        k0 = _window_start(last)
-        start, u_start = [pair for pair in kept if pair[0] <= k0][-1]
-        for _ in range(start, k0):
-            u_start = u_start + dt * rate(prob.residual_full(u_start))
-        vol = volume(wp.metric)
-        mean_start = integrate(ScalarField(wp.fiber, u_start), wp.metric) / vol
-        mean_last = integrate(ScalarField(wp.fiber, u_last), wp.metric) / vol
-        drift = -(mean_last - mean_start) / ((last - k0) * dt)
-
-    if not np.isfinite(u).all():
-        u = u0.values.copy()
-        verdict = Verdict.diverged
+        k0 = min(int(0.8 * last), last - 1)
+        drift = -(means[last] - means[k0]) / ((times[last] - times[k0]) * t_max)
     state, osc, gsup = _safe_state(wp, u, target_curvature)
-    report = SolveReport(verdict, steps_taken, history, osc, float(drift), gsup)
-    return state, report
+    return state, SolveReport(verdict, last, history, osc, drift, gsup)
 
 
 def maximum_principle_check(state_a: GraphState, state_b: GraphState,

@@ -24,6 +24,7 @@ from pmclab import (
     build_hyperbolic_disk,
     build_polar_disk,
     build_torus,
+    flow_solve,
     newton_solve,
 )
 from pmclab.geometry import _flux_difference_into, partial_into, partial_matrix
@@ -109,7 +110,7 @@ def test_constant_warping_disk_stores_nine_entries_per_row_at_most():
     assert jac.getnnz(axis=1).max() <= 9
 
 
-def test_non_finite_jacobian_entry_ends_the_solve_as_diverged():
+def _overflowing_torus():
     # the x1 x1 entry of sigma^{-1} is 1e300 and the spacing 6e-8: the
     # residual of the level start is finite, its second differences are not
     grid, _ = build_torus((16, 16), extents=(1e-6, 1e-6))
@@ -119,14 +120,26 @@ def test_non_finite_jacobian_entry_ends_the_solve_as_diverged():
     mat[..., 1, 1] = 1e300
     warping = ScalarField(grid, 1.0 + 0.3 * np.cos(2e6 * np.pi * x1))
     wp = WarpedProduct(grid, MetricField(grid, mat), warping)
-    target = ScalarField.constant(grid, 0.1)
-    zero = ScalarField.constant(grid, 0.0)
+    return wp, ScalarField.constant(grid, 0.1), ScalarField.constant(grid, 0.0)
+
+
+def test_non_finite_jacobian_entry_ends_the_solve_as_diverged():
+    wp, target, zero = _overflowing_torus()
     prob = _Problem(wp, target, SolveOptions())
     assert prob.residual_full(zero.values) is not None
     assert prob.jacobian(zero.values) is None
     _, report = newton_solve(wp, target, zero, SolveOptions())
     assert report.verdict == "diverged"
     assert report.iterations == 0
+
+
+def test_non_finite_jacobian_entry_ends_the_flow_as_diverged():
+    wp, target, zero = _overflowing_torus()
+    state, report = flow_solve(wp, target, zero, SolveOptions(), t_max=1.0)
+    assert report.verdict == "diverged"
+    assert report.iterations == 0
+    assert report.mean_drift_rate == 0.0
+    np.testing.assert_array_equal(state.height.values, 0.0)
 
 
 def test_python_dash_m_runs_the_command_line():

@@ -229,6 +229,12 @@ def test_solver_section_validation(solver, fragment):
         parse_config(_cfg(solver=solver))
 
 
+@pytest.mark.parametrize("method", ["flow", "newton"])
+def test_retired_flow_dt_safety_names_its_replacement(method):
+    with pytest.raises(ValidationError, match=r"flow_dt_safety was retired: .* set t_max"):
+        parse_config(_cfg(solver={"method": method, "flow_dt_safety": 0.2}))
+
+
 def test_expectation_keyword_validated():
     with pytest.raises(ValidationError, match="expect must be one of"):
         parse_config(_cfg(expect="maybe"))

@@ -15,10 +15,13 @@ from pmclab import (
     build_hyperbolic_disk,
     build_polar_disk,
     build_torus,
+    conformal_scale,
     flow_solve,
+    integrate,
     maximum_principle_check,
     mean_curvature_residual,
     newton_solve,
+    volume,
 )
 from pmclab.solver import _Problem
 
@@ -56,7 +59,6 @@ def test_option_defaults_are_the_documented_contract():
     assert opts.armijo_c == 1e-4
     assert opts.min_step == 1e-6
     assert opts.gauge == "fix_mean"
-    assert opts.flow_dt_safety == 0.2
 
 
 @pytest.mark.parametrize("bad", [
@@ -334,6 +336,57 @@ def test_flow_reports_steady_drift_on_obstructed_data():
     # mass balance: the mean sinks at rate n * mean(H) = 0.2, and the
     # drift is reported with the sign that makes the obstruction positive
     assert report.mean_drift_rate == pytest.approx(0.2, rel=1e-10)
+
+
+def test_flow_mass_balance_holds_over_a_varying_volume_density():
+    # sqrt_det^T J = 0 on a closed fiber with constant warping, so every
+    # implicit step moves the weighted mean by exactly dt * mean(F)
+    grid, metric = build_torus((32, 32))
+    x1, x2 = grid.meshes()
+    metric = conformal_scale(metric, ScalarField(grid, 1.0 + 0.3 * np.sin(x1) * np.cos(x2)))
+    wp = WarpedProduct(grid, metric, ScalarField.constant(grid, 1.3))
+    target = ScalarField(grid, 0.1 + 0.05 * np.cos(x1 + x2))
+    u0 = ScalarField(grid, 0.2 * np.sin(x1) + 0.1 * np.cos(2.0 * x2))
+    _, report = flow_solve(wp, target, u0, SolveOptions(), t_max=3.0)
+    assert report.verdict == "max_iter"
+    expected = 2.0 * integrate(target, metric) / volume(metric)
+    assert report.mean_drift_rate == pytest.approx(expected, rel=1e-10)
+
+
+def test_flow_takes_sixteen_steps_where_the_residual_only_rounds():
+    # from a level start F stays the constant -2H: a trial's residual
+    # differs from it by rounding alone, which is no rise to reject
+    grid, metric = build_torus((32, 32))
+    wp = WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0))
+    _, report = flow_solve(wp, ScalarField.constant(grid, 0.1), ScalarField.constant(grid, 0.0),
+                           SolveOptions(), t_max=2.0)
+    assert report.verdict == "max_iter"
+    assert report.iterations == 16
+    assert report.mean_drift_rate == pytest.approx(0.2, rel=1e-10)
+
+
+def test_flow_rejects_steps_that_raise_the_residual():
+    # long implicit steps on the counterexample's boundary data raise the
+    # residual; only by rejecting them does the flow settle on Newton's graph
+    grid, metric = build_hyperbolic_disk(64, 128, 0.875)
+    wp = WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0))
+    zero = ScalarField.constant(grid, 0.0)
+    u0 = np.zeros(grid.shape)
+    u0[-1, :] = 0.5 * np.sin(3.0 * grid.axes[1])
+    newton_state, _ = newton_solve(wp, zero, ScalarField(grid, u0), SolveOptions())
+    flow_state, report = flow_solve(wp, zero, ScalarField(grid, u0), SolveOptions(), t_max=40.0)
+    assert report.verdict == "converged"
+    assert np.abs(newton_state.height.values - flow_state.height.values).max() < 1e-6
+
+
+def test_flow_reaches_the_dirichlet_cap_in_at_most_16_steps():
+    grid, metric = build_polar_disk(16, 32, radius=1.0)
+    wp = WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0))
+    _, report = flow_solve(wp, ScalarField.constant(grid, -0.1), ScalarField.constant(grid, 0.0),
+                           SolveOptions(tol_abs=1e-8), t_max=40.0)
+    assert report.verdict == "converged"
+    assert 1 <= report.iterations <= 16
+    assert len(report.residual_history) == report.iterations + 1
 
 
 def test_flow_rejects_nonpositive_horizon():
