@@ -583,24 +583,17 @@ def volume(metric: MetricField) -> float:
     return integrate(ScalarField.constant(metric.grid, 1.0), metric)
 
 
-def lift_to_circle(grid2d: FiberGrid, metric: MetricField, h_field: ScalarField,
-                   n_circle: int) -> tuple[FiberGrid, MetricField, Callable[[ScalarField], ScalarField]]:
+def lift_to_circle(grid2d: FiberGrid, metric: MetricField, n_circle: int
+                   ) -> tuple[FiberGrid, MetricField, Callable[[ScalarField], ScalarField]]:
     """Cross a 2-D torus with a unit circle: block metric ``sigma + d theta^2``.
 
-    ``h_field`` is validated to live (positively) on ``grid2d`` so the
-    caller can lift it with the returned map; the lift itself is the same
-    for every scalar.  Returns the 3-D grid, its metric, and a map sending
-    a 2-D scalar field to its circle-invariant lift.
+    Returns the 3-D grid with ``n_circle`` nodes on the circle, its
+    metric, and a map sending a 2-D scalar field (a warping, a height) to
+    its circle-invariant lift.
     """
     if grid2d.kind is not GridKind.torus2d:
         raise GridMismatchError("only 2-D torus fibers can be crossed with a circle")
     metric.grid.require_same(grid2d, "lift_to_circle")
-    grid2d.require_same(h_field.grid, "lift_to_circle")
-    if h_field.values.min() <= 0.0:
-        bad = np.argwhere(h_field.values <= 0.0)[0]
-        raise ConstructionError(
-            f"warping must stay positive, offending node {tuple(int(i) for i in bad)}"
-        )
     n_circle = int(n_circle)
     grid3 = FiberGrid(GridKind.torus3d_lifted, grid2d.dims + (n_circle,),
                       grid2d.extents + (2.0 * math.pi,), BoundaryKind.periodic_all)

@@ -243,6 +243,21 @@ def _build_geometry(fiber_echo: dict, family: str, metric_text: str):
         raise ValidationError(str(e)) from e
 
 
+def _solver_number(value, typ, where: str):
+    """``value`` as ``typ``; anything but a finite number of that kind is a ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{where} must be a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"{where} must be finite, got {value}")
+    if typ is int and int(value) != value:
+        raise ValidationError(f"{where} must be an integer")
+    try:
+        return typ(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError(f"{where} must be finite, got an integer beyond "
+                              "the float range") from None
+
+
 def _parse_solver(raw) -> tuple[str, float, SolveOptions, dict]:
     if not isinstance(raw, dict):
         raise ValidationError("solver must be an object")
@@ -256,23 +271,17 @@ def _parse_solver(raw) -> tuple[str, float, SolveOptions, dict]:
         raise ValidationError(f"solver method must be newton or flow, got {method!r}")
     if "t_max" in raw and method != "flow":
         raise ValidationError("t_max only applies to the flow method")
-    t_max = raw.get("t_max", 10.0)
-    if not isinstance(t_max, (int, float)) or isinstance(t_max, bool) or t_max <= 0:
-        raise ValidationError("t_max must be a positive number")
-    kwargs = {}
-    for name, typ in _SOLVER_FIELD_TYPES.items():
-        if name in raw:
-            value = raw[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValidationError(f"solver.{name} must be a number")
-            if typ is int and int(value) != value:
-                raise ValidationError(f"solver.{name} must be an integer")
-            kwargs[name] = typ(value)
+    t_max = _solver_number(raw.get("t_max", 10.0), float, "solver.t_max")
+    if t_max <= 0:
+        raise ValidationError("solver.t_max must be a positive number")
+    kwargs = {name: _solver_number(raw[name], typ, f"solver.{name}")
+              for name, typ in _SOLVER_FIELD_TYPES.items() if name in raw}
     if "gauge" in raw:
         try:
             kwargs["gauge"] = Gauge(raw["gauge"])
         except ValueError:
-            raise ValidationError(f"unknown gauge {raw['gauge']!r}") from None
+            raise ValidationError(f"unknown gauge {raw['gauge']!r}; valid: "
+                                  f"{', '.join(g.value for g in Gauge)}") from None
     try:
         opts = SolveOptions(**kwargs)
     except ConstructionError as e:
@@ -285,8 +294,8 @@ def _parse_solver(raw) -> tuple[str, float, SolveOptions, dict]:
         "gauge": opts.gauge.value,
     }
     if method == "flow":
-        echo["t_max"] = float(t_max)
-    return method, float(t_max), opts, echo
+        echo["t_max"] = t_max
+    return method, t_max, opts, echo
 
 
 def _validate_checks(checks, wp: WarpedProduct, target: ScalarField) -> tuple[str, ...]:
@@ -443,8 +452,7 @@ def _run_check(name: str, wp: WarpedProduct, state: GraphState,
             return {"max_violation": violation, "pass": violation <= _SUPERHARMONIC_TOL}
         # conformal_laplacian: probe the conformal rule on the lifted fiber
         # with the warping itself as test function and factor h^4.
-        grid3, metric3, lift = lift_to_circle(wp.fiber, wp.metric, wp.warping,
-                                              _LIFT_CIRCLE_NODES)
+        grid3, metric3, lift = lift_to_circle(wp.fiber, wp.metric, _LIFT_CIRCLE_NODES)
         h3 = lift(wp.warping)
         factor = ScalarField(grid3, h3.values**4)
         residual = check_conformal_laplacian(metric3, factor, h3)

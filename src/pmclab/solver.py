@@ -51,7 +51,6 @@ from .warped import (
 class Gauge(str, Enum):
     fix_mean = "fix_mean"
     pin_node = "pin_node"
-    none = "none"
 
 
 class Verdict(str, Enum):
@@ -96,12 +95,12 @@ class SolveOptions:
     def __post_init__(self):
         object.__setattr__(self, "gauge", Gauge(self.gauge))
         for name in ("tol_abs", "linear_rtol", "min_step"):
-            if not getattr(self, name) > 0.0:
-                raise ConstructionError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConstructionError(f"{name} must be positive and finite")
         if not (0.0 < self.armijo_c < 0.5):
             raise ConstructionError("armijo_c must lie in (0, 0.5)")
-        if self.max_newton < 1 or self.max_linear < 1:
-            raise ConstructionError("iteration budgets must be at least 1")
+        if not (1 <= self.max_newton < math.inf and 1 <= self.max_linear < math.inf):
+            raise ConstructionError("iteration budgets must be finite and at least 1")
 
 
 @dataclass
@@ -114,6 +113,9 @@ class SolveReport:
     the sign chosen so an obstructed ``H > 0`` problem reports a positive
     rate equal to ``n * integral(H) / Vol``.  ``obstruction_witness`` is
     set only when non-existence was declared analytically.
+    ``factorizations`` counts the sparse LU factors the solve built: one
+    per Newton step that reached its linear solve, and one per flow
+    trial, accepted or rejected.
     """
 
     verdict: Verdict
@@ -122,6 +124,7 @@ class SolveReport:
     u_oscillation: float
     mean_drift_rate: float
     grad_sup: float
+    factorizations: int = 0
     obstruction_witness: float | None = None
 
     def __post_init__(self) -> None:
@@ -135,6 +138,7 @@ class SolveReport:
             "u_oscillation": self.u_oscillation,
             "mean_drift_rate": self.mean_drift_rate,
             "grad_sup": self.grad_sup,
+            "factorizations": self.factorizations,
         }
         if self.obstruction_witness is not None:
             out["obstruction_witness"] = self.obstruction_witness
@@ -157,7 +161,7 @@ class _Problem:
         self.grid = wp.fiber
         self.mask = self.grid.interior_mask.ravel()
         self.n_dof = int(self.mask.sum())
-        self.gauge = opts.gauge if self.grid.closed else Gauge.none
+        self.gauge = opts.gauge if self.grid.closed else None  # disks have no free constant
 
     def residual_full(self, u_arr: np.ndarray) -> np.ndarray | None:
         """Residual node values, or None when the iterate is unusable."""
@@ -185,6 +189,8 @@ class _Problem:
         share their index parity along the even axes.  Subtracting each
         class mean removes it and leaves a mean-free step, as ``fix_mean``
         asks; ``pin_node`` then shifts the step to vanish at the first node.
+        A disk has no null space, so its step is returned as it is and the
+        gauge plays no part.
         """
         if not self.grid.closed:
             return delta
@@ -366,6 +372,7 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
 
     verdict = Verdict.max_iter
     iterations = 0
+    factorizations = 0
     stagnation = 0
 
     if history[0] <= opts.tol_abs:
@@ -377,6 +384,7 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
                 verdict = Verdict.diverged
                 break
             delta, info = prob.linear_step(jac, f_dof)
+            factorizations += 1
             if not np.isfinite(delta).all():
                 verdict = Verdict.diverged
                 break
@@ -437,7 +445,7 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
                 break
 
     state, osc, gsup = _safe_state(wp, u, target_curvature)
-    report = SolveReport(verdict, iterations, history, osc, 0.0, gsup)
+    report = SolveReport(verdict, iterations, history, osc, 0.0, gsup, factorizations)
     return state, report
 
 
@@ -464,8 +472,8 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
     ``dt * mean(F)`` and the rate equals ``n * integral(H) / Vol``.
     """
     wp.fiber.require_same(u0.grid, "initial height")
-    if t_max <= 0.0:
-        raise ConstructionError("t_max must be positive")
+    if not 0.0 < t_max < math.inf:
+        raise ConstructionError("t_max must be positive and finite")
     prob = _Problem(wp, target_curvature, opts)
     vol = volume(wp.metric)
     identity = diags(np.ones(prob.n_dof), format="csr")
@@ -485,6 +493,7 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
     span = 1.0 / _FLOW_MIN_STEPS
     verdict = Verdict.max_iter
     jac = None
+    factorizations = 0
 
     for _ in range(_FLOW_MAX_FACTORS):
         if history[-1] <= opts.tol_abs or times[-1] >= 1.0:
@@ -499,6 +508,7 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
                      * float(abs(jac).sum(axis=1).max()))
         step = min(span, 1.0 - times[-1])
         dt = step * t_max
+        factorizations += 1
         try:  # the factor dies with this expression, before the next one is built
             delta = _factor(identity - dt * jac).solve(dt * f_dof)
         except RuntimeError:  # splu found the matrix singular: reject as not finite
@@ -523,7 +533,7 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
         k0 = min(int(0.8 * last), last - 1)
         drift = -(means[last] - means[k0]) / ((times[last] - times[k0]) * t_max)
     state, osc, gsup = _safe_state(wp, u, target_curvature)
-    return state, SolveReport(verdict, last, history, osc, drift, gsup)
+    return state, SolveReport(verdict, last, history, osc, drift, gsup, factorizations)
 
 
 def maximum_principle_check(state_a: GraphState, state_b: GraphState,
@@ -532,10 +542,14 @@ def maximum_principle_check(state_a: GraphState, state_b: GraphState,
 
     Bounded by solver tolerances on Dirichlet problems (discrete
     uniqueness); on closed fibers the gauge constant shows up in the
-    returned value and is reported, not treated as an error.
+    returned value and is reported, not treated as an error.  The same
+    problem means the same grid, metric, warping, target and pinned
+    boundary data; any difference raises :class:`PreconditionError`.
     """
     ga, gb = state_a.warped.fiber, state_b.warped.fiber
     ga.require_same(gb, "maximum principle comparison")
+    if not np.array_equal(state_a.warped.metric.mat, state_b.warped.metric.mat):
+        raise PreconditionError("states live over different metrics")
     if not np.array_equal(state_a.warped.warping.values, state_b.warped.warping.values):
         raise PreconditionError("states live over different warpings")
     if not np.array_equal(state_a.target.values, state_b.target.values):

@@ -315,7 +315,7 @@ def check_superharmonic(wp: WarpedProduct, u: ScalarField, target_curvature: Sca
     _require_solved(wp, u, target_curvature, tol_solve, "superharmonic check")
     prime = induced_metric(wp, u)
     if wp.fiber.kind is GridKind.torus2d:
-        grid3, prime3, lift = lift_to_circle(wp.fiber, prime, wp.warping, circle_nodes)
+        grid3, prime3, lift = lift_to_circle(wp.fiber, prime, circle_nodes)
         h3 = lift(wp.warping)
         factor = ScalarField(grid3, h3.values**4)
         scaled = conformal_scale(prime3, factor)

@@ -59,7 +59,7 @@ def _drift_torus():
     mat[..., 0, 1] = mat[..., 1, 0] = 0.3 * np.sin(x1 + x2)
     warping = ScalarField(grid, 1.0 + 0.3 * np.cos(x1) + 0.2 * np.sin(x2))
     wp = WarpedProduct(grid, MetricField(grid, mat), warping)
-    prob = _Problem(wp, ScalarField.constant(grid, 0.0), SolveOptions(gauge="none"))
+    prob = _Problem(wp, ScalarField.constant(grid, 0.0), SolveOptions())
     return prob, 0.8 * np.sin(x1) + 0.5 * np.cos(2.0 * x2), {"all": slice(None)}
 
 
@@ -68,7 +68,7 @@ def _lifted_torus():
     x1, x2, x3 = grid.meshes()
     warping = ScalarField(grid, 1.0 + 0.3 * np.cos(x1) + 0.2 * np.sin(x3))
     wp = WarpedProduct(grid, metric, warping)
-    prob = _Problem(wp, ScalarField.constant(grid, 0.0), SolveOptions(gauge="none"))
+    prob = _Problem(wp, ScalarField.constant(grid, 0.0), SolveOptions())
     return prob, 0.6 * np.sin(x1) + 0.4 * np.cos(x2 + x3), {"all": slice(None)}
 
 

@@ -252,7 +252,7 @@ def test_lift_to_circle_volume_and_block_structure():
     grid, metric = build_torus((16, 16))
     x1, _ = grid.meshes()
     h = ScalarField(grid, 1.0 + 0.3 * np.cos(x1))
-    grid3, metric3, lift = lift_to_circle(grid, metric, h, 16)
+    grid3, metric3, lift = lift_to_circle(grid, metric, 16)
     assert grid3.kind is GridKind.torus3d_lifted
     assert grid3.shape == (16, 16, 16)
     # the circle factor is unit, so the lifted volume is (2 pi)^3 exactly
@@ -267,9 +267,8 @@ def test_lift_to_circle_volume_and_block_structure():
 
 def test_lift_rejects_disk_fiber():
     grid, metric = build_polar_disk(12, 16, radius=1.0)
-    h = ScalarField.constant(grid, 1.0)
     with pytest.raises(GridMismatchError):
-        lift_to_circle(grid, metric, h, 16)
+        lift_to_circle(grid, metric, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +313,7 @@ def test_dump_field_csv_bytes_match_per_node_writer(tmp_path):
     # signed zeros on the outer rings, mixed magnitudes inside
     disk_values = np.where(rho < 0.6, np.sin(3.0 * theta) * rho**5 / 3.0, -0.0)
     torus, metric = build_torus((8, 8))
-    _, _, lift = lift_to_circle(torus, metric, ScalarField.constant(torus, 1.0), 8)
+    _, _, lift = lift_to_circle(torus, metric, 8)
     x1, x2 = torus.meshes()
     fields = {"disk": ScalarField(disk, disk_values),
               "lifted": lift(ScalarField(torus, 1e-7 * np.cos(x1) * np.exp(np.sin(x2))))}

@@ -115,7 +115,7 @@ def _lifted_torus():
     grid2, metric2 = build_torus((16, 16))
     x1, x2 = grid2.meshes()
     h2 = ScalarField(grid2, 1.0 + 0.3 * np.cos(x1))
-    grid3, metric3, lift = lift_to_circle(grid2, metric2, h2, 8)
+    grid3, metric3, lift = lift_to_circle(grid2, metric2, 8)
     wp = WarpedProduct(grid3, metric3, lift(h2))
     _, _, x3 = grid3.meshes()
     u = lift(ScalarField(grid2, 0.3 * np.sin(x1) + 0.1 * np.cos(x2))).values + 0.2 * np.sin(x3)

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmclab import cli
 from pmclab.cli import main
@@ -223,10 +224,47 @@ def test_grids_over_the_node_budget_are_rejected(fiber):
     ({"max_newton": 2.5}, "must be an integer"),
     ({"tol_abs": -1e-8}, "must be positive"),
     ({"method": "bisection"}, "newton or flow"),
+    ({"method": "flow", "t_max": math.nan}, "t_max must be finite"),
+    ({"method": "flow", "t_max": math.inf}, "t_max must be finite"),
+    ({"max_newton": math.inf}, "max_newton must be finite"),
+    ({"max_linear": math.nan}, "max_linear must be finite"),
+    ({"tol_abs": math.inf}, "tol_abs must be finite"),
+    ({"min_step": math.inf}, "min_step must be finite"),
+    ({"tol_abs": 10**400}, "beyond the float range"),
+    ({"gauge": "none"}, "unknown gauge 'none'; valid: fix_mean, pin_node"),
 ])
 def test_solver_section_validation(solver, fragment):
     with pytest.raises(ValidationError, match=fragment):
         parse_config(_cfg(solver=solver))
+
+
+# every number JSON can carry, NaN, +-Infinity and integers far beyond the
+# float range among them
+_JSON_NUMBERS = st.one_of(st.floats(), st.integers(-(10**400), 10**400))
+_SOLVER_SECTIONS = st.fixed_dictionaries(
+    {"method": st.sampled_from(["newton", "flow"])},
+    optional={name: _JSON_NUMBERS for name in (
+        "t_max", "tol_abs", "max_newton", "max_linear", "linear_rtol", "armijo_c", "min_step")},
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_SOLVER_SECTIONS)
+def test_solver_numbers_parse_or_raise_validation_error(solver):
+    if solver["method"] == "newton":
+        solver.pop("t_max", None)
+    try:
+        parse_config(_cfg(solver=solver))
+    except ValidationError:
+        pass
+
+
+def test_cli_non_finite_solver_number_exits_2(tmp_path, capsys):
+    config = tmp_path / "infinite.json"
+    config.write_text('{"fiber": {"kind": "torus", "dims": [8, 8]}, '
+                      '"solver": {"max_newton": Infinity}}')
+    assert main(["solve", str(config)]) == 2
+    assert "max_newton must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["flow", "newton"])
@@ -271,6 +309,21 @@ def test_report_is_deterministic_up_to_wall_time():
     # the echoed config re-parses to an equivalent config
     echo = json.dumps(first.config)
     assert parse_config(echo).echo_json() == parse_config(text).echo_json()
+
+
+@pytest.mark.parametrize("name,solver,counts", [
+    # 14 accepted steps and 6 rejected trials, each trial one LU factor
+    ("hyperbolic_counterexample", {"method": "flow", "t_max": 40.0}, (14, 20)),
+    ("obstruction_torus", {"method": "flow", "t_max": 5.0}, (16, 16)),
+    # newton factors once per step; the witness declares the obstruction
+    # before any step
+    ("uniqueness_torus", {}, (3, 3)),
+    ("obstruction_torus", {}, (0, 0)),
+])
+def test_report_counts_every_factorization(name, solver, counts):
+    raw = dict(BUILTIN_SCENARIOS[name], solver=solver, checks=[])
+    solve = run_scenario(parse_config(json.dumps(raw))).to_json_dict()["solve"]
+    assert (solve["iterations"], solve["factorizations"]) == counts
 
 
 def test_every_requested_check_appears_exactly_once():

@@ -67,6 +67,12 @@ def test_option_defaults_are_the_documented_contract():
     {"armijo_c": 0.7},
     {"min_step": -1.0},
     {"gauge": "lock_phase"},
+    {"tol_abs": math.inf},
+    {"linear_rtol": math.inf},
+    {"min_step": math.inf},
+    {"max_newton": math.inf},
+    {"max_linear": math.nan},
+    {"gauge": "none"},
 ])
 def test_option_validation(bad):
     with pytest.raises((ConstructionError, ValueError)):
@@ -77,7 +83,8 @@ def test_report_json_shape():
     report = SolveReport("converged", 3, [1.0, 0.1], 2e-12, 0.0, 1e-13)
     payload = report.to_json_dict()
     assert set(payload) == {"verdict", "iterations", "residual_history",
-                            "u_oscillation", "mean_drift_rate", "grad_sup"}
+                            "u_oscillation", "mean_drift_rate", "grad_sup",
+                            "factorizations"}
     assert payload["verdict"] == "converged"
 
     witnessed = SolveReport("obstructed", 0, [0.2], 0.0, 0.0, 0.0,
@@ -210,6 +217,21 @@ def test_comparison_rejects_mismatched_targets():
         maximum_principle_check(state_a, state_b, tol_solve=1e-6)
 
 
+def test_comparison_rejects_mismatched_metrics():
+    from pmclab.warped import GraphState
+    grid, flat = build_torus((16, 16))
+    _, x2 = grid.meshes()
+    bent = conformal_scale(flat, ScalarField(grid, 1.0 + 0.5 * np.cos(x2)))
+    warping = ScalarField.constant(grid, 1.0)
+    zero = ScalarField.constant(grid, 0.0)
+    # level heights solve the zero-target equation over either metric
+    state_a = GraphState(WarpedProduct(grid, flat, warping), zero, zero)
+    state_b = GraphState(WarpedProduct(grid, bent, warping),
+                         ScalarField.constant(grid, 0.3), zero)
+    with pytest.raises(PreconditionError, match="different metrics"):
+        maximum_principle_check(state_a, state_b)
+
+
 def test_comparison_rejects_unsolved_states():
     from pmclab.warped import GraphState
     grid, metric = build_polar_disk(16, 32, radius=1.0)
@@ -231,7 +253,7 @@ def test_jacobian_action_matches_directional_differences():
     wp, zero = _torus_problem()
     x1, x2 = wp.fiber.meshes()
     u = 0.8 * np.sin(x1) + 0.5 * np.cos(2.0 * x2)
-    prob = _Problem(wp, zero, SolveOptions(gauge="none"))
+    prob = _Problem(wp, zero, SolveOptions())
     rng = np.random.default_rng(3)
     v = rng.standard_normal(prob.n_dof)
     action = prob.jacobian_action(u, v, project_out=False)
@@ -391,9 +413,10 @@ def test_flow_reaches_the_dirichlet_cap_in_at_most_16_steps():
 
 def test_flow_rejects_nonpositive_horizon():
     wp, zero = _torus_problem()
-    with pytest.raises(ConstructionError):
-        flow_solve(wp, zero, ScalarField.constant(wp.fiber, 0.0),
-                   SolveOptions(), t_max=0.0)
+    for t_max in (0.0, math.nan, math.inf):
+        with pytest.raises(ConstructionError, match="positive and finite"):
+            flow_solve(wp, zero, ScalarField.constant(wp.fiber, 0.0),
+                       SolveOptions(), t_max=t_max)
 
 
 def test_flow_matches_newton_on_dirichlet_cap():
