@@ -59,11 +59,6 @@ class GridKind(str, Enum):
     torus3d_lifted = "torus3d_lifted"
 
 
-class BoundaryKind(str, Enum):
-    periodic_all = "periodic_all"
-    dirichlet_radial = "dirichlet_radial"
-
-
 _MIN_NODES_PER_AXIS = 8
 
 
@@ -89,15 +84,15 @@ class FiberGrid:
         Nodes per axis, each at least 8.
     extents:
         Coordinate extent per axis.  For disks this is ``(R, 2pi)``.
-    boundary:
-        ``periodic_all`` for tori, ``dirichlet_radial`` for disks (the
-        outermost radial ring holds pinned data and is never an unknown).
+
+    The kind fixes the boundary: tori are periodic on every axis, and a
+    disk is periodic in angle with a Dirichlet outer ring (the outermost
+    radial ring holds pinned data and is never an unknown).
     """
 
     kind: GridKind
     dims: tuple[int, ...]
     extents: tuple[float, ...]
-    boundary: BoundaryKind
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
@@ -119,15 +114,10 @@ class FiberGrid:
         for e in self.extents:
             if not math.isfinite(e) or e <= 0.0:
                 raise ConstructionError(f"axis extents must be positive, got {e}")
-        if self.kind is GridKind.disk_polar:
-            if self.boundary is not BoundaryKind.dirichlet_radial:
-                raise ConstructionError("disk grids carry a Dirichlet outer ring")
-            if self.dims[1] % 2 != 0:
-                raise ConstructionError(
-                    f"the across-center pairing needs an even angular count, got {self.dims[1]}"
-                )
-        elif self.boundary is not BoundaryKind.periodic_all:
-            raise ConstructionError("torus grids are periodic on every axis")
+        if self.kind is GridKind.disk_polar and self.dims[1] % 2 != 0:
+            raise ConstructionError(
+                f"the across-center pairing needs an even angular count, got {self.dims[1]}"
+            )
 
     @property
     def ndim(self) -> int:
@@ -146,7 +136,7 @@ class FiberGrid:
     @property
     def closed(self) -> bool:
         """True when the grid has no boundary (every axis periodic)."""
-        return self.boundary is BoundaryKind.periodic_all
+        return self.kind is not GridKind.disk_polar
 
     @cached_property
     def spacings(self) -> tuple[float, ...]:
@@ -363,7 +353,9 @@ def _flat_metric(grid: FiberGrid) -> MetricField:
     for i in range(grid.ndim):
         mat[..., i, i] = 1.0
     if grid.kind is GridKind.disk_polar:
-        mat[..., 1, 1] = grid.meshes()[0] ** 2
+        # past the square root of the float range rho^2 overflows; MetricField names the node
+        with np.errstate(over="ignore"):
+            mat[..., 1, 1] = grid.meshes()[0] ** 2
     return MetricField(grid, mat)
 
 
@@ -396,14 +388,14 @@ def build_torus(dims, extents=None) -> tuple[FiberGrid, MetricField]:
     kind = GridKind.torus2d if len(dims) == 2 else GridKind.torus3d_lifted
     if extents is None:
         extents = (2.0 * math.pi,) * len(dims)
-    grid = FiberGrid(kind, dims, tuple(extents), BoundaryKind.periodic_all)
+    grid = FiberGrid(kind, dims, tuple(extents))
     return grid, _flat_metric(grid)
 
 
 def build_polar_disk(n_r: int, n_theta: int, radius: float) -> tuple[FiberGrid, MetricField]:
     """Build a polar disk grid with cell-centered radii, a pinned outer ring and its flat metric."""
     grid = FiberGrid(GridKind.disk_polar, (int(n_r), int(n_theta)),
-                     (float(radius), 2.0 * math.pi), BoundaryKind.dirichlet_radial)
+                     (float(radius), 2.0 * math.pi))
     return grid, _flat_metric(grid)
 
 
@@ -596,7 +588,7 @@ def lift_to_circle(grid2d: FiberGrid, metric: MetricField, n_circle: int
     metric.grid.require_same(grid2d, "lift_to_circle")
     n_circle = int(n_circle)
     grid3 = FiberGrid(GridKind.torus3d_lifted, grid2d.dims + (n_circle,),
-                      grid2d.extents + (2.0 * math.pi,), BoundaryKind.periodic_all)
+                      grid2d.extents + (2.0 * math.pi,))
     mat3 = np.zeros(grid3.shape + (3, 3))
     mat3[..., :2, :2] = metric.mat[:, :, None, :, :]
     mat3[..., 2, 2] = 1.0

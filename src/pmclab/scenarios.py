@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -42,6 +43,7 @@ from .geometry import (
 )
 from .solver import Gauge, SolveOptions, SolveReport, Verdict, flow_solve, newton_solve
 from .warped import (
+    _LIFT_CIRCLE_NODES,
     GraphState,
     PreconditionError,
     WarpedProduct,
@@ -72,25 +74,26 @@ CHECK_NAMES = (
 )
 
 _EXPECTATIONS = ("converged", "obstructed")
-_TORUS_KINDS = {"torus": None, "torus2d": None, "torus3d_lifted": None}
-_DISK_KINDS = {"disk": None, "disk_polar": None}
+_TORUS_KINDS = frozenset({"torus", "torus2d", "torus3d_lifted"})
+_DISK_KINDS = frozenset({"disk", "disk_polar"})
 
 _HEIGHT_IDENTITY_TOL = 5e-2
 _CONFORMAL_CHECK_TOL = 5e-2
 _SUPERHARMONIC_TOL = 1e-6
 _RICCI_ZERO_TOL = 1e-14
-_LIFT_CIRCLE_NODES = 16
 # Largest grid a config or a refinement may ask for: 256 times the 64^2
 # grids of the bundled scenarios.
 _MAX_NODES = 2**20
 
-_SOLVER_FIELD_TYPES = {
-    "tol_abs": float,
-    "max_newton": int,
-    "max_linear": int,
-    "linear_rtol": float,
-    "armijo_c": float,
-    "min_step": float,
+# The solver keys each method reads, besides "method".
+_METHOD_KEYS = {"newton": ("tol_abs", "max_newton", "gauge"), "flow": ("t_max", "tol_abs")}
+# Solver keys that are settings no longer, and what stands in their place.
+_RETIRED_SOLVER_KEYS = {
+    "flow_dt_safety": "the flow takes linearly implicit steps of at most t_max/16; set t_max",
+    "armijo_c": "Newton's line search uses a fixed Armijo constant",
+    "min_step": "Newton's line search uses a fixed shortest step",
+    "linear_rtol": "Newton's linear solve uses a fixed tolerance",
+    "max_linear": "Newton's linear solve uses a fixed iteration budget",
 }
 
 
@@ -198,6 +201,8 @@ def _parse_fiber(raw) -> tuple[dict, str]:
     if not isinstance(raw, dict):
         raise ValidationError("fiber must be an object")
     kind = raw.get("kind")
+    if not isinstance(kind, str):
+        raise ValidationError(f"fiber kind must be a string, got {type(kind).__name__}")
     if kind in _TORUS_KINDS:
         _reject_unknown(raw, ("kind", "dims", "extents"), "fiber")
         dims = raw.get("dims")
@@ -205,21 +210,19 @@ def _parse_fiber(raw) -> tuple[dict, str]:
                 and all(isinstance(n, int) and not isinstance(n, bool) for n in dims)):
             raise ValidationError("torus fibers need dims: a list of 2 or 3 integers")
         extents = raw.get("extents", [2.0 * math.pi] * len(dims))
-        if not (isinstance(extents, list) and len(extents) == len(dims)
-                and all(isinstance(e, (int, float)) for e in extents)):
+        if not (isinstance(extents, list) and len(extents) == len(dims)):
             raise ValidationError("extents must be one positive number per axis")
         return {"kind": "torus2d" if len(dims) == 2 else "torus3d_lifted",
-                "dims": list(dims), "extents": [float(e) for e in extents]}, "torus"
+                "dims": list(dims),
+                "extents": [_config_number(e, float, "fiber.extents") for e in extents]}, "torus"
     if kind in _DISK_KINDS:
         _reject_unknown(raw, ("kind", "dims", "R"), "fiber")
         dims = raw.get("dims")
         if not (isinstance(dims, list) and len(dims) == 2
                 and all(isinstance(n, int) and not isinstance(n, bool) for n in dims)):
             raise ValidationError("disk fibers need dims: [n_r, n_theta]")
-        radius = raw.get("R")
-        if not isinstance(radius, (int, float)) or isinstance(radius, bool):
-            raise ValidationError("disk fibers need a numeric outer radius R")
-        return {"kind": "disk_polar", "dims": list(dims), "R": float(radius)}, "disk"
+        radius = _config_number(raw.get("R"), float, "fiber.R")
+        return {"kind": "disk_polar", "dims": list(dims), "R": radius}, "disk"
     raise ValidationError(f"unknown fiber kind {kind!r}")
 
 
@@ -243,7 +246,7 @@ def _build_geometry(fiber_echo: dict, family: str, metric_text: str):
         raise ValidationError(str(e)) from e
 
 
-def _solver_number(value, typ, where: str):
+def _config_number(value, typ, where: str):
     """``value`` as ``typ``; anything but a finite number of that kind is a ValidationError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where} must be a number")
@@ -261,21 +264,22 @@ def _solver_number(value, typ, where: str):
 def _parse_solver(raw) -> tuple[str, float, SolveOptions, dict]:
     if not isinstance(raw, dict):
         raise ValidationError("solver must be an object")
-    if "flow_dt_safety" in raw:
-        raise ValidationError("flow_dt_safety was retired: the flow takes linearly implicit "
-                              "steps of at most t_max/16; set t_max")
-    allowed = set(_SOLVER_FIELD_TYPES) | {"method", "t_max", "gauge"}
-    _reject_unknown(raw, allowed, "solver")
+    retired = sorted(set(raw) & _RETIRED_SOLVER_KEYS.keys())
+    if retired:
+        raise ValidationError(f"{retired[0]} was retired: {_RETIRED_SOLVER_KEYS[retired[0]]}")
+    _reject_unknown(raw, {"method"}.union(*_METHOD_KEYS.values()), "solver")
     method = raw.get("method", "newton")
-    if method not in ("newton", "flow"):
+    if method not in ("newton", "flow"):  # compared, not hashed: it may be a list
         raise ValidationError(f"solver method must be newton or flow, got {method!r}")
-    if "t_max" in raw and method != "flow":
-        raise ValidationError("t_max only applies to the flow method")
-    t_max = _solver_number(raw.get("t_max", 10.0), float, "solver.t_max")
+    foreign = sorted(set(raw) - {"method", *_METHOD_KEYS[method]})
+    if foreign:
+        other = "flow" if method == "newton" else "newton"
+        raise ValidationError(f"{foreign[0]} only applies to the {other} method")
+    t_max = _config_number(raw.get("t_max", 10.0), float, "solver.t_max")
     if t_max <= 0:
         raise ValidationError("solver.t_max must be a positive number")
-    kwargs = {name: _solver_number(raw[name], typ, f"solver.{name}")
-              for name, typ in _SOLVER_FIELD_TYPES.items() if name in raw}
+    kwargs = {name: _config_number(raw[name], typ, f"solver.{name}")
+              for name, typ in (("tol_abs", float), ("max_newton", int)) if name in raw}
     if "gauge" in raw:
         try:
             kwargs["gauge"] = Gauge(raw["gauge"])
@@ -286,15 +290,9 @@ def _parse_solver(raw) -> tuple[str, float, SolveOptions, dict]:
         opts = SolveOptions(**kwargs)
     except ConstructionError as e:
         raise ValidationError(f"solver options: {e}") from e
-    echo = {
-        "method": method,
-        "tol_abs": opts.tol_abs, "max_newton": opts.max_newton,
-        "max_linear": opts.max_linear, "linear_rtol": opts.linear_rtol,
-        "armijo_c": opts.armijo_c, "min_step": opts.min_step,
-        "gauge": opts.gauge.value,
-    }
-    if method == "flow":
-        echo["t_max"] = t_max
+    values = {"t_max": t_max, "tol_abs": opts.tol_abs, "max_newton": opts.max_newton,
+              "gauge": opts.gauge.value}
+    echo = {"method": method, **{key: values[key] for key in _METHOD_KEYS[method]}}
     return method, t_max, opts, echo
 
 
@@ -360,6 +358,9 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ValidationError("initial must be a formula string or random(seed, amplitude)")
     random_spec = parse_random_spec(initial_text)
     if random_spec is not None:
+        # the draw spans 2 * amplitude, which must stay in the float range
+        if not math.isfinite(2.0 * random_spec[1]):
+            raise ValidationError(f"initial: random amplitude {random_spec[1]} is too large")
         initial_spec = ("random",) + random_spec
     else:
         initial_spec = ("formula", _field_formula(initial_text, coords, "initial"))
@@ -415,10 +416,9 @@ def _quasi_isometry(wp: WarpedProduct, u: ScalarField) -> tuple[float, float, fl
     return lam_min, lam_max, bound, lam_min >= 1.0 - 1e-12 and lam_max <= bound + 1e-10
 
 
-def _run_check(name: str, wp: WarpedProduct, state: GraphState,
-               config: ScenarioConfig) -> dict:
+def _run_check(name: str, state: GraphState, config: ScenarioConfig) -> dict:
     tol_solve = _check_tol_solve(config.solver_opts)
-    u, target = state.height, state.target
+    wp, u, target = state.warped, state.height, state.target
     try:
         if name == "quasi_isometry":
             lam_min, lam_max, bound, ok = _quasi_isometry(wp, u)
@@ -447,8 +447,7 @@ def _run_check(name: str, wp: WarpedProduct, state: GraphState,
             return {"height_identity_max_residual": sup,
                     "pass": sup <= _HEIGHT_IDENTITY_TOL}
         if name == "superharmonic":
-            violation = check_superharmonic(wp, u, target, tol_solve=tol_solve,
-                                            circle_nodes=_LIFT_CIRCLE_NODES)
+            violation = check_superharmonic(wp, u, target, tol_solve=tol_solve)
             return {"max_violation": violation, "pass": violation <= _SUPERHARMONIC_TOL}
         # conformal_laplacian: probe the conformal rule on the lifted fiber
         # with the warping itself as test function and factor h^4.
@@ -501,27 +500,24 @@ class RunReport:
         return 0
 
 
-def _solve_config(config: ScenarioConfig, seed_override: int | None):
-    wp = config.warped
+def _solve_config(config: ScenarioConfig, seed_override: int | None
+                  ) -> tuple[GraphState, SolveReport]:
     u0 = ScalarField(config.grid, config.initial_values(seed_override))
     if config.method == "flow":
-        state, report = flow_solve(wp, config.target, u0, config.solver_opts,
-                                   t_max=config.t_max)
-    else:
-        state, report = newton_solve(wp, config.target, u0, config.solver_opts)
-    return wp, state, report
+        return flow_solve(config.warped, config.target, u0, config.solver_opts,
+                          t_max=config.t_max)
+    return newton_solve(config.warped, config.target, u0, config.solver_opts)
 
 
 def _run_once(config: ScenarioConfig, seed_override: int | None) -> tuple[dict, SolveReport]:
-    wp, state, solve_report = _solve_config(config, seed_override)
-    _, _, angle = unit_normal(wp, state.height)
+    state, solve_report = _solve_config(config, seed_override)
+    _, _, angle = unit_normal(config.warped, state.height)
     graph = {"theta_min": float(angle.values.min()), "theta_max": float(angle.values.max())}
-    checks = {name: _run_check(name, wp, state, config) for name in config.checks}
+    checks = {name: _run_check(name, state, config) for name in config.checks}
     observed = solve_report.verdict.value
     expectation = {"expected": config.expect, "observed": observed,
                    "matched": observed == config.expect}
-    body = {"graph": graph, "checks": checks, "expectation": expectation,
-            "state": state, "wp": wp}
+    body = {"graph": graph, "checks": checks, "expectation": expectation, "state": state}
     return body, solve_report
 
 
@@ -556,8 +552,6 @@ def run_scenario(config: ScenarioConfig, *, scenario_name: str | None = None,
         })
 
     if dump_dir is not None:
-        import os
-
         os.makedirs(dump_dir, exist_ok=True)
         state: GraphState = body["state"]
         dump_field_csv(state.height, os.path.join(dump_dir, "height.csv"))

@@ -66,6 +66,14 @@ _MACHINE_EPS = float(np.finfo(np.float64).eps)
 # that its own error stays below the O(eps^2) comparisons made against it.
 _FD_STEP = _MACHINE_EPS ** (1.0 / 3.0)
 _STAGNATION_LIMIT = 10
+# Newton's line search: the Armijo sufficient-decrease constant, and the
+# shortest step it tries before a step counts as stagnated.
+_ARMIJO_C = 1e-4
+_MIN_STEP = 1e-6
+# GMRES on the preconditioned companion stops at this relative residual,
+# within this many iterations in all; with the exact LU factor it takes one.
+_LINEAR_RTOL = 1e-8
+_MAX_LINEAR = 2000
 # The flow's step control: a step is at most t_max / _FLOW_MIN_STEPS, and a
 # run ends after _FLOW_MAX_FACTORS factorizations.
 _FLOW_MIN_STEPS = 16
@@ -75,32 +83,30 @@ _FLOW_MAX_FACTORS = 64
 # its sup norm keeps failing iterates inspectable instead of overflowing.
 _STEP_CAP_FACTOR = 20.0
 # The LU factor leaves GMRES one or two vectors per solve; a short restart
-# keeps the Krylov basis small beside the factor, and max_linear still
+# keeps the Krylov basis small beside the factor, and _MAX_LINEAR still
 # bounds the total count across restarts.
 _KRYLOV_RESTART = 20
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tolerances and strategy knobs shared by both drivers."""
+    """Solve settings: the residual tolerance, Newton's step budget and its gauge.
+
+    ``tol_abs`` ends both drivers; ``max_newton`` and ``gauge`` are read by
+    :func:`newton_solve` only.  The line search and the linear solve run
+    on module constants.
+    """
 
     tol_abs: float = 1e-10
     max_newton: int = 50
-    max_linear: int = 2000
-    linear_rtol: float = 1e-8
-    armijo_c: float = 1e-4
-    min_step: float = 1e-6
     gauge: Gauge = Gauge.fix_mean
 
     def __post_init__(self):
         object.__setattr__(self, "gauge", Gauge(self.gauge))
-        for name in ("tol_abs", "linear_rtol", "min_step"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConstructionError(f"{name} must be positive and finite")
-        if not (0.0 < self.armijo_c < 0.5):
-            raise ConstructionError("armijo_c must lie in (0, 0.5)")
-        if not (1 <= self.max_newton < math.inf and 1 <= self.max_linear < math.inf):
-            raise ConstructionError("iteration budgets must be finite and at least 1")
+        if not 0.0 < self.tol_abs < math.inf:
+            raise ConstructionError("tol_abs must be positive and finite")
+        if not 1 <= self.max_newton < math.inf:
+            raise ConstructionError("max_newton must be finite and at least 1")
 
 
 @dataclass
@@ -157,7 +163,6 @@ class _Problem:
         self.wp = wp
         self.kernel = ResidualKernel(wp)
         self.target = target
-        self.opts = opts
         self.grid = wp.fiber
         self.mask = self.grid.interior_mask.ravel()
         self.n_dof = int(self.mask.sum())
@@ -285,8 +290,9 @@ class _Problem:
         The companion replaces the pinned rows and columns by the identity,
         so its solution vanishes on the pinned cell and meets every other
         row.  GMRES runs on the companion, right-preconditioned by its LU
-        factor, to ``linear_rtol`` within ``max_linear`` iterations;
-        ``info`` is GMRES's own (0 when converged).
+        factor, to a relative residual of ``_LINEAR_RTOL`` within
+        ``_MAX_LINEAR`` iterations; ``info`` is GMRES's own (0 when
+        converged).
         """
         free = np.ones(self.n_dof)
         free[self._pinned] = 0.0
@@ -297,9 +303,9 @@ class _Problem:
         lu = _factor(companion)
         A = LinearOperator(companion.shape, matvec=lambda z: companion @ lu.solve(z),
                            dtype=float)
-        restart = min(_KRYLOV_RESTART, self.opts.max_linear)
-        z, info = gmres(A, -free * f_dof, rtol=self.opts.linear_rtol, atol=0.0,
-                        restart=restart, maxiter=-(-self.opts.max_linear // restart))
+        restart = min(_KRYLOV_RESTART, _MAX_LINEAR)
+        z, info = gmres(A, -free * f_dof, rtol=_LINEAR_RTOL, atol=0.0,
+                        restart=restart, maxiter=-(-_MAX_LINEAR // restart))
         return lu.solve(z), info
 
 
@@ -345,8 +351,7 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
     (declared from the compatibility witness before iterating, or after
     ten consecutive steps stuck at the minimum step length), ``diverged``
     (non-finite iterate, Jacobian entry or step), ``max_iter`` otherwise, which includes
-    a linear solve that misses ``linear_rtol`` within ``max_linear``
-    iterations: its step is not taken.  On divergence the
+    a linear solve that does not converge: its step is not taken.  On divergence the
     returned state holds the last representable iterate; if none is, the
     level zero height stands in and the diagnostics read infinite.
     """
@@ -408,7 +413,7 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
             step = 1.0
             accepted = None
             armijo_ok = False
-            while step >= opts.min_step:
+            while step >= _MIN_STEP:
                 trial = u + step * prob.scatter(delta)
                 trial_res = prob.residual_full(trial)
                 if trial_res is None:
@@ -416,11 +421,11 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
                     break
                 trial_dof = prob.pack(trial_res)
                 trial_merit = 0.5 * float(trial_dof @ trial_dof)
-                if trial_merit <= merit + opts.armijo_c * step * slope:
+                if trial_merit <= merit + _ARMIJO_C * step * slope:
                     accepted = (trial, trial_dof)
                     armijo_ok = True
                     break
-                if step * 0.5 < opts.min_step and trial_merit < merit:
+                if step * 0.5 < _MIN_STEP and trial_merit < merit:
                     accepted = (trial, trial_dof)
                     break
                 step *= 0.5
@@ -432,7 +437,7 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
                 u, f_dof = accepted
             history.append(float(np.abs(f_dof).max()))
 
-            if armijo_ok and step > opts.min_step:
+            if armijo_ok and step > _MIN_STEP:
                 stagnation = 0
             else:
                 stagnation += 1

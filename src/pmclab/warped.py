@@ -44,6 +44,11 @@ from .geometry import (
 )
 
 
+# Nodes on the circle by which the identity checks lift a 2-D torus to
+# dimension 3.
+_LIFT_CIRCLE_NODES = 16
+
+
 class PreconditionError(ValueError):
     """Raised when a check is invoked on a state outside its contract."""
 
@@ -293,7 +298,7 @@ def check_height_identity(wp: WarpedProduct, u: ScalarField, target_curvature: S
 
 
 def check_superharmonic(wp: WarpedProduct, u: ScalarField, target_curvature: ScalarField,
-                        tol_solve: float = 1e-8, circle_nodes: int = 16) -> float:
+                        tol_solve: float = 1e-8) -> float:
     """Largest value of the conformally scaled graph Laplacian of the height.
 
     For a solved graph with ``target_curvature <= 0`` the height is
@@ -301,7 +306,7 @@ def check_superharmonic(wp: WarpedProduct, u: ScalarField, target_curvature: Sca
     with a circle to reach dimension 3), so the returned maximum should
     not exceed the discretization tolerance.
 
-    Torus fibers are lifted with ``circle_nodes`` nodes on the circle.
+    Torus fibers are lifted with ``_LIFT_CIRCLE_NODES`` nodes on the circle.
     Dirichlet fibers are handled in two dimensions and therefore require a
     constant warping, for which the conformal factor is a harmless global
     constant; the maximum is then taken over interior nodes only.
@@ -315,7 +320,7 @@ def check_superharmonic(wp: WarpedProduct, u: ScalarField, target_curvature: Sca
     _require_solved(wp, u, target_curvature, tol_solve, "superharmonic check")
     prime = induced_metric(wp, u)
     if wp.fiber.kind is GridKind.torus2d:
-        grid3, prime3, lift = lift_to_circle(wp.fiber, prime, circle_nodes)
+        grid3, prime3, lift = lift_to_circle(wp.fiber, prime, _LIFT_CIRCLE_NODES)
         h3 = lift(wp.warping)
         factor = ScalarField(grid3, h3.values**4)
         scaled = conformal_scale(prime3, factor)

@@ -7,6 +7,7 @@ checks or an outcome that contradicts the declared expectation.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -227,11 +228,15 @@ def test_grids_over_the_node_budget_are_rejected(fiber):
     ({"method": "flow", "t_max": math.nan}, "t_max must be finite"),
     ({"method": "flow", "t_max": math.inf}, "t_max must be finite"),
     ({"max_newton": math.inf}, "max_newton must be finite"),
-    ({"max_linear": math.nan}, "max_linear must be finite"),
+    ({"max_linear": math.nan}, "max_linear was retired"),
     ({"tol_abs": math.inf}, "tol_abs must be finite"),
-    ({"min_step": math.inf}, "min_step must be finite"),
+    ({"min_step": math.inf}, "min_step was retired"),
     ({"tol_abs": 10**400}, "beyond the float range"),
     ({"gauge": "none"}, "unknown gauge 'none'; valid: fix_mean, pin_node"),
+    ({"method": "flow", "max_newton": 5}, "max_newton only applies to the newton method"),
+    ({"method": "flow", "gauge": "pin_node"}, "gauge only applies to the newton method"),
+    ({"method": "flow", "armijo_c": 1e-4}, "armijo_c was retired"),
+    ({"linear_rtol": 1e-8}, "linear_rtol was retired"),
 ])
 def test_solver_section_validation(solver, fragment):
     with pytest.raises(ValidationError, match=fragment):
@@ -241,22 +246,101 @@ def test_solver_section_validation(solver, fragment):
 # every number JSON can carry, NaN, +-Infinity and integers far beyond the
 # float range among them
 _JSON_NUMBERS = st.one_of(st.floats(), st.integers(-(10**400), 10**400))
-_SOLVER_SECTIONS = st.fixed_dictionaries(
-    {"method": st.sampled_from(["newton", "flow"])},
-    optional={name: _JSON_NUMBERS for name in (
-        "t_max", "tol_abs", "max_newton", "max_linear", "linear_rtol", "armijo_c", "min_step")},
-)
+# each method with the numeric keys it reads
+_SOLVER_SECTIONS = st.one_of(*(
+    st.fixed_dictionaries({"method": st.just(method)},
+                          optional={name: _JSON_NUMBERS for name in names})
+    for method, names in (("newton", ("tol_abs", "max_newton")), ("flow", ("t_max", "tol_abs")))
+))
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(_SOLVER_SECTIONS)
 def test_solver_numbers_parse_or_raise_validation_error(solver):
-    if solver["method"] == "newton":
-        solver.pop("t_max", None)
     try:
         parse_config(_cfg(solver=solver))
     except ValidationError:
         pass
+
+
+@pytest.mark.parametrize("solver,keys", [
+    ({}, ["gauge", "max_newton", "method", "tol_abs"]),
+    ({"method": "flow"}, ["method", "t_max", "tol_abs"]),
+])
+def test_solver_echo_holds_only_the_keys_the_method_reads(solver, keys):
+    config = parse_config(_cfg(solver=solver))
+    assert sorted(config.normalized["solver"]) == keys
+    assert parse_config(config.echo_json()).echo_json() == config.echo_json()
+
+
+# JSON values of every shape: null, booleans, every number JSON can carry,
+# strings, and lists and objects of those
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _JSON_NUMBERS | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+# sections of each family whose values are mostly well formed, listed twice
+# so that they are drawn more often than objects of arbitrary keys and
+# values; node counts stay small, so that the sections that parse stay cheap
+_LENGTHS = st.floats(0.1, 10.0) | _JSON_NUMBERS
+
+
+def _node_counts(*axes):
+    return st.lists(st.integers(7, 24), min_size=min(axes), max_size=max(axes)) | _JSON_VALUES
+
+
+_TORUS_SECTIONS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["torus", "torus2d", "torus3d_lifted"]), "dims": _node_counts(2, 3)},
+    optional={"extents": st.lists(_LENGTHS, min_size=2, max_size=3) | _JSON_VALUES})
+_DISK_SECTIONS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["disk", "disk_polar"]), "dims": _node_counts(2),
+     "R": _LENGTHS | _JSON_VALUES})
+_FIBER_SECTIONS = st.one_of(
+    _TORUS_SECTIONS, _DISK_SECTIONS, _TORUS_SECTIONS, _DISK_SECTIONS,
+    st.dictionaries(st.sampled_from(["kind", "dims", "extents", "R"]) | st.text(max_size=4),
+                    _JSON_VALUES, max_size=4),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_FIBER_SECTIONS, st.sampled_from(["flat", "hyperbolic"]))
+def test_fiber_sections_parse_or_raise_validation_error(fiber, metric):
+    try:
+        parse_config(json.dumps({"fiber": fiber, "metric": metric}))
+    except ValidationError:
+        pass
+
+
+# amplitudes as the config writes them: any float's repr, and decimal
+# exponents on either side of the float range
+_AMPLITUDES = st.floats(min_value=0.0, allow_infinity=False).map(repr) | st.builds(
+    "{}e{}".format, st.integers(0, 99), st.integers(-400, 400))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**128), _AMPLITUDES)
+def test_random_initial_parses_or_raises_validation_error(seed, amplitude):
+    try:
+        config = parse_config(_cfg(initial=f"random({seed}, {amplitude})"))
+    except ValidationError:
+        return
+    assert np.isfinite(config.initial_values()).all()
+
+
+@pytest.mark.parametrize("config", [
+    {"fiber": {"kind": "disk", "dims": [8, 16], "R": 10**400}},
+    {"fiber": {"kind": "torus", "dims": [8, 8], "extents": [10**400, 1]}},
+    {"fiber": {"kind": [1], "dims": [8, 8]}},
+    {"fiber": {"kind": "torus", "dims": [8, 8]}, "initial": "random(1, 1e308)"},
+    {"fiber": {"kind": "torus", "dims": [8, 8], "extents": [True, 1]}},
+], ids=["huge_R", "huge_extent", "list_kind", "huge_amplitude", "boolean_extent"])
+def test_cli_config_numbers_and_names_exit_2(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["solve", str(path)]) == 2
+    assert "invalid config" in capsys.readouterr().err
 
 
 def test_cli_non_finite_solver_number_exits_2(tmp_path, capsys):
@@ -534,6 +618,16 @@ def test_cli_scenarios_in_parallel_with_field_dumps(tmp_path):
         0.1 * 2.0 * 4.0 * math.pi**2)
     for name in ("obstruction_torus", "ricci_sign"):
         assert (tmp_path / "fields" / name / "height.csv").exists()
+
+
+def test_cli_parallel_reports_match_sequential_ones(tmp_path):
+    texts = []
+    for flags in ([], ["--parallel"]):
+        out = tmp_path / f"reports{len(flags)}.json"
+        assert main(["scenario", "identities", "ricci_sign", "obstruction_torus",
+                     "--refine", "1", *flags, "--out", str(out)]) == 0
+        texts.append(re.sub(r'"wall_time_s": [^\n]*', '"wall_time_s"', out.read_text()))
+    assert texts[0] == texts[1]
 
 
 def test_cli_remaining_bundled_scenarios_exit_zero(tmp_path):

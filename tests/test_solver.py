@@ -23,6 +23,7 @@ from pmclab import (
     newton_solve,
     volume,
 )
+from pmclab import solver
 from pmclab.solver import _Problem
 
 
@@ -54,24 +55,24 @@ def test_option_defaults_are_the_documented_contract():
     opts = SolveOptions()
     assert opts.tol_abs == 1e-10
     assert opts.max_newton == 50
-    assert opts.max_linear == 2000
-    assert opts.linear_rtol == 1e-8
-    assert opts.armijo_c == 1e-4
-    assert opts.min_step == 1e-6
     assert opts.gauge == "fix_mean"
+    assert solver._MAX_LINEAR == 2000
+    assert solver._LINEAR_RTOL == 1e-8
+    assert solver._ARMIJO_C == 1e-4
+    assert solver._MIN_STEP == 1e-6
 
 
 @pytest.mark.parametrize("bad", [
     {"tol_abs": 0.0},
     {"max_newton": 0},
-    {"armijo_c": 0.7},
-    {"min_step": -1.0},
+    {"tol_abs": -1e-8},
+    {"tol_abs": math.nan},
     {"gauge": "lock_phase"},
     {"tol_abs": math.inf},
-    {"linear_rtol": math.inf},
-    {"min_step": math.inf},
+    {"max_newton": -1},
+    {"max_newton": math.nan},
     {"max_newton": math.inf},
-    {"max_linear": math.nan},
+    {"gauge": 3},
     {"gauge": "none"},
 ])
 def test_option_validation(bad):
@@ -165,13 +166,14 @@ def test_checkerboard_null_mode_is_an_exact_discrete_solution():
     assert report.iterations == 0
 
 
-def test_unconverged_linear_solve_is_refused_not_taken():
+def test_unconverged_linear_solve_is_refused_not_taken(monkeypatch):
     # no linear solve reaches a tolerance below rounding; its step must not
     # be used, and the verdict says the iteration stopped short
+    monkeypatch.setattr(solver, "_LINEAR_RTOL", 1e-30)
+    monkeypatch.setattr(solver, "_MAX_LINEAR", 4)
     wp, zero = _torus_problem()
     u0 = _smooth_start(wp.fiber, 5)
-    state, report = newton_solve(wp, zero, u0,
-                                 SolveOptions(linear_rtol=1e-30, max_linear=4))
+    state, report = newton_solve(wp, zero, u0, SolveOptions())
     assert report.verdict == "max_iter"
     assert report.iterations == 0
     np.testing.assert_array_equal(state.height.values, u0.values)
