@@ -5,12 +5,12 @@ more bundled scenarios by name, ``verify`` runs the identity/refinement
 battery.  Reports are emitted as JSON (stdout or ``--out``).  Exit codes:
 0 when the outcome matched the scenario's expectation and every check
 passed, 2 for validation problems (including a config file that cannot
-be read as UTF-8, formulas nested too deeply, a negative ``--refine``
-and grids or refinements over the node budget), 3 when the solver
-diverged or ran out of iterations, 4 for failed checks or a verdict that
-contradicts the expectation.  Reports are strict JSON: non-finite
-numbers are written as the strings ``"inf"``, ``"-inf"`` and ``"nan"``.
-No environment variables are consulted.
+be read as UTF-8, formulas nested too deeply, a negative ``--refine`` or
+``--seed``, and grids or refinements over the node budget), 3 when the
+solver diverged or ran out of iterations, 4 for failed checks or a
+verdict that contradicts the expectation.  Reports are strict JSON:
+non-finite numbers are written as the strings ``"inf"``, ``"-inf"`` and
+``"nan"``.  No environment variables are consulted.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--refine", type=int, default=0, metavar="K",
                      help="add K companion runs with axis counts doubled per level")
     sub.add_argument("--seed", type=int, default=None, metavar="N",
-                     help="override the seed of a random(...) initial field")
+                     help="override the seed of a random(...) initial field; "
+                          "a non-negative integer")
 
 
 def _build_parser() -> argparse.ArgumentParser:

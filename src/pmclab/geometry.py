@@ -16,16 +16,18 @@ All first derivatives are second order:
   order at the axis.  This requires an even angular node count.
 
 The divergence is assembled in flux form: the density ``sqrt(det sigma)
-X^i`` is averaged onto faces and differenced, so the volume integral of a
-divergence telescopes to zero on fully periodic grids up to rounding.
-Integration uses exact (fsum) accumulation in a fixed traversal order, so
-repeated runs are bit-identical.
+X^i`` is differenced by the same stencil as a scalar, so on a fully
+periodic grid each line sums ``q[i+1] - q[i-1]`` to zero and the volume
+integral of a divergence telescopes to zero up to rounding.  Integration
+uses exact (fsum) accumulation in a fixed traversal order, so repeated
+runs are bit-identical.
 
-Both stencils index shifted slabs of the node array through slices that
-each grid builds once (``FiberGrid.shifts``), and write into caller-owned
-arrays; the wrap of a periodic axis is the two end slabs, so no call
-copies a rolled array.  :func:`coordinate_partials`, :func:`divergence`
-and the prepared residual of :mod:`pmclab.warped` share these stencils.
+The one stencil, :func:`partial_into`, indexes shifted slices of the node
+array and writes into a caller-owned array; the wrap of a periodic axis
+is the two end slices, so no call copies a rolled array.
+:func:`coordinate_partials`, :func:`divergence` and the prepared residual
+of :mod:`pmclab.warped` all apply it, and :func:`partial_matrix` is its
+matrix.
 """
 
 from __future__ import annotations
@@ -60,14 +62,6 @@ class GridKind(str, Enum):
 
 
 _MIN_NODES_PER_AXIS = 8
-
-
-# slabs of a node array along one axis that the stencils read: without
-# the last/first node, without both ends, without the last/first two, and
-# the single first, second, last and second-to-last slab
-_SLABS = {"head": slice(None, -1), "tail": slice(1, None), "inner": slice(1, -1),
-          "head2": slice(None, -2), "tail2": slice(2, None),
-          "first": 0, "second": 1, "last": -1, "penult": -2}
 
 
 @dataclass(frozen=True)
@@ -170,12 +164,6 @@ class FiberGrid:
             mask[-1, :] = False
         mask.setflags(write=False)
         return mask
-
-    @cached_property
-    def shifts(self) -> tuple[dict[str, tuple], ...]:
-        """Per axis, the index tuple of each slab in ``_SLABS``."""
-        return tuple({name: (slice(None),) * axis + (key,) for name, key in _SLABS.items()}
-                     for axis in range(self.ndim))
 
     def require_same(self, other: "FiberGrid", what: str) -> None:
         if self is not other and self != other:
@@ -422,7 +410,7 @@ def hyperbolic_conformal_factor(grid: FiberGrid) -> ScalarField:
 
 
 # --------------------------------------------------------------------------
-# difference stencils
+# the difference stencil
 
 
 def partial_into(values: NDArray[np.float64], grid: FiberGrid, axis: int,
@@ -433,11 +421,12 @@ def partial_into(values: NDArray[np.float64], grid: FiberGrid, axis: int,
     extension of the area density through the disk center, both continue
     across the axis onto the ring ``theta + pi`` with a plus sign.
     """
-    s = grid.shifts[axis]
     if grid.periodic_axes[axis]:
-        np.subtract(values[s["tail2"]], values[s["head2"]], out=out[s["inner"]])
-        np.subtract(values[s["second"]], values[s["last"]], out=out[s["first"]])
-        np.subtract(values[s["first"]], values[s["penult"]], out=out[s["last"]])
+        pre = (slice(None),) * axis
+        np.subtract(values[(*pre, slice(2, None))], values[(*pre, slice(None, -2))],
+                    out=out[(*pre, slice(1, -1))])
+        np.subtract(values[(*pre, 1)], values[(*pre, -1)], out=out[(*pre, 0)])
+        np.subtract(values[(*pre, 0)], values[(*pre, -2)], out=out[(*pre, -1)])
     else:
         # disk radial axis; the ring theta + pi lies half a turn away
         half = grid.dims[1] // 2
@@ -451,8 +440,8 @@ def partial_into(values: NDArray[np.float64], grid: FiberGrid, axis: int,
 def partial_matrix(grid: FiberGrid, axis: int) -> csr_matrix:
     """:func:`partial_into` along one axis as a sparse matrix on flat node indices.
 
-    The face-mean difference of :func:`flux_divergence` telescopes to the
-    same stencil (across-center pair and one-sided rim included), so this
+    :func:`flux_divergence` differences each flux density by the same
+    stencil (across-center pair and one-sided rim included), so this
     matrix is the linear part of both the gradient and the divergence.
     """
     node = np.arange(math.prod(grid.shape)).reshape(grid.shape)
@@ -472,45 +461,14 @@ def partial_matrix(grid: FiberGrid, axis: int) -> csr_matrix:
                         np.concatenate([c.ravel() for c in cols]))), shape=(node.size,) * 2)
 
 
-def _flux_difference_into(q: NDArray[np.float64], grid: FiberGrid, axis: int,
-                          faces: NDArray[np.float64], out: NDArray[np.float64]
-                          ) -> NDArray[np.float64]:
-    """Difference along one axis of the face means of a flux density, written into ``out``.
-
-    ``faces`` is scratch of grid shape.  On the disk's radial axis its
-    last ring holds the face through the center, between the innermost
-    ring and its partner half a turn away.
-    """
-    s = grid.shifts[axis]
-    d = grid.spacings[axis]
-    if grid.periodic_axes[axis]:
-        np.add(q[s["head"]], q[s["tail"]], out=faces[s["head"]])
-        np.add(q[s["last"]], q[s["first"]], out=faces[s["last"]])
-        np.multiply(faces, 0.5, out=faces)
-        np.subtract(faces[s["tail"]], faces[s["head"]], out=out[s["tail"]])
-        np.subtract(faces[s["first"]], faces[s["last"]], out=out[s["first"]])
-        return np.divide(out, d, out=out)
-    half = grid.dims[1] // 2
-    np.add(q[:-1], q[1:], out=faces[:-1])
-    np.add(q[0, :half], q[0, half:], out=faces[-1, :half])
-    np.add(q[0, half:], q[0, :half], out=faces[-1, half:])
-    np.multiply(faces, 0.5, out=faces)
-    np.subtract(faces[0], faces[-1], out=out[0])
-    np.subtract(faces[1:-1], faces[:-2], out=out[1:-1])
-    np.divide(out[:-1], d, out=out[:-1])
-    out[-1] = (3.0 * q[-1] - 4.0 * q[-2] + q[-3]) / (2.0 * d)
-    return out
-
-
 def flux_divergence(q, grid: FiberGrid, sqrt_det: NDArray[np.float64]) -> NDArray[np.float64]:
     """``(1/sqrt(det)) sum_i d_i q_i`` for flux densities ``q_i = sqrt(det) X^i``, one per axis."""
     # summing from zero leaves no -0.0 in the sum, whatever the signs of
     # zero in q; the residual kernel relies on that to match bit for bit
     acc = np.zeros(grid.shape)
-    faces = np.empty(grid.shape)
     der = np.empty(grid.shape)
     for axis, qi in enumerate(q):
-        acc += _flux_difference_into(qi, grid, axis, faces, der)
+        acc += partial_into(qi, grid, axis, der)
     return np.divide(acc, sqrt_det, out=acc)
 
 
@@ -534,9 +492,9 @@ def gradient(f: ScalarField, metric: MetricField) -> VectorField:
 def divergence(X: VectorField, metric: MetricField) -> ScalarField:
     """Flux-form divergence ``(1/sqrt(det)) d_i (sqrt(det) X^i)``.
 
-    Face densities are arithmetic means of the node densities, then
-    differenced, so summing ``divergence * sqrt(det) * cell`` over a closed
-    grid telescopes to zero up to rounding.
+    Each node density is differenced by the centered stencil of
+    :func:`partial_into`, so summing ``divergence * sqrt(det) * cell`` over
+    a closed grid telescopes to zero up to rounding.
     """
     grid = metric.grid
     grid.require_same(X.grid, "divergence")

@@ -533,9 +533,12 @@ def run_scenario(config: ScenarioConfig, *, scenario_name: str | None = None,
     """Solve one scenario, run its checks, and assemble the report.
 
     ``refine`` adds companion runs with every axis doubled per level.
-    ``seed_override`` replaces the seed of a ``random(...)`` initial field.
+    ``seed_override`` replaces the seed of a ``random(...)`` initial field;
+    PCG64 takes only non-negative seeds, so a negative one is rejected.
     ``dump_dir`` writes final height and residual fields as CSV.
     """
+    if seed_override is not None and seed_override < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed_override}")
     _check_budget(config.grid.dims, refine)
     start = time.perf_counter()
     body, solve_report = _run_once(config, seed_override)

@@ -101,9 +101,10 @@ class ResidualKernel:
 
     Holds ``h``, ``h^2``, the warping partials per axis and the inverse
     metric as one contiguous array per component, so that each evaluation
-    is a fixed sequence of whole-array operations on the shared stencils
-    of :mod:`pmclab.geometry`.  A solve builds one and evaluates it many
-    times; it is not stored on the :class:`WarpedProduct`.
+    is a fixed sequence of whole-array operations around the one
+    derivative stencil of :mod:`pmclab.geometry`, which differences the
+    height and each flux density alike.  A solve builds one and evaluates
+    it many times; it is not stored on the :class:`WarpedProduct`.
     """
 
     __slots__ = ("fiber", "dimension", "h", "h2", "dh", "inv", "sqrt_det")

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmclab import (
     ConstructionError,
@@ -177,6 +178,55 @@ def test_integration_by_parts_on_closed_fiber():
     lhs = integrate(ScalarField(grid, inner(gradient(f, metric), X, metric).values), metric)
     rhs = -integrate(ScalarField(grid, f.values * divergence(X, metric).values), metric)
     assert lhs == pytest.approx(rhs, abs=1e-11)
+
+
+# 2- and 3-tori of 8 to 20 nodes per axis, odd and even counts alike, with
+# their axis lengths and the seed of the random metric and fields
+_RANDOM_TORI = st.tuples(
+    st.lists(st.integers(8, 20), min_size=2, max_size=3),
+    st.lists(st.floats(1.0, 10.0), min_size=3, max_size=3),
+    st.integers(0, 2**32),
+)
+
+
+def _random_spd_torus(dims, lengths, seed):
+    """A torus whose node metrics are ``A A^T + 0.2 I`` for standard normal ``A``.
+
+    Also returns a random scalar field and a random vector field on it.
+    """
+    grid, _ = build_torus(dims, lengths[:len(dims)])
+    d = grid.ndim
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(grid.shape + (d, d))
+    metric = MetricField(grid, np.einsum("...ik,...jk->...ij", a, a) + 0.2 * np.eye(d))
+    f = ScalarField(grid, rng.standard_normal(grid.shape))
+    X = VectorField(grid, rng.standard_normal(grid.shape + (d,)))
+    return grid, metric, f, X
+
+
+@settings(max_examples=40)
+@given(_RANDOM_TORI)
+def test_divergence_theorem_on_random_spd_metrics(torus):
+    # normalized as acceptance criterion 1 normalizes it
+    grid, metric, _, X = _random_spd_torus(*torus)
+    total = integrate(divergence(X, metric), metric)
+    scale = integrate(ScalarField(grid, np.sqrt(norm_sq(X, metric).values)), metric) + 1.0
+    assert abs(total) <= 1e-12 * scale
+
+
+@settings(max_examples=40)
+@given(_RANDOM_TORI)
+def test_summation_by_parts_on_random_spd_metrics(torus):
+    # <grad f, X> integrates to -<f, div X>, relative to the integrals of
+    # the absolute values of both integrands
+    grid, metric, f, X = _random_spd_torus(*torus)
+    pairing = inner(gradient(f, metric), X, metric).values
+    f_div = f.values * divergence(X, metric).values
+    lhs = integrate(ScalarField(grid, pairing), metric)
+    rhs = -integrate(ScalarField(grid, f_div), metric)
+    scale = (integrate(ScalarField(grid, np.abs(pairing)), metric)
+             + integrate(ScalarField(grid, np.abs(f_div)), metric))
+    assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 def test_norm_sq_clamps_roundoff_to_nonnegative():

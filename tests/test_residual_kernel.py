@@ -1,9 +1,10 @@
 """The prepared residual kernel against the formula it replaces, and the flow's drift window.
 
-The reference below is the residual as it was first written: centered
-differences through ``np.roll`` and contractions through ``np.einsum``.
-The kernel reorganises the same arithmetic on slices, so the two must
-agree bit for bit, not within a tolerance.
+The reference below is the residual written plainly: centered
+differences through ``np.roll``, the divergence as the sum of those
+differences of each flux density over ``sqrt(det)``, and contractions
+through ``np.einsum``.  The kernel reorganises the same arithmetic on
+slices, so the two must agree bit for bit, not within a tolerance.
 """
 
 import json
@@ -50,19 +51,7 @@ def _roll_divergence(comps, grid, sqrt_det):
     q = sqrt_det[..., None] * comps
     acc = np.zeros(grid.shape)
     for axis in range(grid.ndim):
-        qi = q[..., axis]
-        d = grid.spacings[axis]
-        if grid.periodic_axes[axis]:
-            faces = 0.5 * (qi + np.roll(qi, -1, axis=axis))
-            acc += (faces - np.roll(faces, 1, axis=axis)) / d
-        else:
-            der = np.empty_like(qi)
-            faces = 0.5 * (qi[:-1] + qi[1:])
-            inner0 = 0.5 * (qi[0] + np.roll(qi[0], grid.dims[1] // 2, axis=0))
-            der[0] = (faces[0] - inner0) / d
-            der[1:-1] = (faces[1:] - faces[:-1]) / d
-            der[-1] = (3.0 * qi[-1] - 4.0 * qi[-2] + qi[-3]) / (2.0 * d)
-            acc += der
+        acc += _roll_derivative(q[..., axis], grid, axis)
     return acc / sqrt_det
 
 

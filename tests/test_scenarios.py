@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmclab import cli
+from pmclab import cli, scenarios
 from pmclab.cli import main
 from pmclab.formulas import (
     _MAX_DEPTH,
@@ -25,6 +25,7 @@ from pmclab.formulas import (
 )
 from pmclab.scenarios import (
     BUILTIN_SCENARIOS,
+    CHECK_NAMES,
     ValidationError,
     _check_budget,
     builtin_config,
@@ -254,7 +255,7 @@ _SOLVER_SECTIONS = st.one_of(*(
 ))
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(_SOLVER_SECTIONS)
 def test_solver_numbers_parse_or_raise_validation_error(solver):
     try:
@@ -304,7 +305,7 @@ _FIBER_SECTIONS = st.one_of(
 )
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(_FIBER_SECTIONS, st.sampled_from(["flat", "hyperbolic"]))
 def test_fiber_sections_parse_or_raise_validation_error(fiber, metric):
     try:
@@ -319,7 +320,7 @@ _AMPLITUDES = st.floats(min_value=0.0, allow_infinity=False).map(repr) | st.buil
     "{}e{}".format, st.integers(0, 99), st.integers(-400, 400))
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(0, 2**128), _AMPLITUDES)
 def test_random_initial_parses_or_raises_validation_error(seed, amplitude):
     try:
@@ -327,6 +328,66 @@ def test_random_initial_parses_or_raises_validation_error(seed, amplitude):
     except ValidationError:
         return
     assert np.isfinite(config.initial_values()).all()
+
+
+# the formula language in miniature: numbers, constants and a fiber's
+# coordinate names, joined by its operators and functions, with and without
+# parentheses
+def _formulas(names):
+    atoms = st.one_of(st.integers(0, 9).map(str), st.floats(0.0, 1e3).map(repr),
+                      st.sampled_from(["pi", "e", *names]))
+    return st.recursive(atoms, lambda inner: st.one_of(
+        st.builds("{}{}{}".format, inner, st.sampled_from(["+", "-", "*", "/", "^", "**"]), inner),
+        st.builds("-{}".format, inner),
+        st.builds("({})".format, inner),
+        st.builds("{}({})".format, st.sampled_from(["sin", "cos", "exp", "ln"]), inner),
+    ), max_leaves=8)
+
+
+def _configs(fiber, names, wild):
+    """Configs over one fiber: formulas of the grammar and valid check and
+    expect values, or, when ``wild``, arbitrary text and arbitrary JSON besides."""
+    texts, boundary = _formulas(names), _formulas(("theta", "θ"))
+    checks = st.lists(st.sampled_from(CHECK_NAMES), max_size=3, unique=True)
+    expect = st.sampled_from(["converged", "obstructed"])
+    if wild:
+        texts, boundary = texts | st.text(max_size=12), boundary | st.text(max_size=12)
+        checks, expect = checks | _JSON_VALUES, expect | _JSON_VALUES
+    optional = {
+        "metric": st.sampled_from(["flat", "hyperbolic"]) | texts,
+        "warping": texts,
+        "H_target": texts,
+        "initial": st.builds("random({}, {})".format, st.integers(0, 9), _AMPLITUDES) | texts,
+        "checks": checks,
+        "expect": expect,
+    }
+    if fiber["kind"] == "disk":
+        optional["boundary"] = boundary
+    return st.fixed_dictionaries({"fiber": st.just(fiber)}, optional=optional)
+
+
+_CONFIGS = st.one_of(*(
+    _configs(fiber, names, wild) for wild in (False, True) for fiber, names in (
+        ({"kind": "torus", "dims": [8, 8]}, ("x1", "x2")),
+        ({"kind": "torus", "dims": [8, 8, 8]}, ("x1", "x2", "x3")),
+        ({"kind": "disk", "dims": [8, 16], "R": 0.5}, ("rho", "ρ", "theta", "θ", "x1", "x2")),
+    )
+))
+
+
+@settings(max_examples=150)
+@given(_CONFIGS)
+def test_formula_and_check_sections_parse_or_raise_and_solve_ends_in_an_exit_code(
+        tmp_path_factory, config):
+    text = json.dumps(config)
+    try:
+        parse_config(text)
+    except ValidationError:
+        return
+    directory = tmp_path_factory.mktemp("fuzz")
+    path = directory / "config.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["solve", str(path), "--out", str(directory / "report.json")]) in (0, 2, 3, 4)
 
 
 @pytest.mark.parametrize("config", [
@@ -531,6 +592,23 @@ def test_negative_refine_is_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "must be >= 0, got -3" in err
     assert "must be >= 0, got -1" in err
+
+
+def test_negative_seed_is_rejected_before_any_run(monkeypatch):
+    # PCG64 takes no negative seed; the run must not start to find that out
+    monkeypatch.setattr(scenarios, "_run_once", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(ValidationError, match="non-negative integer, got -1"):
+        run_scenario(parse_config(_cfg(initial="random(1, 0.1)")), seed_override=-1)
+
+
+def test_cli_negative_seed_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(_cfg(initial="random(1, 0.1)"))
+    assert main(["solve", str(config), "--seed", "-1"]) == 2
+    assert main(["scenario", "obstruction_torus", "--seed", "-5"]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be a non-negative integer, got -1" in err
+    assert "seed must be a non-negative integer, got -5" in err
 
 
 def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):
