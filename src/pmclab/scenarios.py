@@ -41,13 +41,12 @@ from .geometry import (
     laplace_beltrami,
     lift_to_circle,
 )
-from .solver import Gauge, SolveOptions, SolveReport, Verdict, flow_solve, newton_solve
+from .solver import SolveOptions, SolveReport, Verdict, flow_solve, newton_solve
 from .warped import (
     _LIFT_CIRCLE_NODES,
     GraphState,
     PreconditionError,
     WarpedProduct,
-    _tilt_pieces,
     check_conformal_laplacian,
     check_height_identity,
     check_superharmonic,
@@ -86,7 +85,7 @@ _RICCI_ZERO_TOL = 1e-14
 _MAX_NODES = 2**20
 
 # The solver keys each method reads, besides "method".
-_METHOD_KEYS = {"newton": ("tol_abs", "max_newton", "gauge"), "flow": ("t_max", "tol_abs")}
+_METHOD_KEYS = {"newton": ("tol_abs", "max_newton"), "flow": ("t_max", "tol_abs")}
 # Solver keys that are settings no longer, and what stands in their place.
 _RETIRED_SOLVER_KEYS = {
     "flow_dt_safety": "the flow takes linearly implicit steps of at most t_max/16; set t_max",
@@ -94,6 +93,7 @@ _RETIRED_SOLVER_KEYS = {
     "min_step": "Newton's line search uses a fixed shortest step",
     "linear_rtol": "Newton's linear solve uses a fixed tolerance",
     "max_linear": "Newton's linear solve uses a fixed iteration budget",
+    "gauge": "Newton's steps on a closed fiber are always mean-free",
 }
 
 
@@ -142,11 +142,16 @@ def _as_field(formula: Formula, grid: FiberGrid, env: dict, where: str) -> Scala
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A validated scenario: built grid objects plus the normalized echo."""
+    """A validated scenario: built grid objects plus the normalized echo.
+
+    ``initial`` is the evaluated initial formula, or the seed and amplitude
+    of a ``random(...)`` field, which is drawn at run time so that a seed
+    override can replace the seed.
+    """
 
     warped: WarpedProduct
     target: ScalarField
-    initial_spec: tuple
+    initial: ScalarField | tuple[int, float]
     boundary_values: np.ndarray | None
     method: str
     t_max: float
@@ -167,16 +172,13 @@ class ScenarioConfig:
         return json.dumps(self.normalized, sort_keys=True)
 
     def initial_values(self, seed_override: int | None = None) -> np.ndarray:
-        kind = self.initial_spec[0]
-        if kind == "random":
-            _, seed, amplitude = self.initial_spec
+        if isinstance(self.initial, ScalarField):
+            vals = np.array(self.initial.values)
+        else:
+            seed, amplitude = self.initial
             if seed_override is not None:
                 seed = seed_override
             vals = random_field_values(self.grid.shape, seed, amplitude)
-        else:
-            _, formula = self.initial_spec
-            raw = formula.evaluate(_fiber_env(self.grid))
-            vals = np.array(np.broadcast_to(np.asarray(raw, dtype=float), self.grid.shape))
         if self.boundary_values is not None:
             vals[-1, :] = self.boundary_values
         return vals
@@ -280,18 +282,11 @@ def _parse_solver(raw) -> tuple[str, float, SolveOptions, dict]:
         raise ValidationError("solver.t_max must be a positive number")
     kwargs = {name: _config_number(raw[name], typ, f"solver.{name}")
               for name, typ in (("tol_abs", float), ("max_newton", int)) if name in raw}
-    if "gauge" in raw:
-        try:
-            kwargs["gauge"] = Gauge(raw["gauge"])
-        except ValueError:
-            raise ValidationError(f"unknown gauge {raw['gauge']!r}; valid: "
-                                  f"{', '.join(g.value for g in Gauge)}") from None
     try:
         opts = SolveOptions(**kwargs)
     except ConstructionError as e:
         raise ValidationError(f"solver options: {e}") from e
-    values = {"t_max": t_max, "tol_abs": opts.tol_abs, "max_newton": opts.max_newton,
-              "gauge": opts.gauge.value}
+    values = {"t_max": t_max, "tol_abs": opts.tol_abs, "max_newton": opts.max_newton}
     echo = {"method": method, **{key: values[key] for key in _METHOD_KEYS[method]}}
     return method, t_max, opts, echo
 
@@ -361,9 +356,9 @@ def parse_config(text: str) -> ScenarioConfig:
         # the draw spans 2 * amplitude, which must stay in the float range
         if not math.isfinite(2.0 * random_spec[1]):
             raise ValidationError(f"initial: random amplitude {random_spec[1]} is too large")
-        initial_spec = ("random",) + random_spec
+        initial = random_spec
     else:
-        initial_spec = ("formula", _field_formula(initial_text, coords, "initial"))
+        initial = _as_field(_field_formula(initial_text, coords, "initial"), grid, env, "initial")
 
     boundary_values = None
     boundary_echo = {}
@@ -396,7 +391,7 @@ def parse_config(text: str) -> ScenarioConfig:
         "checks": list(checks),
         "expect": expect,
     }
-    return ScenarioConfig(wp, target, initial_spec, boundary_values,
+    return ScenarioConfig(wp, target, initial, boundary_values,
                           method, t_max, opts, checks, expect, normalized)
 
 
@@ -408,20 +403,19 @@ def _check_tol_solve(opts: SolveOptions) -> float:
     return max(1e-8, 100.0 * opts.tol_abs)
 
 
-def _quasi_isometry(wp: WarpedProduct, u: ScalarField) -> tuple[float, float, float, bool]:
+def _quasi_isometry(state: GraphState) -> tuple[float, float, float, bool]:
     """Graph-metric eigenvalue range, its pinch ``1 + sup(h^2 |grad u|^2)``, and whether it holds."""
-    lam_min, lam_max = quasi_isometry_constants(wp, u)
-    _, _, grad_sq, _ = _tilt_pieces(wp, u)
-    bound = 1.0 + float((wp.warping.values**2 * grad_sq).max())
+    lam_min, lam_max = quasi_isometry_constants(state)
+    bound = 1.0 + float((state.kernel.h2 * state.grad_sq).max())
     return lam_min, lam_max, bound, lam_min >= 1.0 - 1e-12 and lam_max <= bound + 1e-10
 
 
 def _run_check(name: str, state: GraphState, config: ScenarioConfig) -> dict:
     tol_solve = _check_tol_solve(config.solver_opts)
-    wp, u, target = state.warped, state.height, state.target
+    wp = state.warped
     try:
         if name == "quasi_isometry":
-            lam_min, lam_max, bound, ok = _quasi_isometry(wp, u)
+            lam_min, lam_max, bound, ok = _quasi_isometry(state)
             return {"lambda_min": lam_min, "lambda_max": lam_max, "upper_bound": bound,
                     "pass": ok}
         if name == "ricci_sign":
@@ -434,7 +428,7 @@ def _run_check(name: str, state: GraphState, config: ScenarioConfig) -> dict:
                 ok = rmin < 0.0
             return {"ricci_min": rmin, "ricci_max": rmax, "pass": ok}
         if name == "compatibility":
-            value = compatibility_integral(wp, u, target)
+            value = compatibility_integral(state)
             threshold = obstruction_threshold(wp)
             if config.expect == "obstructed":
                 ok = abs(value) > threshold
@@ -442,12 +436,12 @@ def _run_check(name: str, state: GraphState, config: ScenarioConfig) -> dict:
                 ok = abs(value) <= threshold
             return {"compat_integral": value, "threshold": threshold, "pass": ok}
         if name == "height_identity":
-            residual = check_height_identity(wp, u, target, tol_solve=tol_solve)
+            residual = check_height_identity(state, tol_solve=tol_solve)
             sup = float(np.abs(residual.values[wp.fiber.interior_mask]).max())
             return {"height_identity_max_residual": sup,
                     "pass": sup <= _HEIGHT_IDENTITY_TOL}
         if name == "superharmonic":
-            violation = check_superharmonic(wp, u, target, tol_solve=tol_solve)
+            violation = check_superharmonic(state, tol_solve=tol_solve)
             return {"max_violation": violation, "pass": violation <= _SUPERHARMONIC_TOL}
         # conformal_laplacian: probe the conformal rule on the lifted fiber
         # with the warping itself as test function and factor h^4.
@@ -511,7 +505,7 @@ def _solve_config(config: ScenarioConfig, seed_override: int | None
 
 def _run_once(config: ScenarioConfig, seed_override: int | None) -> tuple[dict, SolveReport]:
     state, solve_report = _solve_config(config, seed_override)
-    _, _, angle = unit_normal(config.warped, state.height)
+    _, _, angle = unit_normal(state)
     graph = {"theta_min": float(angle.values.min()), "theta_max": float(angle.values.max())}
     checks = {name: _run_check(name, state, config) for name in config.checks}
     observed = solve_report.verdict.value
@@ -637,7 +631,7 @@ def builtin_config(name: str) -> ScenarioConfig:
 # verification suite
 
 
-def _manufactured_state(n: int):
+def _manufactured_state(n: int) -> GraphState:
     """Exact discrete solution: fold the residual of a reference height
     into the target curvature, so the pair solves the equation to rounding."""
     grid, metric = build_torus((n, n))
@@ -647,7 +641,7 @@ def _manufactured_state(n: int):
     u = ScalarField(grid, 0.3 * np.sin(x1) + 0.2 * np.cos(x2))
     zero = ScalarField.constant(grid, 0.0)
     target = ScalarField(grid, mean_curvature_residual(wp, u, zero).values / wp.dimension)
-    return wp, u, target
+    return GraphState(wp, u, target)
 
 
 def _suite_operator_order() -> dict:
@@ -677,8 +671,7 @@ def _suite_operator_order() -> dict:
 def _suite_height_identity_order() -> dict:
     sups = {}
     for n in (32, 64):
-        wp, u, target = _manufactured_state(n)
-        residual = check_height_identity(wp, u, target, tol_solve=1e-8)
+        residual = check_height_identity(_manufactured_state(n), tol_solve=1e-8)
         sups[n] = float(np.abs(residual.values).max())
     order = math.log2(sups[32] / sups[64])
     return {
@@ -728,14 +721,15 @@ def _suite_ricci_sign() -> dict:
 
 def _suite_quasi_isometry() -> dict:
     grid, metric = build_torus((32, 32))
+    zero = ScalarField.constant(grid, 0.0)
     worst_low, worst_high = math.inf, -math.inf
     ok = True
     for seed in range(20):
         rng = np.random.Generator(np.random.PCG64(seed))
         u = ScalarField(grid, rng.uniform(-1.0, 1.0, grid.shape))
         h = ScalarField(grid, 0.5 + rng.uniform(0.0, 1.0, grid.shape))
-        wp = WarpedProduct(grid, metric, h)
-        lam_min, lam_max, bound, within = _quasi_isometry(wp, u)
+        state = GraphState(WarpedProduct(grid, metric, h), u, zero)
+        lam_min, lam_max, bound, within = _quasi_isometry(state)
         worst_low = min(worst_low, lam_min)
         worst_high = max(worst_high, lam_max - bound)
         ok = ok and within

@@ -9,8 +9,8 @@ Two drivers share one residual:
   fibers the equation only sees the centered differences of ``u``, so
   the constants and the fields alternating in sign along each even axis
   span a known null space; the factor comes from a companion in which
-  one grid cell pins those modes, and the gauge (``fix_mean`` or
-  ``pin_node``) then fixes the free constant of each step.
+  one grid cell pins those modes, and each step is then made free of
+  them, hence mean-free.
   Non-existence is declared before iterating when the warping is
   constant and the compatibility integral cannot vanish, and
   behaviorally when damped steps stagnate at the minimum step length.
@@ -46,11 +46,6 @@ from .warped import (
     obstruction_threshold,
     obstruction_witness,
 )
-
-
-class Gauge(str, Enum):
-    fix_mean = "fix_mean"
-    pin_node = "pin_node"
 
 
 class Verdict(str, Enum):
@@ -90,19 +85,17 @@ _KRYLOV_RESTART = 20
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Solve settings: the residual tolerance, Newton's step budget and its gauge.
+    """Solve settings: the residual tolerance and Newton's step budget.
 
-    ``tol_abs`` ends both drivers; ``max_newton`` and ``gauge`` are read by
+    ``tol_abs`` ends both drivers; ``max_newton`` is read by
     :func:`newton_solve` only.  The line search and the linear solve run
     on module constants.
     """
 
     tol_abs: float = 1e-10
     max_newton: int = 50
-    gauge: Gauge = Gauge.fix_mean
 
     def __post_init__(self):
-        object.__setattr__(self, "gauge", Gauge(self.gauge))
         if not 0.0 < self.tol_abs < math.inf:
             raise ConstructionError("tol_abs must be positive and finite")
         if not 1 <= self.max_newton < math.inf:
@@ -156,17 +149,15 @@ class _ResidualBlewUp(Exception):
 
 
 class _Problem:
-    """Packing, gauge projection, and guarded residual evaluation."""
+    """Packing, null-space projection, and guarded residual evaluation."""
 
-    def __init__(self, wp: WarpedProduct, target: ScalarField, opts: SolveOptions):
+    def __init__(self, wp: WarpedProduct, target: ScalarField):
         wp.fiber.require_same(target.grid, "target curvature")
-        self.wp = wp
         self.kernel = ResidualKernel(wp)
         self.target = target
         self.grid = wp.fiber
         self.mask = self.grid.interior_mask.ravel()
         self.n_dof = int(self.mask.sum())
-        self.gauge = opts.gauge if self.grid.closed else None  # disks have no free constant
 
     def residual_full(self, u_arr: np.ndarray) -> np.ndarray | None:
         """Residual node values, or None when the iterate is unusable."""
@@ -192,10 +183,8 @@ class _Problem:
         On a closed fiber that is the Jacobian's null space (see
         :meth:`_pinned`): the fields constant on each class of nodes that
         share their index parity along the even axes.  Subtracting each
-        class mean removes it and leaves a mean-free step, as ``fix_mean``
-        asks; ``pin_node`` then shifts the step to vanish at the first node.
-        A disk has no null space, so its step is returned as it is and the
-        gauge plays no part.
+        class mean removes it and leaves a mean-free step.  A disk has no
+        null space, so its step is returned as it is.
         """
         if not self.grid.closed:
             return delta
@@ -204,13 +193,10 @@ class _Problem:
             split += [n // 2, 2] if n % 2 == 0 else [n]
             classes.append(len(split) - (2 if n % 2 == 0 else 1))
         blocks = delta.reshape(split)
-        delta = (blocks - blocks.mean(axis=tuple(classes), keepdims=True)).ravel()
-        if self.gauge is Gauge.pin_node:
-            delta = delta - delta[0]
-        return delta
+        return (blocks - blocks.mean(axis=tuple(classes), keepdims=True)).ravel()
 
-    def jacobian_action(self, u_arr: np.ndarray, dof: np.ndarray,
-                        project_out: bool = True) -> np.ndarray:
+    def jacobian_action(self, u_arr: np.ndarray, dof: np.ndarray) -> np.ndarray:
+        """Central difference of the packed residual along ``dof``, unprojected."""
         vn = float(np.abs(dof).max()) if dof.size else 0.0
         if vn == 0.0:
             return np.zeros_like(dof)
@@ -220,8 +206,7 @@ class _Problem:
         rm = self.residual_full(u_arr - step)
         if rp is None or rm is None:
             raise _ResidualBlewUp
-        out = self.pack(rp - rm) / (2.0 * eps)
-        return self.project(out) if project_out else out
+        return self.pack(rp - rm) / (2.0 * eps)
 
     @cached_property
     def _stencils(self) -> tuple[csr_matrix, csr_matrix]:
@@ -292,7 +277,7 @@ class _Problem:
         row.  GMRES runs on the companion, right-preconditioned by its LU
         factor, to a relative residual of ``_LINEAR_RTOL`` within
         ``_MAX_LINEAR`` iterations; ``info`` is GMRES's own (0 when
-        converged).
+        converged).  A singular companion gives a step of NaN.
         """
         free = np.ones(self.n_dof)
         free[self._pinned] = 0.0
@@ -301,6 +286,8 @@ class _Problem:
         else:
             companion = jac.tocsc()
         lu = _factor(companion)
+        if lu is None:
+            return np.full(self.n_dof, np.nan), 0
         A = LinearOperator(companion.shape, matvec=lambda z: companion @ lu.solve(z),
                            dtype=float)
         restart = min(_KRYLOV_RESTART, _MAX_LINEAR)
@@ -310,12 +297,15 @@ class _Problem:
 
 
 def _factor(matrix):
-    """Sparse LU factor of a matrix with the residual's stencil pattern."""
+    """Sparse LU factor of a matrix with the residual's stencil pattern, or None if singular."""
     # the stencil pattern is symmetric and the operator elliptic, so order
     # on A + A^T and prefer diagonal pivots; left to general row pivoting
     # the same fill takes ten times as long to compute
-    return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                options={"SymmetricMode": True})
+    try:
+        return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                    options={"SymmetricMode": True})
+    except RuntimeError:  # splu found the matrix exactly singular
+        return None
 
 
 def _safe_state(wp: WarpedProduct, u_arr: np.ndarray, target: ScalarField
@@ -344,19 +334,20 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
     Each step assembles the exact sparse Jacobian (see
     :meth:`_Problem.jacobian`) and solves for the step by GMRES
     preconditioned with the LU factor of its pinned companion (see
-    :meth:`_Problem.linear_step`);
-    :meth:`_Problem.project` then fixes the step's gauge on closed fibers.  Damping is Armijo
-    backtracking on half the squared residual norm.  Verdicts:
-    ``converged`` (sup residual at or below ``tol_abs``), ``obstructed``
-    (declared from the compatibility witness before iterating, or after
-    ten consecutive steps stuck at the minimum step length), ``diverged``
-    (non-finite iterate, Jacobian entry or step), ``max_iter`` otherwise, which includes
-    a linear solve that does not converge: its step is not taken.  On divergence the
-    returned state holds the last representable iterate; if none is, the
-    level zero height stands in and the diagnostics read infinite.
+    :meth:`_Problem.linear_step`); :meth:`_Problem.project` then makes the
+    step mean-free on closed fibers.  Damping is Armijo backtracking on
+    half the squared residual norm.  Verdicts: ``converged`` (sup residual
+    at or below ``tol_abs``), ``obstructed`` (declared from the
+    compatibility witness before iterating, or after ten consecutive steps
+    stuck at the minimum step length), ``diverged`` (non-finite iterate,
+    tilt, Jacobian entry or step, or a singular factor), ``max_iter``
+    otherwise, which includes a linear solve that does not converge: its
+    step is not taken.  On divergence the returned state holds the last
+    representable iterate; if none is, the level zero height stands in and
+    the diagnostics read infinite.
     """
     wp.fiber.require_same(u0.grid, "initial height")
-    prob = _Problem(wp, target_curvature, opts)
+    prob = _Problem(wp, target_curvature)
 
     witness = obstruction_witness(wp, target_curvature)
     if witness is not None and abs(witness) > obstruction_threshold(wp):
@@ -479,7 +470,7 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
     wp.fiber.require_same(u0.grid, "initial height")
     if not 0.0 < t_max < math.inf:
         raise ConstructionError("t_max must be positive and finite")
-    prob = _Problem(wp, target_curvature, opts)
+    prob = _Problem(wp, target_curvature)
     vol = volume(wp.metric)
     identity = diags(np.ones(prob.n_dof), format="csr")
 
@@ -514,10 +505,10 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
         step = min(span, 1.0 - times[-1])
         dt = step * t_max
         factorizations += 1
-        try:  # the factor dies with this expression, before the next one is built
-            delta = _factor(identity - dt * jac).solve(dt * f_dof)
-        except RuntimeError:  # splu found the matrix singular: reject as not finite
-            delta = np.full(prob.n_dof, np.nan)
+        lu = _factor(identity - dt * jac)
+        # a singular matrix gives a trial that is not finite, hence rejected
+        delta = np.full(prob.n_dof, np.nan) if lu is None else lu.solve(dt * f_dof)
+        del lu  # the factor lives for this one solve, not beside the next one
         trial = u + prob.scatter(delta)
         trial_res = prob.residual_full(trial)
         sup = math.inf if trial_res is None else float(np.abs(prob.pack(trial_res)).max())
@@ -546,7 +537,7 @@ def maximum_principle_check(state_a: GraphState, state_b: GraphState,
     """Sup distance between two solved states of the same problem.
 
     Bounded by solver tolerances on Dirichlet problems (discrete
-    uniqueness); on closed fibers the gauge constant shows up in the
+    uniqueness); on closed fibers the free additive constant shows up in the
     returned value and is reported, not treated as an error.  The same
     problem means the same grid, metric, warping, target and pinned
     boundary data; any difference raises :class:`PreconditionError`.
@@ -565,11 +556,6 @@ def maximum_principle_check(state_a: GraphState, state_b: GraphState,
         if not np.allclose(pa, pb, rtol=0.0, atol=1e-12):
             raise PreconditionError("states carry different pinned boundary data")
     for state in (state_a, state_b):
-        sup = state.interior_residual_sup()
-        if sup > tol_solve:
-            raise PreconditionError(
-                f"comparison expects solved states: residual sup {sup:.3e} "
-                f"exceeds tol_solve {tol_solve:.3e}"
-            )
+        state.require_solved(tol_solve, "maximum principle comparison")
     diff = state_a.height.values - state_b.height.values
     return float(np.abs(diff).max())

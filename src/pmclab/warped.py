@@ -104,7 +104,8 @@ class ResidualKernel:
     is a fixed sequence of whole-array operations around the one
     derivative stencil of :mod:`pmclab.geometry`, which differences the
     height and each flux density alike.  A solve builds one and evaluates
-    it many times; it is not stored on the :class:`WarpedProduct`.
+    it many times, and each :class:`GraphState` keeps the one it
+    evaluated; it is not stored on the :class:`WarpedProduct`.
     """
 
     __slots__ = ("fiber", "dimension", "h", "h2", "dh", "inv", "sqrt_det")
@@ -137,23 +138,23 @@ class ResidualKernel:
             return np.zeros(self.fiber.shape)
         return _contract(self.dh, gu) / W
 
-    def residual(self, u: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Residual node values and ``|grad u|^2`` for height and target node values."""
-        _, gu, grad_sq, W = self.tilt(u)
+    def residual(self, u: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Residual node values for height and target node values, and the tilt of :meth:`tilt`.
+
+        Where ``W`` overflows, ``h/W`` flattens the flux to zero; those
+        nodes read NaN instead, so that no caller takes them for solved.
+        """
+        tilt = self.tilt(u)
+        _, gu, _, W = tilt
         hw = self.h / W
         flux = [self.sqrt_det * (hw * g) for g in gu]
         out = flux_divergence(flux, self.fiber, self.sqrt_det)
         if self.dh is not None:
             out += self.drift(gu, W)
         out -= self.dimension * target
-        return out, grad_sq
-
-
-def _tilt_pieces(wp: WarpedProduct, u: ScalarField):
-    """Partials, contravariant gradient (each stacked on a last axis), |grad u|^2 and W."""
-    wp.fiber.require_same(u.grid, "graph height")
-    du, gu, grad_sq, W = ResidualKernel(wp).tilt(u.values)
-    return np.stack(du, axis=-1), np.stack(gu, axis=-1), grad_sq, W
+        if not np.isfinite(W.max()):
+            out[~np.isfinite(W)] = np.nan
+        return out, tilt
 
 
 def mean_curvature_residual(wp: WarpedProduct | ResidualKernel, u: ScalarField,
@@ -173,59 +174,76 @@ def mean_curvature_residual(wp: WarpedProduct | ResidualKernel, u: ScalarField,
 
 
 class GraphState:
-    """A height function together with its derived graph quantities."""
+    """A height and its target with the residual and tilt of one kernel evaluation.
 
-    __slots__ = ("warped", "height", "residual", "target", "grad_sup")
+    The constructor checks the grids and evaluates one
+    :class:`ResidualKernel`.  It keeps the kernel and the tilt: the
+    partials ``du`` and the gradient ``gu`` (lists per axis),
+    ``grad_sq = |grad u|^2`` and ``W``.  Every graph diagnostic and check
+    below reads these instead of evaluating the tilt again.
+    """
+
+    __slots__ = ("warped", "height", "target", "kernel", "residual",
+                 "du", "gu", "grad_sq", "W", "grad_sup")
 
     def __init__(self, warped: WarpedProduct, height: ScalarField,
                  target: ScalarField) -> None:
         warped.fiber.require_same(height.grid, "graph height")
         warped.fiber.require_same(target.grid, "target curvature")
-        values, grad_sq = ResidualKernel(warped).residual(height.values, target.values)
+        self.kernel = ResidualKernel(warped)
+        values, (self.du, self.gu, self.grad_sq, self.W) = self.kernel.residual(
+            height.values, target.values)
         self.warped = warped
         self.height = height
         self.target = target
         self.residual = ScalarField(warped.fiber, values)
-        self.grad_sup = float(np.sqrt(grad_sq.max()))
+        self.grad_sup = float(np.sqrt(self.grad_sq.max()))
 
     def interior_residual_sup(self) -> float:
         mask = self.warped.fiber.interior_mask
         return float(np.abs(self.residual.values[mask]).max())
 
+    def require_solved(self, tol_solve: float, what: str) -> None:
+        """Raise :class:`PreconditionError` unless the interior residual is at most ``tol_solve``."""
+        sup = self.interior_residual_sup()
+        if sup > tol_solve:
+            raise PreconditionError(
+                f"{what} expects a solved height: residual sup {sup:.3e} exceeds "
+                f"tol_solve {tol_solve:.3e}"
+            )
 
-def unit_normal(wp: WarpedProduct, u: ScalarField
-                ) -> tuple[VectorField, ScalarField, ScalarField]:
+
+def unit_normal(state: GraphState) -> tuple[VectorField, ScalarField, ScalarField]:
     """Downward unit normal of the graph.
 
     Returns the fiber part ``-(h/W) grad u`` (contravariant), the vertical
     component ``1/(h W)``, and the angle function ``h/W``.  The product
     metric makes these unit length: ``sigma(fp, fp) + h^2 vc^2 = 1``.
     """
-    du, gu, grad_sq, W = _tilt_pieces(wp, u)
-    h = wp.warping.values
-    fiber_part = VectorField(wp.fiber, (-h / W)[..., None] * gu)
-    vertical = ScalarField(wp.fiber, 1.0 / (h * W))
-    angle = ScalarField(wp.fiber, h / W)
+    fiber, h, W = state.warped.fiber, state.kernel.h, state.W
+    fiber_part = VectorField(fiber, (-h / W)[..., None] * np.stack(state.gu, axis=-1))
+    vertical = ScalarField(fiber, 1.0 / (h * W))
+    angle = ScalarField(fiber, h / W)
     return fiber_part, vertical, angle
 
 
-def induced_metric(wp: WarpedProduct, u: ScalarField) -> MetricField:
+def induced_metric(state: GraphState) -> MetricField:
     """Graph metric ``sigma_ij + h^2 (d_i u)(d_j u)`` on the fiber chart."""
-    du, _, _, _ = _tilt_pieces(wp, u)
-    h2 = wp.warping.values**2
-    mat = wp.metric.mat + h2[..., None, None] * (du[..., :, None] * du[..., None, :])
-    return MetricField(wp.fiber, mat)
+    du = np.stack(state.du, axis=-1)
+    h2 = state.kernel.h2
+    mat = state.warped.metric.mat + h2[..., None, None] * (du[..., :, None] * du[..., None, :])
+    return MetricField(state.warped.fiber, mat)
 
 
-def quasi_isometry_constants(wp: WarpedProduct, u: ScalarField) -> tuple[float, float]:
+def quasi_isometry_constants(state: GraphState) -> tuple[float, float]:
     """Global eigenvalue range of the graph metric measured against sigma.
 
     Solved by a batched Cholesky reduction to an ordinary symmetric
     eigenproblem, not by the closed-form rank-one spectrum, so the pinch
     ``1 <= lambda <= 1 + sup(h |grad u|)^2`` is an independent cross-check.
     """
-    prime = induced_metric(wp, u)
-    L = np.linalg.cholesky(wp.metric.mat)
+    prime = induced_metric(state)
+    L = np.linalg.cholesky(state.warped.metric.mat)
     T = np.linalg.solve(L, prime.mat)
     A = np.linalg.solve(L, np.swapaxes(T, -1, -2))
     eigs = np.linalg.eigvalsh(A)
@@ -261,48 +279,32 @@ def check_conformal_laplacian(metric: MetricField, factor: ScalarField,
     return ScalarField(grid, lhs - rhs)
 
 
-def _require_solved(wp: WarpedProduct, u: ScalarField, target: ScalarField,
-                    tol_solve: float, what: str) -> None:
-    state = GraphState(wp, u, target)
-    sup = state.interior_residual_sup()
-    if sup > tol_solve:
-        raise PreconditionError(
-            f"{what} expects a solved height: residual sup {sup:.3e} exceeds "
-            f"tol_solve {tol_solve:.3e}"
-        )
-
-
-def check_height_identity(wp: WarpedProduct, u: ScalarField, target_curvature: ScalarField,
-                          tol_solve: float = 1e-8) -> ScalarField:
+def check_height_identity(state: GraphState, tol_solve: float = 1e-8) -> ScalarField:
     """Residual of the solved-graph height identity.
 
     On a graph with mean curvature ``H`` the height satisfies, in the
     induced metric, ``Lap u + 2 <grad u, grad ln h> = n H / (h W)``.  The
-    caller must hand in an approximately solved height (interior residual
+    caller must hand in an approximately solved state (interior residual
     below ``tol_solve``); the returned field converges to zero at second
     order as the grid refines.
     """
-    _require_solved(wp, u, target_curvature, tol_solve, "height identity")
-    prime = induced_metric(wp, u)
-    log_h = ScalarField(wp.fiber, np.log(wp.warping.values))
-    du = coordinate_partials(u)
-    dlog = coordinate_partials(log_h)
-    cross = np.einsum("...ij,...i,...j->...", prime.inv, du, dlog)
-    lap = laplace_beltrami(u, prime).values
-    _, _, _, W = _tilt_pieces(wp, u)
+    state.require_solved(tol_solve, "height identity")
+    wp, h = state.warped, state.kernel.h
+    prime = induced_metric(state)
+    dlog = coordinate_partials(ScalarField(wp.fiber, np.log(h)))
+    cross = np.einsum("...ij,...i,...j->...", prime.inv, np.stack(state.du, axis=-1), dlog)
+    lap = laplace_beltrami(state.height, prime).values
     # vertical component of the unit normal, NOT the angle function h/W:
     # the h^2 from g(d_r, d_r) cancels against the 1/h^2 in grad tau.
-    vertical = 1.0 / (wp.warping.values * W)
-    n = wp.dimension
-    vals = lap + 2.0 * cross - n * target_curvature.values * vertical
+    vertical = 1.0 / (h * state.W)
+    vals = lap + 2.0 * cross - wp.dimension * state.target.values * vertical
     return ScalarField(wp.fiber, vals)
 
 
-def check_superharmonic(wp: WarpedProduct, u: ScalarField, target_curvature: ScalarField,
-                        tol_solve: float = 1e-8) -> float:
+def check_superharmonic(state: GraphState, tol_solve: float = 1e-8) -> float:
     """Largest value of the conformally scaled graph Laplacian of the height.
 
-    For a solved graph with ``target_curvature <= 0`` the height is
+    For a solved graph with target curvature ``<= 0`` the height is
     superharmonic in the induced metric scaled by ``h^4`` (after crossing
     with a circle to reach dimension 3), so the returned maximum should
     not exceed the discretization tolerance.
@@ -312,14 +314,15 @@ def check_superharmonic(wp: WarpedProduct, u: ScalarField, target_curvature: Sca
     constant warping, for which the conformal factor is a harmless global
     constant; the maximum is then taken over interior nodes only.
     """
-    if np.any(target_curvature.values > 0.0):
-        bad = np.argwhere(target_curvature.values > 0.0)[0]
+    wp, u, target = state.warped, state.height, state.target.values
+    if np.any(target > 0.0):
+        bad = np.argwhere(target > 0.0)[0]
         raise PreconditionError(
             "superharmonicity of the height needs target curvature <= 0; "
             f"positive value at node {tuple(int(i) for i in bad)}"
         )
-    _require_solved(wp, u, target_curvature, tol_solve, "superharmonic check")
-    prime = induced_metric(wp, u)
+    state.require_solved(tol_solve, "superharmonic check")
+    prime = induced_metric(state)
     if wp.fiber.kind is GridKind.torus2d:
         grid3, prime3, lift = lift_to_circle(wp.fiber, prime, _LIFT_CIRCLE_NODES)
         h3 = lift(wp.warping)
@@ -352,8 +355,7 @@ def radial_ricci(wp: WarpedProduct) -> ScalarField:
     return ScalarField(wp.fiber, -wp.warping.values * lap_h)
 
 
-def compatibility_integral(wp: WarpedProduct, u: ScalarField,
-                           target_curvature: ScalarField) -> float:
+def compatibility_integral(state: GraphState) -> float:
     """Closed-fiber integral of ``sigma(grad h, grad u)/W - n H``.
 
     Exact graphs with curvature ``H`` make this vanish (the divergence
@@ -362,18 +364,14 @@ def compatibility_integral(wp: WarpedProduct, u: ScalarField,
     identically zero and the witness reduces to ``-n * integral(H)`` for
     any height.
     """
+    wp = state.warped
     if not wp.fiber.closed:
         raise GridMismatchError(
             "the compatibility witness integrates over a closed fiber; "
             "Dirichlet disks have boundary flux instead"
         )
-    wp.fiber.require_same(u.grid, "graph height")
-    wp.fiber.require_same(target_curvature.grid, "target curvature")
-    kernel = ResidualKernel(wp)
-    _, gu, _, W = kernel.tilt(u.values)
-    n = wp.dimension
-    field = ScalarField(wp.fiber, kernel.drift(gu, W) - n * target_curvature.values)
-    return integrate(field, wp.metric)
+    drift = state.kernel.drift(state.gu, state.W)
+    return integrate(ScalarField(wp.fiber, drift - wp.dimension * state.target.values), wp.metric)
 
 
 def obstruction_witness(wp: WarpedProduct, target_curvature: ScalarField) -> float | None:

@@ -56,7 +56,7 @@ def _drift_torus():
     mat[..., 0, 1] = mat[..., 1, 0] = 0.3 * np.sin(x1 + x2)
     warping = ScalarField(grid, 1.0 + 0.3 * np.cos(x1) + 0.2 * np.sin(x2))
     wp = WarpedProduct(grid, MetricField(grid, mat), warping)
-    prob = _Problem(wp, ScalarField.constant(grid, 0.0), SolveOptions())
+    prob = _Problem(wp, ScalarField.constant(grid, 0.0))
     return prob, 0.8 * np.sin(x1) + 0.5 * np.cos(2.0 * x2), {"all": slice(None)}
 
 
@@ -65,14 +65,14 @@ def _lifted_torus():
     x1, x2, x3 = grid.meshes()
     warping = ScalarField(grid, 1.0 + 0.3 * np.cos(x1) + 0.2 * np.sin(x3))
     wp = WarpedProduct(grid, metric, warping)
-    prob = _Problem(wp, ScalarField.constant(grid, 0.0), SolveOptions())
+    prob = _Problem(wp, ScalarField.constant(grid, 0.0))
     return prob, 0.6 * np.sin(x1) + 0.4 * np.cos(x2 + x3), {"all": slice(None)}
 
 
 def _hyperbolic_disk():
     grid, metric = build_hyperbolic_disk(16, 32, 0.875)
     wp = WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0))
-    prob = _Problem(wp, ScalarField.constant(grid, 0.0), SolveOptions())
+    prob = _Problem(wp, ScalarField.constant(grid, 0.0))
     rho, theta = grid.meshes()
     u = 0.5 * (rho / 0.875) ** 3 * np.sin(3.0 * theta) + 0.2 * rho * np.cos(theta)
     # unknown rows by ring: the axis ring sees the across-center pair, the
@@ -122,7 +122,7 @@ def _overflowing_torus():
 
 def test_non_finite_jacobian_entry_ends_the_solve_as_diverged():
     wp, target, zero = _overflowing_torus()
-    prob = _Problem(wp, target, SolveOptions())
+    prob = _Problem(wp, target)
     assert prob.residual_full(zero.values) is not None
     assert prob.jacobian(zero.values) is None
     _, report = newton_solve(wp, target, zero, SolveOptions())

@@ -128,7 +128,7 @@ def test_kernel_is_bit_identical_to_the_roll_and_einsum_formula(build):
 
 def test_residual_full_still_returns_none_on_unusable_heights():
     wp, u, target = _conformal_torus()
-    prob = _Problem(wp, ScalarField(wp.fiber, target), SolveOptions())
+    prob = _Problem(wp, ScalarField(wp.fiber, target))
     assert prob.residual_full(u) is not None
     nonfinite = u.copy()
     nonfinite[3, 5] = np.nan
@@ -147,7 +147,7 @@ def _every_step_drift(wp, target, u0, opts, t_max):
 
     Returns the drift with the accepted and rejected step counts.
     """
-    prob = _Problem(wp, target, opts)
+    prob = _Problem(wp, target)
     vol = volume(wp.metric)
     eye = identity(prob.n_dof, format="csr")
     eps = np.finfo(np.float64).eps
@@ -212,7 +212,7 @@ def _settling_torus():
     wp = WarpedProduct(grid, metric, ScalarField(grid, 1.0 + 0.3 * np.cos(x1)))
     zero = ScalarField.constant(grid, 0.0)
     u0 = ScalarField(grid, 0.1 * np.sin(x1) + 0.05 * np.cos(x2))
-    start = _Problem(wp, zero, SolveOptions()).residual_full(u0.values)
+    start = _Problem(wp, zero).residual_full(u0.values)
     return wp, zero, u0, SolveOptions(tol_abs=0.97 * float(np.abs(start).max())), 40.0
 
 

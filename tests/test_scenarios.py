@@ -127,7 +127,7 @@ def test_minimal_config_fills_defaults_and_echo_round_trips():
     assert n["expect"] == "converged"
     assert n["checks"] == []
     assert n["solver"]["tol_abs"] == 1e-10
-    assert n["solver"]["gauge"] == "fix_mean"
+    assert n["solver"]["max_newton"] == 50
     echo = config.echo_json()
     assert parse_config(echo).echo_json() == echo
 
@@ -222,7 +222,7 @@ def test_grids_over_the_node_budget_are_rejected(fiber):
 @pytest.mark.parametrize("solver,fragment", [
     ({"window": 3}, "unknown key"),
     ({"t_max": 5.0}, "flow method"),
-    ({"gauge": "anchor"}, "unknown gauge"),
+    ({"gauge": "anchor"}, "gauge was retired"),
     ({"max_newton": 2.5}, "must be an integer"),
     ({"tol_abs": -1e-8}, "must be positive"),
     ({"method": "bisection"}, "newton or flow"),
@@ -233,9 +233,9 @@ def test_grids_over_the_node_budget_are_rejected(fiber):
     ({"tol_abs": math.inf}, "tol_abs must be finite"),
     ({"min_step": math.inf}, "min_step was retired"),
     ({"tol_abs": 10**400}, "beyond the float range"),
-    ({"gauge": "none"}, "unknown gauge 'none'; valid: fix_mean, pin_node"),
+    ({"gauge": "fix_mean"}, "always mean-free"),
     ({"method": "flow", "max_newton": 5}, "max_newton only applies to the newton method"),
-    ({"method": "flow", "gauge": "pin_node"}, "gauge only applies to the newton method"),
+    ({"method": "flow", "gauge": "pin_node"}, "gauge was retired"),
     ({"method": "flow", "armijo_c": 1e-4}, "armijo_c was retired"),
     ({"linear_rtol": 1e-8}, "linear_rtol was retired"),
 ])
@@ -265,7 +265,7 @@ def test_solver_numbers_parse_or_raise_validation_error(solver):
 
 
 @pytest.mark.parametrize("solver,keys", [
-    ({}, ["gauge", "max_newton", "method", "tol_abs"]),
+    ({}, ["max_newton", "method", "tol_abs"]),
     ({"method": "flow"}, ["method", "t_max", "tol_abs"]),
 ])
 def test_solver_echo_holds_only_the_keys_the_method_reads(solver, keys):
@@ -609,6 +609,45 @@ def test_cli_negative_seed_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "seed must be a non-negative integer, got -1" in err
     assert "seed must be a non-negative integer, got -5" in err
+
+
+def _strict_report(text: str) -> dict:
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("initial", ["1e120*sin(x1)", "1e140*sin(x1)"])
+def test_cli_singular_newton_factor_ends_diverged(tmp_path, capsys, initial):
+    # the tilt stays finite, but the Jacobian's pinned companion is exactly singular
+    config = tmp_path / "run.json"
+    config.write_text(_cfg(warping="1", H_target="0", initial=initial))
+    assert main(["solve", str(config)]) == 3
+    solve = _strict_report(capsys.readouterr().out)["solve"]
+    assert solve["verdict"] == "diverged"
+    assert solve["factorizations"] == 1
+
+
+@pytest.mark.parametrize("method", ["newton", "flow"])
+def test_cli_overflowed_tilt_ends_diverged_without_a_warning(tmp_path, capsys, method):
+    # h |grad u| overflows, W is infinite and the flux reads zero: not a solved graph
+    config = tmp_path / "run.json"
+    config.write_text(_cfg(warping="1", H_target="0", initial="1e160*x1",
+                           solver={"method": method}))
+    assert main(["solve", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _strict_report(captured.out)["solve"]["verdict"] == "diverged"
+
+
+def test_non_finite_initial_formula_is_rejected_at_parse_by_name(tmp_path, capsys):
+    with pytest.raises(ValidationError, match=r"initial evaluates to a non-finite value"):
+        parse_config(_cfg(initial="ln(x1)"))
+    config = tmp_path / "run.json"
+    config.write_text(_cfg(initial="ln(x1)"))
+    assert main(["solve", str(config)]) == 2
+    assert "initial evaluates to a non-finite value at node (0, 0)" in capsys.readouterr().err
 
 
 def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):

@@ -55,7 +55,6 @@ def test_option_defaults_are_the_documented_contract():
     opts = SolveOptions()
     assert opts.tol_abs == 1e-10
     assert opts.max_newton == 50
-    assert opts.gauge == "fix_mean"
     assert solver._MAX_LINEAR == 2000
     assert solver._LINEAR_RTOL == 1e-8
     assert solver._ARMIJO_C == 1e-4
@@ -67,13 +66,13 @@ def test_option_defaults_are_the_documented_contract():
     {"max_newton": 0},
     {"tol_abs": -1e-8},
     {"tol_abs": math.nan},
-    {"gauge": "lock_phase"},
+    {"tol_abs": -math.inf},
     {"tol_abs": math.inf},
     {"max_newton": -1},
     {"max_newton": math.nan},
     {"max_newton": math.inf},
-    {"gauge": 3},
-    {"gauge": "none"},
+    {"max_newton": -math.inf},
+    {"max_newton": 0.5},
 ])
 def test_option_validation(bad):
     with pytest.raises((ConstructionError, ValueError)):
@@ -113,19 +112,11 @@ def test_fix_mean_gauge_preserves_the_mean():
     from pmclab import integrate, volume
     wp, zero = _torus_problem()
     u0 = _smooth_start(wp.fiber, 9)
-    state, report = newton_solve(wp, zero, u0, SolveOptions(gauge="fix_mean"))
+    state, report = newton_solve(wp, zero, u0, SolveOptions())
     assert report.verdict == "converged"
     before = integrate(u0, wp.metric) / volume(wp.metric)
     after = integrate(state.height, wp.metric) / volume(wp.metric)
     assert after == pytest.approx(before, abs=1e-9)
-
-
-def test_pin_node_gauge_freezes_the_first_node():
-    wp, zero = _torus_problem()
-    u0 = _smooth_start(wp.fiber, 10)
-    state, report = newton_solve(wp, zero, u0, SolveOptions(gauge="pin_node"))
-    assert report.verdict == "converged"
-    assert state.height.values[0, 0] == u0.values[0, 0]
 
 
 def test_obstructed_problem_is_declared_without_iterating():
@@ -255,10 +246,10 @@ def test_jacobian_action_matches_directional_differences():
     wp, zero = _torus_problem()
     x1, x2 = wp.fiber.meshes()
     u = 0.8 * np.sin(x1) + 0.5 * np.cos(2.0 * x2)
-    prob = _Problem(wp, zero, SolveOptions())
+    prob = _Problem(wp, zero)
     rng = np.random.default_rng(3)
     v = rng.standard_normal(prob.n_dof)
-    action = prob.jacobian_action(u, v, project_out=False)
+    action = prob.jacobian_action(u, v)
 
     errors = []
     spread = prob.scatter(v)
@@ -272,8 +263,8 @@ def test_jacobian_action_matches_directional_differences():
 
 
 def _assembly_problems():
-    """A fix_mean torus, a pin_node torus and a hyperbolic disk, each with a
-    non-level height so the Jacobian carries its nonlinear cross terms."""
+    """A torus and a hyperbolic disk, each with a non-level height so the
+    Jacobian carries its nonlinear cross terms."""
     wp, zero = _torus_problem(16)
     x1, x2 = wp.fiber.meshes()
     u_torus = 0.8 * np.sin(x1) + 0.5 * np.cos(2.0 * x2)
@@ -282,20 +273,18 @@ def _assembly_problems():
     rho, theta = grid.meshes()
     u_disk = 0.5 * (rho / 0.875) ** 3 * np.sin(3.0 * theta) + 0.2 * rho * np.cos(theta)
     return [
-        ("fix_mean torus", _Problem(wp, zero, SolveOptions(gauge="fix_mean")), u_torus),
-        ("pin_node torus", _Problem(wp, zero, SolveOptions(gauge="pin_node")), u_torus),
-        ("hyperbolic disk", _Problem(disk, ScalarField.constant(grid, 0.0),
-                                     SolveOptions()), u_disk),
+        ("fix_mean torus", _Problem(wp, zero), u_torus),
+        ("hyperbolic disk", _Problem(disk, ScalarField.constant(grid, 0.0)), u_disk),
     ]
 
 
-@pytest.mark.parametrize("index", range(3), ids=["fix_mean", "pin_node", "disk"])
+@pytest.mark.parametrize("index", range(2), ids=["fix_mean", "disk"])
 def test_assembled_jacobian_matches_the_matrix_free_action(index):
     name, prob, u = _assembly_problems()[index]
     jac = prob.jacobian(u)
     v = np.random.default_rng(7).standard_normal(prob.n_dof)
     assembled = (jac @ v).reshape(-1, prob.grid.shape[-1])
-    action = prob.jacobian_action(u, v, project_out=False).reshape(assembled.shape)
+    action = prob.jacobian_action(u, v).reshape(assembled.shape)
     # both are central differences of one residual, so they differ by
     # truncation only; a missing or misgrouped entry is an O(1) error in
     # its row.  Disk rows next to the axis and to the rim see the
@@ -309,7 +298,7 @@ def test_assembled_jacobian_matches_the_matrix_free_action(index):
         assert gap <= 1e-6 * np.abs(action[rows]).max(), (name, ring, gap)
 
 
-@pytest.mark.parametrize("index", range(3), ids=["fix_mean", "pin_node", "disk"])
+@pytest.mark.parametrize("index", range(2), ids=["fix_mean", "disk"])
 def test_newton_step_solves_consistent_systems_in_the_gauge(index):
     name, prob, u = _assembly_problems()[index]
     jac = prob.jacobian(u)
@@ -319,10 +308,8 @@ def test_newton_step_solves_consistent_systems_in_the_gauge(index):
     assert info == 0
     delta = prob.project(delta)
     assert np.abs(jac @ delta + rhs).max() <= 1e-8 * np.abs(rhs).max(), name
-    if prob.gauge == "fix_mean":
+    if prob.grid.closed:
         assert abs(delta.mean()) <= 1e-12 * np.abs(delta).max()
-    elif prob.gauge == "pin_node":
-        assert delta[0] == 0.0
     else:
         # no null space on the disk: the step is the unique solution
         np.testing.assert_allclose(delta, -w, rtol=0.0, atol=1e-8 * np.abs(w).max())
@@ -330,7 +317,7 @@ def test_newton_step_solves_consistent_systems_in_the_gauge(index):
 
 def test_gauge_projection_removes_the_mean():
     wp, zero = _torus_problem()
-    prob = _Problem(wp, zero, SolveOptions(gauge="fix_mean"))
+    prob = _Problem(wp, zero)
     vec = np.arange(prob.n_dof, dtype=float)
     projected = prob.project(vec)
     assert abs(projected.mean()) < 1e-12

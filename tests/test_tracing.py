@@ -4,7 +4,8 @@ A renamed or deleted attribute would make ``--trace 1`` fail its ops, so
 every target must resolve, be wrapped on install and be restored after.
 A refactor that stops calling a wrapped name would instead blank that
 layer's figures, so a traced flow solve must still record residual and
-integrate spans.
+integrate spans, and a traced Newton run of every check must record
+each check layer.
 """
 
 import importlib.util
@@ -61,3 +62,20 @@ def test_tracer_sees_the_residual_and_integrate_layers_of_a_flow_solve():
     assert steps + 1 <= calls["warped.residual"] <= solver._FLOW_MAX_FACTORS + 1
     # the mean of every accepted state, and the compatibility check
     assert 1 <= calls["geometry.integrate"] <= steps + 2
+
+
+def test_tracer_sees_every_check_layer_of_a_newton_run():
+    # the checks take the solved graph state; each wrapped name must still be called
+    tracing = _load_tracing()
+    config = scenarios.builtin_config("identities")
+    tracer = tracing.Tracer()
+    with tracer.phase(0):
+        report = scenarios.run_scenario(config)
+    calls = tracing.summarize(tracer.spans)[0]["calls"]
+    assert report.solve.verdict.value == "converged"
+    assert all(check["pass"] for check in report.checks.values())
+    assert calls["solver.newton_solve"] == 1
+    assert calls["scenarios.check"] == len(config.checks) == 6
+    for name in ("warped.check_height_identity", "warped.check_superharmonic",
+                 "warped.check_conformal_laplacian", "warped.quasi_isometry_constants"):
+        assert calls.get(name, 0) >= 1, name

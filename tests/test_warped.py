@@ -7,6 +7,7 @@ import pytest
 
 from pmclab import (
     ConstructionError,
+    GraphState,
     GridMismatchError,
     PreconditionError,
     ScalarField,
@@ -124,7 +125,8 @@ def test_unit_normal_identities():
     wp = _torus_product()
     x1, x2 = wp.fiber.meshes()
     u = ScalarField(wp.fiber, 0.5 * np.sin(x1) + 0.2 * np.cos(2.0 * x2))
-    fiber_part, vertical, angle = unit_normal(wp, u)
+    zero = ScalarField.constant(wp.fiber, 0.0)
+    fiber_part, vertical, angle = unit_normal(GraphState(wp, u, zero))
     h = wp.warping.values
 
     # unit length: sigma(F,F) + h^2 v^2 = 1
@@ -142,8 +144,9 @@ def test_induced_metric_determinant_is_rank_one_update():
     wp = _torus_product()
     x1, x2 = wp.fiber.meshes()
     u = ScalarField(wp.fiber, 0.4 * np.sin(x1) * np.sin(x2))
-    prime = induced_metric(wp, u)
-    _, vertical, _ = unit_normal(wp, u)
+    state = GraphState(wp, u, ScalarField.constant(wp.fiber, 0.0))
+    prime = induced_metric(state)
+    _, vertical, _ = unit_normal(state)
     w_sq = 1.0 / (wp.warping.values * vertical.values) ** 2
     np.testing.assert_allclose(
         prime.sqrt_det**2, wp.metric.sqrt_det**2 * w_sq, rtol=1e-12)
@@ -153,6 +156,7 @@ def test_quasi_isometry_bounds_random_pairs():
     grid, metric = build_torus((24, 24))
     x1, x2 = grid.meshes()
     rng = np.random.default_rng(40)
+    zero = ScalarField.constant(grid, 0.0)
     from pmclab import gradient, norm_sq
 
     for _ in range(20):
@@ -160,7 +164,7 @@ def test_quasi_isometry_bounds_random_pairs():
         u = ScalarField(grid, a * np.sin(x1) + b * np.cos(x2) + c * np.sin(x1 + x2))
         h = ScalarField(grid, 1.0 + 0.4 * rng.uniform() * np.cos(x1))
         wp = WarpedProduct(grid, metric, h)
-        lam_min, lam_max = quasi_isometry_constants(wp, u)
+        lam_min, lam_max = quasi_isometry_constants(GraphState(wp, u, zero))
         tilt = h.values**2 * norm_sq(gradient(u, metric), metric).values
         assert lam_min >= 1.0 - 1e-12
         assert lam_max <= 1.0 + tilt.max() + 1e-10
@@ -168,8 +172,8 @@ def test_quasi_isometry_bounds_random_pairs():
 
 def test_quasi_isometry_tight_for_level_height():
     wp = _torus_product()
-    lam_min, lam_max = quasi_isometry_constants(
-        wp, ScalarField.constant(wp.fiber, 4.0))
+    lam_min, lam_max = quasi_isometry_constants(GraphState(
+        wp, ScalarField.constant(wp.fiber, 4.0), ScalarField.constant(wp.fiber, 0.0)))
     assert lam_min == pytest.approx(1.0, abs=1e-13)
     assert lam_max == pytest.approx(1.0, abs=1e-13)
 
@@ -233,7 +237,7 @@ def test_height_identity_refines_at_second_order():
     sups = {}
     for n in (32, 64):
         wp, u, target = _manufactured(n)
-        residual = check_height_identity(wp, u, target, tol_solve=1e-8)
+        residual = check_height_identity(GraphState(wp, u, target), tol_solve=1e-8)
         sups[n] = np.abs(residual.values).max()
     assert sups[32] == pytest.approx(1.667e-3, rel=1e-2)
     order = math.log2(sups[32] / sups[64])
@@ -251,7 +255,7 @@ def test_height_identity_constant_warping_collapses_to_scaled_residual():
     wp = WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0))
     zero = ScalarField.constant(grid, 0.0)
     equation = mean_curvature_residual(wp, u, zero)
-    identity = check_height_identity(wp, u, zero, tol_solve=1.0)
+    identity = check_height_identity(GraphState(wp, u, zero), tol_solve=1.0)
     from pmclab import gradient, norm_sq
     w = np.sqrt(1.0 + norm_sq(gradient(u, metric), metric).values)
     np.testing.assert_allclose(identity.values, equation.values / w, atol=1e-12)
@@ -263,14 +267,14 @@ def test_height_identity_rejects_unsolved_height():
     u = ScalarField(wp.fiber, np.sin(x1))
     zero = ScalarField.constant(wp.fiber, 0.0)
     with pytest.raises(PreconditionError, match="tol_solve"):
-        check_height_identity(wp, u, zero, tol_solve=1e-10)
+        check_height_identity(GraphState(wp, u, zero), tol_solve=1e-10)
 
 
 def test_superharmonic_level_height_is_zero():
     wp = _torus_product()
     u = ScalarField.constant(wp.fiber, 0.75)
     zero = ScalarField.constant(wp.fiber, 0.0)
-    assert abs(check_superharmonic(wp, u, zero)) <= 1e-12
+    assert abs(check_superharmonic(GraphState(wp, u, zero))) <= 1e-12
 
 
 def test_superharmonic_solved_dirichlet_cap():
@@ -280,7 +284,7 @@ def test_superharmonic_solved_dirichlet_cap():
     start = ScalarField.constant(grid, 0.0)
     state, report = newton_solve(wp, target, start, SolveOptions())
     assert report.verdict == "converged"
-    violation = check_superharmonic(wp, state.height, target, tol_solve=1e-6)
+    violation = check_superharmonic(state, tol_solve=1e-6)
     assert violation <= 1e-6
 
 
@@ -290,7 +294,7 @@ def test_superharmonic_rejects_positive_curvature():
     vals = np.full(wp.fiber.shape, -0.1)
     vals[4, 7] = 0.2
     with pytest.raises(PreconditionError, match=r"4.*7"):
-        check_superharmonic(wp, u, ScalarField(wp.fiber, vals))
+        check_superharmonic(GraphState(wp, u, ScalarField(wp.fiber, vals)))
 
 
 def test_superharmonic_disk_needs_level_warping():
@@ -300,7 +304,7 @@ def test_superharmonic_disk_needs_level_warping():
     u = ScalarField.constant(grid, 0.0)
     zero = ScalarField.constant(grid, 0.0)
     with pytest.raises(PreconditionError, match="constant"):
-        check_superharmonic(wp, u, zero)
+        check_superharmonic(GraphState(wp, u, zero))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +313,7 @@ def test_superharmonic_disk_needs_level_warping():
 
 def test_compatibility_integral_vanishes_on_solvable_data():
     wp, u, target = _manufactured(32)
-    assert abs(compatibility_integral(wp, u, target)) <= 1e-9
+    assert abs(compatibility_integral(GraphState(wp, u, target))) <= 1e-9
 
 
 def test_compatibility_integral_witnesses_level_obstruction():
@@ -317,7 +321,7 @@ def test_compatibility_integral_witnesses_level_obstruction():
     wp = WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0))
     u = ScalarField.constant(grid, 0.0)
     target = ScalarField.constant(grid, 0.1)
-    value = compatibility_integral(wp, u, target)
+    value = compatibility_integral(GraphState(wp, u, target))
     assert value == pytest.approx(-0.8 * math.pi**2, abs=1e-12)
 
 
@@ -326,7 +330,7 @@ def test_compatibility_integral_needs_closed_fiber():
     wp = WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0))
     u = ScalarField.constant(grid, 0.0)
     with pytest.raises(GridMismatchError):
-        compatibility_integral(wp, u, u)
+        compatibility_integral(GraphState(wp, u, u))
 
 
 def test_obstruction_witness_only_for_level_warping():
