@@ -559,6 +559,56 @@ def lift_to_circle(grid2d: FiberGrid, metric: MetricField, n_circle: int
     return grid3, metric3, lift_map
 
 
+def coarse_dims(grid: FiberGrid) -> tuple[int, ...] | None:
+    """Dims of ``grid`` with every axis halved, or None when it does not halve.
+
+    Every axis must be even and keep at least 8 nodes; a disk's halved
+    angular count must stay even for the across-center pairing.
+    """
+    half = tuple(n // 2 for n in grid.dims)
+    if any(n % 2 for n in grid.dims) or min(half) < _MIN_NODES_PER_AXIS:
+        return None
+    if grid.kind is GridKind.disk_polar and half[1] % 2:
+        return None
+    return half
+
+
+def prolong(coarse: ScalarField, grid: FiberGrid) -> ScalarField:
+    """Interpolate a field onto ``grid``, which is twice as fine on every axis.
+
+    A periodic axis keeps the nested nodes and takes the mean of the two
+    neighbours at each midpoint.  The cell-centered rings of a disk lie a
+    quarter of a coarse spacing from the nearer coarse ring, so each fine
+    ring takes 3/4 of the nearer ring and 1/4 of the farther one.  Below
+    the innermost ring lies the ring ``theta + pi``, as in
+    :func:`partial_into`; beyond the rim the coarse rings are extended
+    linearly, so the caller resets the rim to its own data.  Constants come
+    out exactly, the nested nodes of a torus bit for bit, and a field
+    linear in the radius along each nested angle of a disk to rounding.
+    """
+    c = coarse.grid
+    if (c.kind is not grid.kind or c.extents != grid.extents
+            or tuple(2 * n for n in c.dims) != grid.dims):
+        raise GridMismatchError(f"prolong: {grid.kind.value} {grid.dims} does not halve "
+                                f"to {c.kind.value} {c.dims}")
+    vals = coarse.values
+    for axis, periodic in enumerate(grid.periodic_axes):
+        # near + w (far - near) keeps a constant exact
+        if periodic:
+            even = vals
+            odd = vals + 0.5 * (np.roll(vals, -1, axis) - vals)
+        else:
+            # disk radial axis: the ghost below ring 0 is ring 0 half a turn away
+            below = np.concatenate([np.roll(vals[:1], vals.shape[1] // 2, axis=1), vals[:-1]])
+            above = np.concatenate([vals[1:], vals[-1:] + (vals[-1:] - vals[-2:-1])])
+            even = vals + 0.25 * (below - vals)
+            odd = vals + 0.25 * (above - vals)
+        # interleave along the axis: even, odd, even, odd, ...
+        vals = np.stack([even, odd], axis=axis + 1).reshape(
+            vals.shape[:axis] + (2 * vals.shape[axis],) + vals.shape[axis + 1:])
+    return ScalarField(grid, vals)
+
+
 def dump_field_csv(f: ScalarField, path) -> None:
     """Write one row per node: indices, chart coordinates, value.
 

@@ -10,7 +10,10 @@ round-trips byte-identically through ``json.dumps(sort_keys=True)``.
 
 :func:`run_scenario` solves, runs the requested checks, and packages a
 :class:`RunReport` whose JSON form is deterministic for a fixed config
-and seed (wall time is the one excluded field).  A small battery of
+and seed (wall time is the one excluded field).  A Newton solve starts
+from the prolonged solution of the same config on the grid with every
+axis halved, solved the same way first (grid sequencing), and each
+refinement companion from the level before it.  A small battery of
 refinement studies lives in :func:`run_verification_suite`.
 """
 
@@ -21,6 +24,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,13 +39,15 @@ from .geometry import (
     build_hyperbolic_disk,
     build_polar_disk,
     build_torus,
+    coarse_dims,
     conformal_scale,
     dump_field_csv,
     gradient,
     laplace_beltrami,
     lift_to_circle,
+    prolong,
 )
-from .solver import SolveOptions, SolveReport, Verdict, flow_solve, newton_solve
+from .solver import SolveOptions, SolveReport, Verdict, flow_solve, newton_solve, remove_null_modes
 from .warped import (
     _LIFT_CIRCLE_NODES,
     GraphState,
@@ -461,11 +467,19 @@ def _run_check(name: str, state: GraphState, config: ScenarioConfig) -> dict:
 
 @dataclass
 class RunReport:
-    """Everything one scenario run produced, JSON-ready."""
+    """Everything one scenario run produced, JSON-ready.
+
+    ``solve`` describes the finest solve; ``start`` says whether it began
+    from the config's ``initial`` field or from the coarser solution, and
+    ``coarse_solves`` lists the coarser levels solved on the way, coarsest
+    first.
+    """
 
     scenario: str | None
     config: dict
     solve: SolveReport
+    start: str
+    coarse_solves: list
     graph: dict
     checks: dict
     expectation: dict
@@ -477,6 +491,8 @@ class RunReport:
             "scenario": self.scenario,
             "config": self.config,
             "solve": self.solve.to_json_dict(),
+            "start": self.start,
+            "coarse_solves": self.coarse_solves,
             "graph": self.graph,
             "checks": self.checks,
             "expectation": self.expectation,
@@ -494,31 +510,95 @@ class RunReport:
         return 0
 
 
-def _solve_config(config: ScenarioConfig, seed_override: int | None
-                  ) -> tuple[GraphState, SolveReport]:
-    u0 = ScalarField(config.grid, config.initial_values(seed_override))
+class _Level(NamedTuple):
+    """One solved grid: its final state and report, how it started, and the levels below it."""
+
+    state: GraphState
+    report: SolveReport
+    start: str
+    coarse_solves: list
+
+    def below_next(self) -> list:
+        """The ``coarse_solves`` of the next finer level: these plus this one."""
+        dims = list(self.state.warped.fiber.dims)
+        return self.coarse_solves + [{
+            "dims": dims, "verdict": self.report.verdict.value,
+            "iterations": self.report.iterations,
+            "factorizations": self.report.factorizations,
+        }]
+
+
+def _resized_config(config: ScenarioConfig, dims) -> ScenarioConfig:
+    scaled = json.loads(config.echo_json())
+    scaled["fiber"]["dims"] = list(dims)
+    return parse_config(json.dumps(scaled))
+
+
+def _coarse_start(config: ScenarioConfig, coarse: GraphState, u0: np.ndarray) -> np.ndarray:
+    """The coarse height prolonged onto the config's grid, with ``u0``'s fixed parts.
+
+    A disk's rim keeps its boundary data.  On a closed fiber Newton keeps
+    the mean of each parity class of the start (see
+    :func:`remove_null_modes`), so the start takes ``u0``'s class means and
+    the solve ends where one from ``u0`` would.
+    """
+    vals = np.array(prolong(coarse.height, config.grid).values)
+    if config.grid.closed:
+        return u0 - remove_null_modes(config.grid, u0 - vals)
+    vals[~config.grid.interior_mask] = u0[~config.grid.interior_mask]
+    return vals
+
+
+def _solve_config(config: ScenarioConfig, seed_override: int | None,
+                  coarse: _Level | None = None) -> _Level:
+    """Solve one level; Newton starts from the next coarser level's solution.
+
+    That level is ``coarse`` when given, else the config with every axis
+    halved, solved the same way, as long as the grid halves and the
+    halved config is valid on its own nodes.  A coarse level that did not
+    converge is not used.  The flow starts from ``initial``, since its
+    path and drift depend on the start.
+    """
+    u0 = config.initial_values(seed_override)
     if config.method == "flow":
-        return flow_solve(config.warped, config.target, u0, config.solver_opts,
-                          t_max=config.t_max)
-    return newton_solve(config.warped, config.target, u0, config.solver_opts)
+        state, report = flow_solve(config.warped, config.target, ScalarField(config.grid, u0),
+                                   config.solver_opts, t_max=config.t_max)
+        return _Level(state, report, "initial", [])
+    if coarse is None and (dims := coarse_dims(config.grid)) is not None:
+        try:
+            # disk radii are not nested: a formula may fail on the coarse nodes
+            halved = _resized_config(config, dims)
+        except ValidationError:
+            halved = None
+        if halved is not None:
+            coarse = _solve_config(halved, seed_override)
+    below = [] if coarse is None else coarse.below_next()
+    start = "initial"
+    if coarse is not None and coarse.report.verdict is Verdict.converged:
+        u0, start = _coarse_start(config, coarse.state, u0), "coarse"
+    state, report = newton_solve(config.warped, config.target, ScalarField(config.grid, u0),
+                                 config.solver_opts)
+    return _Level(state, report, start, below)
 
 
-def _run_once(config: ScenarioConfig, seed_override: int | None) -> tuple[dict, SolveReport]:
-    state, solve_report = _solve_config(config, seed_override)
-    _, _, angle = unit_normal(state)
-    graph = {"theta_min": float(angle.values.min()), "theta_max": float(angle.values.max())}
-    checks = {name: _run_check(name, state, config) for name in config.checks}
+def _run_once(config: ScenarioConfig, seed_override: int | None,
+              coarse: _Level | None = None) -> tuple[dict, _Level]:
+    level = _solve_config(config, seed_override, coarse)
+    state, solve_report = level.state, level.report
+    if math.isinf(solve_report.u_oscillation) and math.isinf(solve_report.grad_sup):
+        # the solver's level zero stand-in for a height it could not represent
+        graph = {"theta_min": math.nan, "theta_max": math.nan}
+        checks = {name: {"precondition": "the solve left no representable height to check",
+                         "pass": False} for name in config.checks}
+    else:
+        _, _, angle = unit_normal(state)
+        graph = {"theta_min": float(angle.values.min()), "theta_max": float(angle.values.max())}
+        checks = {name: _run_check(name, state, config) for name in config.checks}
     observed = solve_report.verdict.value
     expectation = {"expected": config.expect, "observed": observed,
                    "matched": observed == config.expect}
-    body = {"graph": graph, "checks": checks, "expectation": expectation, "state": state}
-    return body, solve_report
-
-
-def _refined_config(config: ScenarioConfig, factor: int) -> ScenarioConfig:
-    scaled = json.loads(config.echo_json())
-    scaled["fiber"]["dims"] = [n * factor for n in scaled["fiber"]["dims"]]
-    return parse_config(json.dumps(scaled))
+    body = {"graph": graph, "checks": checks, "expectation": expectation}
+    return body, level
 
 
 def run_scenario(config: ScenarioConfig, *, scenario_name: str | None = None,
@@ -526,7 +606,8 @@ def run_scenario(config: ScenarioConfig, *, scenario_name: str | None = None,
                  ) -> RunReport:
     """Solve one scenario, run its checks, and assemble the report.
 
-    ``refine`` adds companion runs with every axis doubled per level.
+    ``refine`` adds companion runs with every axis doubled per level; a
+    Newton companion starts from the level before it.
     ``seed_override`` replaces the seed of a ``random(...)`` initial field;
     PCG64 takes only non-negative seeds, so a negative one is rejected.
     ``dump_dir`` writes final height and residual fields as CSV.
@@ -535,28 +616,31 @@ def run_scenario(config: ScenarioConfig, *, scenario_name: str | None = None,
         raise ValidationError(f"seed must be a non-negative integer, got {seed_override}")
     _check_budget(config.grid.dims, refine)
     start = time.perf_counter()
-    body, solve_report = _run_once(config, seed_override)
+    body, base = _run_once(config, seed_override)
 
     refinements = []
-    for level in range(1, refine + 1):
-        refined = _refined_config(config, 2**level)
-        sub_body, sub_report = _run_once(refined, seed_override)
+    level = base
+    for k in range(1, refine + 1):
+        refined = _resized_config(config, [n * 2**k for n in config.grid.dims])
+        sub_body, level = _run_once(refined, seed_override, coarse=level)
         refinements.append({
             "dims": refined.normalized["fiber"]["dims"],
-            "solve": sub_report.to_json_dict(),
+            "solve": level.report.to_json_dict(),
+            "start": level.start,
+            "coarse_solves": level.coarse_solves,
             "graph": sub_body["graph"],
             "checks": sub_body["checks"],
         })
 
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
-        state: GraphState = body["state"]
-        dump_field_csv(state.height, os.path.join(dump_dir, "height.csv"))
-        dump_field_csv(state.residual, os.path.join(dump_dir, "residual.csv"))
+        dump_field_csv(base.state.height, os.path.join(dump_dir, "height.csv"))
+        dump_field_csv(base.state.residual, os.path.join(dump_dir, "residual.csv"))
 
     wall = time.perf_counter() - start
-    return RunReport(scenario_name, config.normalized, solve_report, body["graph"],
-                     body["checks"], body["expectation"], refinements, wall)
+    return RunReport(scenario_name, config.normalized, base.report, base.start,
+                     base.coarse_solves, body["graph"], body["checks"], body["expectation"],
+                     refinements, wall)
 
 
 # --------------------------------------------------------------------------

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.sparse import bmat, csr_matrix, diags, hstack, vstack
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
-from .geometry import ConstructionError, ScalarField, integrate, partial_matrix, volume
+from .geometry import ConstructionError, FiberGrid, ScalarField, integrate, partial_matrix, volume
 from .warped import (
     GraphState,
     PreconditionError,
@@ -148,8 +148,27 @@ class _ResidualBlewUp(Exception):
     """Internal: a trial residual left the representable range."""
 
 
+def remove_null_modes(grid: FiberGrid, delta: np.ndarray) -> np.ndarray:
+    """Strip from node values (flat or of grid shape) the part the residual cannot see.
+
+    On a closed fiber that is the Jacobian's null space (see
+    :meth:`_Problem._pinned`): the fields constant on each class of nodes
+    that share their index parity along the even axes.  Subtracting each
+    class mean removes it and leaves a mean-free result, in the shape of
+    ``delta``.  A disk has no null space, so ``delta`` is returned as it is.
+    """
+    if not grid.closed:
+        return delta
+    split, classes = [], []
+    for n in grid.shape:
+        split += [n // 2, 2] if n % 2 == 0 else [n]
+        classes.append(len(split) - (2 if n % 2 == 0 else 1))
+    blocks = delta.reshape(split)
+    return (blocks - blocks.mean(axis=tuple(classes), keepdims=True)).reshape(delta.shape)
+
+
 class _Problem:
-    """Packing, null-space projection, and guarded residual evaluation."""
+    """Packing and guarded residual evaluation."""
 
     def __init__(self, wp: WarpedProduct, target: ScalarField):
         wp.fiber.require_same(target.grid, "target curvature")
@@ -176,24 +195,6 @@ class _Problem:
         full = np.zeros(self.grid.shape).ravel()
         full[self.mask] = dof
         return full.reshape(self.grid.shape)
-
-    def project(self, delta: np.ndarray) -> np.ndarray:
-        """Fix the part of a step that the residual cannot see.
-
-        On a closed fiber that is the Jacobian's null space (see
-        :meth:`_pinned`): the fields constant on each class of nodes that
-        share their index parity along the even axes.  Subtracting each
-        class mean removes it and leaves a mean-free step.  A disk has no
-        null space, so its step is returned as it is.
-        """
-        if not self.grid.closed:
-            return delta
-        split, classes = [], []
-        for n in self.grid.shape:
-            split += [n // 2, 2] if n % 2 == 0 else [n]
-            classes.append(len(split) - (2 if n % 2 == 0 else 1))
-        blocks = delta.reshape(split)
-        return (blocks - blocks.mean(axis=tuple(classes), keepdims=True)).ravel()
 
     def jacobian_action(self, u_arr: np.ndarray, dof: np.ndarray) -> np.ndarray:
         """Central difference of the packed residual along ``dof``, unprojected."""
@@ -334,7 +335,7 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
     Each step assembles the exact sparse Jacobian (see
     :meth:`_Problem.jacobian`) and solves for the step by GMRES
     preconditioned with the LU factor of its pinned companion (see
-    :meth:`_Problem.linear_step`); :meth:`_Problem.project` then makes the
+    :meth:`_Problem.linear_step`); :func:`remove_null_modes` then makes the
     step mean-free on closed fibers.  Damping is Armijo backtracking on
     half the squared residual norm.  Verdicts: ``converged`` (sup residual
     at or below ``tol_abs``), ``obstructed`` (declared from the
@@ -388,7 +389,7 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
                 # an unconverged linear solve gives no Newton step to take
                 verdict = Verdict.max_iter
                 break
-            delta = prob.project(delta)
+            delta = remove_null_modes(prob.grid, delta)
             cap = _STEP_CAP_FACTOR * (1.0 + float(np.abs(u).max()))
             delta_sup = float(np.abs(delta).max())
             if delta_sup > cap:

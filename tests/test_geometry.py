@@ -29,6 +29,7 @@ from pmclab import (
     norm_sq,
     volume,
 )
+from pmclab.geometry import coarse_dims, prolong
 
 
 # ---------------------------------------------------------------------------
@@ -371,3 +372,79 @@ def test_dump_field_csv_bytes_match_per_node_writer(tmp_path):
         dump_field_csv(f, tmp_path / f"{name}.csv")
         _dump_field_csv_per_node(f, tmp_path / f"{name}_ref.csv")
         assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# prolongation onto a twice finer grid
+
+# coarse tori of 8 to 16 nodes per axis and coarse disks of 8 to 16 rings and
+# an even angular count of 8 to 32, with a value and a seed
+_COARSE_TORI = st.tuples(st.lists(st.integers(8, 16), min_size=2, max_size=3),
+                         st.floats(-1e6, 1e6), st.integers(0, 2**32))
+_COARSE_DISKS = st.tuples(st.integers(8, 16), st.integers(4, 16).map(lambda k: 2 * k),
+                          st.floats(0.1, 0.99), st.floats(-1e6, 1e6))
+
+
+def _torus_pair(dims):
+    coarse, _ = build_torus(dims, [1.0 + n for n in range(len(dims))])
+    fine, _ = build_torus([2 * n for n in dims], [1.0 + n for n in range(len(dims))])
+    return coarse, fine
+
+
+@settings(max_examples=40)
+@given(_COARSE_TORI)
+def test_prolongation_injects_nested_torus_nodes_and_keeps_constants(torus):
+    dims, value, seed = torus
+    coarse, fine = _torus_pair(dims)
+    assert coarse_dims(fine) == coarse.dims
+    assert prolong(ScalarField.constant(coarse, value), fine).values.tobytes() == \
+        ScalarField.constant(fine, value).values.tobytes()
+    vals = np.random.default_rng(seed).standard_normal(coarse.shape)
+    vals[0, 0] = -0.0
+    nested = prolong(ScalarField(coarse, vals), fine).values[(slice(None, None, 2),) * len(dims)]
+    assert nested.tobytes() == vals.tobytes()
+
+
+@settings(max_examples=40)
+@given(_COARSE_DISKS)
+def test_prolongation_on_the_disk_keeps_constants_and_linear_radial_profiles(disk):
+    n_r, n_theta, radius, value = disk
+    coarse, _ = build_polar_disk(n_r, n_theta, radius)
+    fine, _ = build_polar_disk(2 * n_r, 2 * n_theta, radius)
+    assert coarse_dims(fine) == coarse.dims
+    assert np.array_equal(prolong(ScalarField.constant(coarse, value), fine).values,
+                          ScalarField.constant(fine, value).values)
+    # x1 = rho cos(theta) is linear in rho along each angle: every free ring
+    # at the nested angles reproduces it, the innermost one through the ring
+    # theta + pi below it
+    for fn in (np.cos, np.sin):
+        rho, theta = coarse.meshes()
+        lifted = prolong(ScalarField(coarse, rho * fn(theta)), fine).values
+        rho, theta = fine.meshes()
+        exact = rho * fn(theta)
+        np.testing.assert_allclose(lifted[:-1, ::2], exact[:-1, ::2], rtol=0.0,
+                                   atol=4 * np.finfo(float).eps * radius)
+
+
+@pytest.mark.parametrize("kind,dims,half", [
+    (GridKind.torus2d, (16, 16), (8, 8)),
+    (GridKind.torus3d_lifted, (16, 20, 32), (8, 10, 16)),
+    (GridKind.torus2d, (16, 15), None),      # an odd axis
+    (GridKind.torus2d, (16, 14), None),      # a half below 8 nodes
+    (GridKind.disk_polar, (16, 32), (8, 16)),
+    (GridKind.disk_polar, (16, 18), None),   # the halved angular count is odd
+])
+def test_a_grid_halves_only_into_a_grid_that_exists(kind, dims, half):
+    extents = (1.0,) * (len(dims) - 1) + (2.0 * math.pi,)
+    grid = FiberGrid(kind, dims, extents)
+    assert coarse_dims(grid) == half
+    if half is not None:
+        FiberGrid(kind, half, extents)
+
+
+def test_prolongation_refuses_grids_that_do_not_nest():
+    coarse, fine = _torus_pair((8, 8))
+    with pytest.raises(GridMismatchError, match="does not halve"):
+        prolong(ScalarField.constant(coarse, 1.0), build_torus((16, 18))[0])
+    with pytest.raises(GridMismatchError, match="does not halve"):
+        prolong(ScalarField.constant(fine, 1.0), coarse)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmclab import cli, scenarios
+from pmclab import ScalarField, cli, newton_solve, scenarios
 from pmclab.cli import main
 from pmclab.formulas import (
     _MAX_DEPTH,
@@ -457,18 +457,119 @@ def test_report_is_deterministic_up_to_wall_time():
 
 
 @pytest.mark.parametrize("name,solver,counts", [
-    # 14 accepted steps and 6 rejected trials, each trial one LU factor
-    ("hyperbolic_counterexample", {"method": "flow", "t_max": 40.0}, (14, 20)),
-    ("obstruction_torus", {"method": "flow", "t_max": 5.0}, (16, 16)),
-    # newton factors once per step; the witness declares the obstruction
-    # before any step
-    ("uniqueness_torus", {}, (3, 3)),
-    ("obstruction_torus", {}, (0, 0)),
+    # 14 accepted steps and 6 rejected trials, each trial one LU factor;
+    # a flow starts from its formula, with no coarser level
+    ("hyperbolic_counterexample", {"method": "flow", "t_max": 40.0}, (14, 20, [])),
+    ("obstruction_torus", {"method": "flow", "t_max": 5.0}, (16, 16, [])),
+    # newton factors once per step; the 8^2 level does the work and every
+    # finer level starts from a solution
+    ("uniqueness_torus", {}, (0, 0, [([8, 8], "converged", 3, 3), ([16, 16], "converged", 0, 0),
+                                     ([32, 32], "converged", 0, 0)])),
+    # the witness declares the obstruction before any step, on every level
+    ("obstruction_torus", {}, (0, 0, [([8, 8], "obstructed", 0, 0),
+                                      ([16, 16], "obstructed", 0, 0),
+                                      ([32, 32], "obstructed", 0, 0)])),
+    ("hyperbolic_counterexample", {}, (3, 3, [([8, 16], "converged", 5, 5),
+                                              ([16, 32], "converged", 3, 3),
+                                              ([32, 64], "converged", 3, 3)])),
 ])
 def test_report_counts_every_factorization(name, solver, counts):
     raw = dict(BUILTIN_SCENARIOS[name], solver=solver, checks=[])
-    solve = run_scenario(parse_config(json.dumps(raw))).to_json_dict()["solve"]
-    assert (solve["iterations"], solve["factorizations"]) == counts
+    report = run_scenario(parse_config(json.dumps(raw))).to_json_dict()
+    solve = report["solve"]
+    *finest, coarse = counts
+    assert (solve["iterations"], solve["factorizations"]) == tuple(finest)
+    assert report["coarse_solves"] == [
+        {"dims": dims, "verdict": verdict, "iterations": iterations,
+         "factorizations": factorizations}
+        for dims, verdict, iterations, factorizations in coarse]
+    assert report["start"] == ("coarse" if coarse and coarse[-1][1] == "converged"
+                               else "initial")
+
+
+def _direct_newton(config):
+    """Newton from the config's own initial field, with no coarser level."""
+    u0 = ScalarField(config.grid, config.initial_values())
+    return newton_solve(config.warped, config.target, u0, config.solver_opts)
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(BUILTIN_SCENARIOS["hyperbolic_counterexample"]),
+    # on a closed fiber Newton keeps the start's parity-class means: the
+    # prolonged start must take those of the config's own initial field
+    _cfg(fiber={"kind": "torus", "dims": [16, 16]}, warping="1+0.3*cos(x1)",
+         initial="random(3, 0.2)"),
+], ids=["hyperbolic_counterexample", "random_torus"])
+def test_a_sequenced_solve_ends_where_a_direct_one_does(text):
+    config = parse_config(text)
+    level = scenarios._solve_config(config, None)
+    assert level.start == "coarse"
+    assert level.report.verdict.value == "converged"
+    state, report = _direct_newton(config)
+    assert report.verdict.value == "converged"
+    assert np.abs(level.state.height.values - state.height.values).max() <= 1e-10
+
+
+def test_a_coarse_level_that_diverges_is_recorded_and_not_used(monkeypatch):
+    config = parse_config(_cfg(fiber={"kind": "torus", "dims": [16, 16]}, warping="1",
+                               initial="1e307*sin(x1)"))
+    starts = []
+
+    def recording_newton(wp, target, u0, opts):
+        starts.append(u0.values)
+        return newton_solve(wp, target, u0, opts)
+
+    monkeypatch.setattr(scenarios, "newton_solve", recording_newton)
+    report = run_scenario(config).to_json_dict()
+    assert report["coarse_solves"] == [
+        {"dims": [8, 8], "verdict": "diverged", "iterations": 0, "factorizations": 0}]
+    assert report["start"] == "initial"
+    assert [s.shape for s in starts] == [(8, 8), (16, 16)]
+    assert np.array_equal(starts[-1], config.initial_values())
+    assert report["solve"] == _direct_newton(config)[1].to_json_dict()
+
+
+def test_a_coarse_level_that_is_not_a_valid_config_is_skipped():
+    # disk rings are not nested: this warping vanishes on the innermost ring
+    # of the 8x8 disk, but not on any ring of the 16x16 one
+    config = parse_config(json.dumps({"fiber": {"kind": "disk", "dims": [16, 16], "R": 1.0},
+                                      "warping": "(rho-0.0625)^2"}))
+    report = run_scenario(config)
+    assert report.solve.verdict.value == "converged"
+    assert (report.start, report.coarse_solves) == ("initial", [])
+
+
+def test_refinement_companions_start_from_the_level_before():
+    report = run_scenario(builtin_config("identities"), refine=2).to_json_dict()
+    below = report["coarse_solves"]
+    for k, record in enumerate(report["refinements"]):
+        previous = report if k == 0 else report["refinements"][k - 1]
+        assert record["start"] == "coarse"
+        assert record["coarse_solves"][:-1] == below
+        assert record["coarse_solves"][-1] == {
+            "dims": [32 * 2**k] * 2, "verdict": previous["solve"]["verdict"],
+            "iterations": previous["solve"]["iterations"],
+            "factorizations": previous["solve"]["factorizations"]}
+        below = record["coarse_solves"]
+
+
+@pytest.mark.parametrize("method", ["newton", "flow"])
+def test_a_lost_height_fails_every_check_and_reads_no_angle(tmp_path, capsys, method):
+    # the final height cannot be represented, so the solver hands back a
+    # level zero stand-in; no check may pass on it
+    config = tmp_path / "run.json"
+    config.write_text(_cfg(warping="1+0.3*cos(x1)", initial="1e307*sin(x1)",
+                           checks=["height_identity", "quasi_isometry", "compatibility",
+                                   "superharmonic"], solver={"method": method}))
+    assert main(["solve", str(config)]) == 3
+    report = _strict_report(capsys.readouterr().out)
+    assert report["solve"]["verdict"] == "diverged"
+    assert report["solve"]["grad_sup"] == report["solve"]["u_oscillation"] == "inf"
+    assert report["graph"] == {"theta_min": "nan", "theta_max": "nan"}
+    assert len(report["checks"]) == 4
+    for entry in report["checks"].values():
+        assert entry["pass"] is False
+        assert "no representable height" in entry["precondition"]
 
 
 def test_every_requested_check_appears_exactly_once():

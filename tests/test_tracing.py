@@ -74,7 +74,8 @@ def test_tracer_sees_every_check_layer_of_a_newton_run():
     calls = tracing.summarize(tracer.spans)[0]["calls"]
     assert report.solve.verdict.value == "converged"
     assert all(check["pass"] for check in report.checks.values())
-    assert calls["solver.newton_solve"] == 1
+    # one Newton solve per level: the coarser levels, then the config's own
+    assert calls["solver.newton_solve"] == 1 + len(report.coarse_solves)
     assert calls["scenarios.check"] == len(config.checks) == 6
     for name in ("warped.check_height_identity", "warped.check_superharmonic",
                  "warped.check_conformal_laplacian", "warped.quasi_isometry_constants"):
