@@ -177,21 +177,7 @@ class ScalarField:
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: FiberGrid, values: NDArray) -> None:
-        self._hold(grid, np.array(values, dtype=np.float64, order="C"))
-
-    @classmethod
-    def _borrow(cls, grid: FiberGrid, values: NDArray[np.float64]) -> "ScalarField":
-        """A field over a read-only view of a float array, without the defensive copy.
-
-        Only for values that no one writes while the field lives: a fresh
-        result, or a height held for one residual evaluation.  The checks
-        are those of the constructor.
-        """
-        field = cls.__new__(cls)
-        field._hold(grid, values.view())
-        return field
-
-    def _hold(self, grid: FiberGrid, vals: NDArray[np.float64]) -> None:
+        vals = np.array(values, dtype=np.float64, order="C")
         if vals.shape != grid.shape:
             raise ConstructionError(
                 f"scalar field shape {vals.shape} does not match grid {grid.shape}"
@@ -533,13 +519,13 @@ def volume(metric: MetricField) -> float:
     return integrate(ScalarField.constant(metric.grid, 1.0), metric)
 
 
-def lift_to_circle(grid2d: FiberGrid, metric: MetricField, n_circle: int
+def lift_to_circle(grid2d: FiberGrid, metric: MetricField, n_circle: int = 16
                    ) -> tuple[FiberGrid, MetricField, Callable[[ScalarField], ScalarField]]:
     """Cross a 2-D torus with a unit circle: block metric ``sigma + d theta^2``.
 
     Returns the 3-D grid with ``n_circle`` nodes on the circle, its
     metric, and a map sending a 2-D scalar field (a warping, a height) to
-    its circle-invariant lift.
+    its circle-invariant lift.  The identity checks lift with the default.
     """
     if grid2d.kind is not GridKind.torus2d:
         raise GridMismatchError("only 2-D torus fibers can be crossed with a circle")

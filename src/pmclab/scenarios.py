@@ -49,7 +49,6 @@ from .geometry import (
 )
 from .solver import SolveOptions, SolveReport, Verdict, flow_solve, newton_solve, remove_null_modes
 from .warped import (
-    _LIFT_CIRCLE_NODES,
     GraphState,
     PreconditionError,
     WarpedProduct,
@@ -59,6 +58,7 @@ from .warped import (
     compatibility_integral,
     mean_curvature_residual,
     obstruction_threshold,
+    obstruction_witness,
     quasi_isometry_constants,
     radial_ricci,
     unit_normal,
@@ -451,7 +451,7 @@ def _run_check(name: str, state: GraphState, config: ScenarioConfig) -> dict:
             return {"max_violation": violation, "pass": violation <= _SUPERHARMONIC_TOL}
         # conformal_laplacian: probe the conformal rule on the lifted fiber
         # with the warping itself as test function and factor h^4.
-        grid3, metric3, lift = lift_to_circle(wp.fiber, wp.metric, _LIFT_CIRCLE_NODES)
+        grid3, metric3, lift = lift_to_circle(wp.fiber, wp.metric)
         h3 = lift(wp.warping)
         factor = ScalarField(grid3, h3.values**4)
         residual = check_conformal_laplacian(metric3, factor, h3)
@@ -511,18 +511,21 @@ class RunReport:
 
 
 class _Level(NamedTuple):
-    """One solved grid: its final state and report, how it started, and the levels below it."""
+    """One solved grid: its dims, final state and report, how it started, and the levels below.
 
-    state: GraphState
+    The state is None when the solve lost its height (see :func:`newton_solve`).
+    """
+
+    dims: list
+    state: GraphState | None
     report: SolveReport
     start: str
     coarse_solves: list
 
     def below_next(self) -> list:
         """The ``coarse_solves`` of the next finer level: these plus this one."""
-        dims = list(self.state.warped.fiber.dims)
         return self.coarse_solves + [{
-            "dims": dims, "verdict": self.report.verdict.value,
+            "dims": self.dims, "verdict": self.report.verdict.value,
             "iterations": self.report.iterations,
             "factorizations": self.report.factorizations,
         }]
@@ -555,19 +558,22 @@ def _solve_config(config: ScenarioConfig, seed_override: int | None,
 
     That level is ``coarse`` when given, else the config with every axis
     halved, solved the same way, as long as the grid halves and the
-    halved config is valid on its own nodes.  A coarse level that did not
-    converge is not used.  The flow starts from ``initial``, since its
-    path and drift depend on the start.
+    halved config is valid on its own nodes; when the obstruction witness
+    decides the verdict there is nothing to sequence.  A coarse level that
+    did not converge is not used.  The flow starts from ``initial``, since
+    its path and drift depend on the start.
     """
     u0 = config.initial_values(seed_override)
+    dims = list(config.grid.dims)
     if config.method == "flow":
         state, report = flow_solve(config.warped, config.target, ScalarField(config.grid, u0),
                                    config.solver_opts, t_max=config.t_max)
-        return _Level(state, report, "initial", [])
-    if coarse is None and (dims := coarse_dims(config.grid)) is not None:
+        return _Level(dims, state, report, "initial", [])
+    if (coarse is None and obstruction_witness(config.warped, config.target) is None
+            and (half := coarse_dims(config.grid)) is not None):
         try:
             # disk radii are not nested: a formula may fail on the coarse nodes
-            halved = _resized_config(config, dims)
+            halved = _resized_config(config, half)
         except ValidationError:
             halved = None
         if halved is not None:
@@ -578,15 +584,14 @@ def _solve_config(config: ScenarioConfig, seed_override: int | None,
         u0, start = _coarse_start(config, coarse.state, u0), "coarse"
     state, report = newton_solve(config.warped, config.target, ScalarField(config.grid, u0),
                                  config.solver_opts)
-    return _Level(state, report, start, below)
+    return _Level(dims, state, report, start, below)
 
 
 def _run_once(config: ScenarioConfig, seed_override: int | None,
               coarse: _Level | None = None) -> tuple[dict, _Level]:
     level = _solve_config(config, seed_override, coarse)
     state, solve_report = level.state, level.report
-    if math.isinf(solve_report.u_oscillation) and math.isinf(solve_report.grad_sup):
-        # the solver's level zero stand-in for a height it could not represent
+    if state is None:
         graph = {"theta_min": math.nan, "theta_max": math.nan}
         checks = {name: {"precondition": "the solve left no representable height to check",
                          "pass": False} for name in config.checks}
@@ -610,7 +615,8 @@ def run_scenario(config: ScenarioConfig, *, scenario_name: str | None = None,
     Newton companion starts from the level before it.
     ``seed_override`` replaces the seed of a ``random(...)`` initial field;
     PCG64 takes only non-negative seeds, so a negative one is rejected.
-    ``dump_dir`` writes final height and residual fields as CSV.
+    ``dump_dir`` writes final height and residual fields as CSV, unless
+    the solve lost its height.
     """
     if seed_override is not None and seed_override < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed_override}")
@@ -632,7 +638,7 @@ def run_scenario(config: ScenarioConfig, *, scenario_name: str | None = None,
             "checks": sub_body["checks"],
         })
 
-    if dump_dir is not None:
+    if dump_dir is not None and base.state is not None:
         os.makedirs(dump_dir, exist_ok=True)
         dump_field_csv(base.state.height, os.path.join(dump_dir, "height.csv"))
         dump_field_csv(base.state.residual, os.path.join(dump_dir, "residual.csv"))

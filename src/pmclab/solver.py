@@ -43,7 +43,6 @@ from .warped import (
     ResidualKernel,
     WarpedProduct,
     mean_curvature_residual,
-    obstruction_threshold,
     obstruction_witness,
 )
 
@@ -179,11 +178,11 @@ class _Problem:
         self.n_dof = int(self.mask.sum())
 
     def residual_full(self, u_arr: np.ndarray) -> np.ndarray | None:
-        """Residual node values, or None when the iterate is unusable."""
+        """Residual node values, or None when the iterate or its residual is not finite."""
         try:
             # the overflow this probe exists to catch would otherwise warn
             with np.errstate(over="ignore", invalid="ignore"):
-                u = ScalarField._borrow(self.grid, u_arr)
+                u = ScalarField(self.grid, u_arr)
                 return mean_curvature_residual(self.kernel, u, self.target).values
         except ConstructionError:
             return None
@@ -309,27 +308,33 @@ def _factor(matrix):
         return None
 
 
-def _safe_state(wp: WarpedProduct, u_arr: np.ndarray, target: ScalarField
-                ) -> tuple[GraphState, float, float]:
-    """Terminal state with its height oscillation and gradient sup.
+def _exit(wp: WarpedProduct, u_arr: np.ndarray, target: ScalarField, verdict: Verdict,
+          history: list[float] | None, iterations: int = 0, drift: float = 0.0,
+          factorizations: int = 0, witness: float | None = None
+          ) -> tuple[GraphState | None, SolveReport]:
+    """The final state and report of a solve that ends at height ``u_arr``.
 
     A finite height can still overflow its derived fields (a near-max
-    float spike does).  Divergence must be reported, not raised, so fall
-    back to the level zero height and flag the loss with infinite
-    diagnostics.
+    float spike does).  Divergence must be reported, not raised, so when
+    the height or its residual is not finite the state is None and the
+    height oscillation and gradient sup read infinite.  ``history`` None
+    stands for the one entry of an unstarted solve: the state's residual
+    sup.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             state = GraphState(wp, ScalarField(wp.fiber, u_arr), target)
-            u = state.height.values
-            return state, float(u.max() - u.min()), state.grad_sup
+            osc, gsup = float(u_arr.max() - u_arr.min()), state.grad_sup
     except ConstructionError:
-        zero = ScalarField.constant(wp.fiber, 0.0)
-        return GraphState(wp, zero, target), math.inf, math.inf
+        state, osc, gsup = None, math.inf, math.inf
+    if history is None:
+        history = [math.inf if state is None else state.interior_residual_sup()]
+    return state, SolveReport(verdict, iterations, history, osc, drift, gsup, factorizations,
+                              witness)
 
 
 def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField,
-                 opts: SolveOptions = SolveOptions()) -> tuple[GraphState, SolveReport]:
+                 opts: SolveOptions = SolveOptions()) -> tuple[GraphState | None, SolveReport]:
     """Damped Newton iteration on the prescribed-curvature residual.
 
     Each step assembles the exact sparse Jacobian (see
@@ -344,26 +349,21 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
     tilt, Jacobian entry or step, or a singular factor), ``max_iter``
     otherwise, which includes a linear solve that does not converge: its
     step is not taken.  On divergence the returned state holds the last
-    representable iterate; if none is, the level zero height stands in and
-    the diagnostics read infinite.
+    representable iterate; if none is, the state is None and the
+    diagnostics read infinite.
     """
     wp.fiber.require_same(u0.grid, "initial height")
     prob = _Problem(wp, target_curvature)
 
     witness = obstruction_witness(wp, target_curvature)
-    if witness is not None and abs(witness) > obstruction_threshold(wp):
-        state, osc, gsup = _safe_state(wp, u0.values.copy(), target_curvature)
-        history0 = math.inf if math.isinf(osc) else state.interior_residual_sup()
-        report = SolveReport(Verdict.obstructed, 0,
-                             [history0], osc, 0.0, gsup,
-                             obstruction_witness=witness)
-        return state, report
+    if witness is not None:
+        return _exit(wp, u0.values, target_curvature, Verdict.obstructed, None,
+                     witness=witness)
 
     u = u0.values.copy()
     res = prob.residual_full(u)
     if res is None:
-        state, osc, gsup = _safe_state(wp, u0.values.copy(), target_curvature)
-        return state, SolveReport(Verdict.diverged, 0, [math.inf], osc, 0.0, gsup)
+        return _exit(wp, u, target_curvature, Verdict.diverged, [math.inf])
     f_dof = prob.pack(res)
     history = [float(np.abs(f_dof).max())]
 
@@ -441,14 +441,13 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
                 verdict = Verdict.obstructed
                 break
 
-    state, osc, gsup = _safe_state(wp, u, target_curvature)
-    report = SolveReport(verdict, iterations, history, osc, 0.0, gsup, factorizations)
-    return state, report
+    return _exit(wp, u, target_curvature, verdict, history, iterations,
+                 factorizations=factorizations)
 
 
 def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField,
                opts: SolveOptions = SolveOptions(), t_max: float = 10.0
-               ) -> tuple[GraphState, SolveReport]:
+               ) -> tuple[GraphState | None, SolveReport]:
     """Linearly implicit relaxation ``du/dt = F(u)`` until ``t_max`` or convergence.
 
     Each step is Rosenbrock-Euler, ``(I - dt J) delta = dt F(u)`` on the
@@ -461,6 +460,8 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
     accepted step ``dt`` doubles back toward the maximum.  The run ends
     ``max_iter`` after 64 factorizations.  ``iterations`` counts accepted
     steps, and ``diverged`` means a non-finite start or Jacobian entry.
+    When the final height or its residual is not finite, the state is None
+    and the diagnostics read infinite.
 
     The recorded ``mean_drift_rate`` is minus the time derivative of the
     mean height over the final fifth of the accepted steps, from the exact
@@ -481,8 +482,7 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
     u = u0.values.copy()
     res = prob.residual_full(u)
     if res is None:
-        state, osc, gsup = _safe_state(wp, u, target_curvature)
-        return state, SolveReport(Verdict.diverged, 0, [math.inf], osc, 0.0, gsup)
+        return _exit(wp, u, target_curvature, Verdict.diverged, [math.inf])
     f_dof = prob.pack(res)
     history = [float(np.abs(f_dof).max())]
     # times as fractions of t_max: halving and doubling keep them exact
@@ -529,8 +529,7 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
     if last >= 1:
         k0 = min(int(0.8 * last), last - 1)
         drift = -(means[last] - means[k0]) / ((times[last] - times[k0]) * t_max)
-    state, osc, gsup = _safe_state(wp, u, target_curvature)
-    return state, SolveReport(verdict, last, history, osc, drift, gsup, factorizations)
+    return _exit(wp, u, target_curvature, verdict, history, last, drift, factorizations)
 
 
 def maximum_principle_check(state_a: GraphState, state_b: GraphState,

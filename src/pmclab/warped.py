@@ -44,11 +44,6 @@ from .geometry import (
 )
 
 
-# Nodes on the circle by which the identity checks lift a 2-D torus to
-# dimension 3.
-_LIFT_CIRCLE_NODES = 16
-
-
 class PreconditionError(ValueError):
     """Raised when a check is invoked on a state outside its contract."""
 
@@ -170,7 +165,7 @@ def mean_curvature_residual(wp: WarpedProduct | ResidualKernel, u: ScalarField,
     kernel = wp if isinstance(wp, ResidualKernel) else ResidualKernel(wp)
     kernel.fiber.require_same(u.grid, "graph height")
     kernel.fiber.require_same(target_curvature.grid, "target curvature")
-    return ScalarField._borrow(kernel.fiber, kernel.residual(u.values, target_curvature.values)[0])
+    return ScalarField(kernel.fiber, kernel.residual(u.values, target_curvature.values)[0])
 
 
 class GraphState:
@@ -309,7 +304,7 @@ def check_superharmonic(state: GraphState, tol_solve: float = 1e-8) -> float:
     with a circle to reach dimension 3), so the returned maximum should
     not exceed the discretization tolerance.
 
-    Torus fibers are lifted with ``_LIFT_CIRCLE_NODES`` nodes on the circle.
+    Torus fibers are lifted with the default circle of :func:`lift_to_circle`.
     Dirichlet fibers are handled in two dimensions and therefore require a
     constant warping, for which the conformal factor is a harmless global
     constant; the maximum is then taken over interior nodes only.
@@ -324,7 +319,7 @@ def check_superharmonic(state: GraphState, tol_solve: float = 1e-8) -> float:
     state.require_solved(tol_solve, "superharmonic check")
     prime = induced_metric(state)
     if wp.fiber.kind is GridKind.torus2d:
-        grid3, prime3, lift = lift_to_circle(wp.fiber, prime, _LIFT_CIRCLE_NODES)
+        grid3, prime3, lift = lift_to_circle(wp.fiber, prime)
         h3 = lift(wp.warping)
         factor = ScalarField(grid3, h3.values**4)
         scaled = conformal_scale(prime3, factor)
@@ -377,13 +372,15 @@ def compatibility_integral(state: GraphState) -> float:
 def obstruction_witness(wp: WarpedProduct, target_curvature: ScalarField) -> float | None:
     """Pre-iteration non-existence witness for constant warping on a closed fiber.
 
-    Returns ``-n * integral(H)`` when the fiber is closed and the warping
-    constant (the drift term then vanishes for every height), else None.
+    Returns ``-n * integral(H)`` when the fiber is closed, the warping
+    constant (the drift term then vanishes for every height) and the value
+    beyond :func:`obstruction_threshold`, so that it decides the verdict;
+    else None.
     """
     if not wp.fiber.closed or not wp.warping_is_constant:
         return None
-    n = wp.dimension
-    return -n * integrate(target_curvature, wp.metric)
+    witness = -wp.dimension * integrate(target_curvature, wp.metric)
+    return witness if abs(witness) > obstruction_threshold(wp) else None
 
 
 def obstruction_threshold(wp: WarpedProduct) -> float:

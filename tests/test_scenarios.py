@@ -465,10 +465,8 @@ def test_report_is_deterministic_up_to_wall_time():
     # finer level starts from a solution
     ("uniqueness_torus", {}, (0, 0, [([8, 8], "converged", 3, 3), ([16, 16], "converged", 0, 0),
                                      ([32, 32], "converged", 0, 0)])),
-    # the witness declares the obstruction before any step, on every level
-    ("obstruction_torus", {}, (0, 0, [([8, 8], "obstructed", 0, 0),
-                                      ([16, 16], "obstructed", 0, 0),
-                                      ([32, 32], "obstructed", 0, 0)])),
+    # the witness declares the obstruction before any step, with no coarser level
+    ("obstruction_torus", {}, (0, 0, [])),
     ("hyperbolic_counterexample", {}, (3, 3, [([8, 16], "converged", 5, 5),
                                               ([16, 32], "converged", 3, 3),
                                               ([32, 64], "converged", 3, 3)])),
@@ -529,6 +527,22 @@ def test_a_coarse_level_that_diverges_is_recorded_and_not_used(monkeypatch):
     assert report["solve"] == _direct_newton(config)[1].to_json_dict()
 
 
+def test_a_witnessed_obstruction_parses_one_config(monkeypatch):
+    # the witness decides every level alike, so no coarser level is built
+    parsed = []
+    parse = scenarios.parse_config
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(scenarios, "parse_config", counting_parse)
+    report = run_scenario(builtin_config("obstruction_torus"))
+    assert report.solve.verdict.value == "obstructed"
+    assert (report.start, report.coarse_solves) == ("initial", [])
+    assert len(parsed) == 1
+
+
 def test_a_coarse_level_that_is_not_a_valid_config_is_skipped():
     # disk rings are not nested: this warping vanishes on the innermost ring
     # of the 8x8 disk, but not on any ring of the 16x16 one
@@ -570,6 +584,15 @@ def test_a_lost_height_fails_every_check_and_reads_no_angle(tmp_path, capsys, me
     for entry in report["checks"].values():
         assert entry["pass"] is False
         assert "no representable height" in entry["precondition"]
+
+
+def test_a_lost_height_dumps_no_fields(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(_cfg(warping="1+0.3*cos(x1)", initial="1e307*sin(x1)"))
+    fields = tmp_path / "fields"
+    assert main(["solve", str(config), "--dump-fields", str(fields)]) == 3
+    assert not (fields / "height.csv").exists()
+    assert not (fields / "residual.csv").exists()
 
 
 def test_every_requested_check_appears_exactly_once():

@@ -143,6 +143,17 @@ def test_divergence_is_reported_not_raised():
     assert report.residual_history == [math.inf]
 
 
+@pytest.mark.parametrize("solve", [newton_solve, flow_solve])
+def test_a_lost_height_returns_no_state(solve):
+    # the tilt of this height overflows, so no graph state can be built
+    wp, zero = _torus_problem(8)
+    x1, _ = wp.fiber.meshes()
+    state, report = solve(wp, zero, ScalarField(wp.fiber, 1e307 * np.sin(x1)), SolveOptions())
+    assert state is None
+    assert report.verdict == "diverged"
+    assert report.u_oscillation == report.grad_sup == math.inf
+
+
 def test_checkerboard_null_mode_is_an_exact_discrete_solution():
     # centered differences cannot see the alternating mode, so this start
     # already solves the discrete equation; converging on it immediately

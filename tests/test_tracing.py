@@ -4,8 +4,8 @@ A renamed or deleted attribute would make ``--trace 1`` fail its ops, so
 every target must resolve, be wrapped on install and be restored after.
 A refactor that stops calling a wrapped name would instead blank that
 layer's figures, so a traced flow solve must still record residual and
-integrate spans, and a traced Newton run of every check must record
-each check layer.
+integrate spans, a traced Newton run a residual span per level and per
+step, and a traced Newton run of every check each check layer.
 """
 
 import importlib.util
@@ -62,6 +62,20 @@ def test_tracer_sees_the_residual_and_integrate_layers_of_a_flow_solve():
     assert steps + 1 <= calls["warped.residual"] <= solver._FLOW_MAX_FACTORS + 1
     # the mean of every accepted state, and the compatibility check
     assert 1 <= calls["geometry.integrate"] <= steps + 2
+
+
+def test_tracer_sees_a_residual_per_level_and_step_of_a_newton_run():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    with tracer.phase(0):
+        report = scenarios.run_scenario(scenarios.builtin_config("hyperbolic_counterexample"))
+    calls = tracing.summarize(tracer.spans)[0]["calls"]
+    assert report.solve.verdict.value == "converged"
+    levels = 1 + len(report.coarse_solves)
+    steps = report.solve.iterations + sum(c["iterations"] for c in report.coarse_solves)
+    assert steps > 0
+    # each level evaluates its start, and each step at least one trial
+    assert calls["warped.residual"] >= levels + steps
 
 
 def test_tracer_sees_every_check_layer_of_a_newton_run():

@@ -342,3 +342,11 @@ def test_obstruction_witness_only_for_level_warping():
 
     varying = _torus_product(16)
     assert obstruction_witness(varying, target) is None
+
+
+def test_obstruction_witness_below_its_threshold_decides_nothing():
+    # the integral of sin(x1) over the torus vanishes up to rounding
+    grid, metric = build_torus((16, 16))
+    level = WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0))
+    x1, _ = grid.meshes()
+    assert obstruction_witness(level, ScalarField(grid, 0.1 * np.sin(x1))) is None
