@@ -528,6 +528,7 @@ class _Level(NamedTuple):
             "dims": self.dims, "verdict": self.report.verdict.value,
             "iterations": self.report.iterations,
             "factorizations": self.report.factorizations,
+            "krylov_iterations": self.report.krylov_iterations,
         }]
 
 

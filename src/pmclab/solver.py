@@ -5,12 +5,13 @@ Two drivers share one residual:
 * :func:`newton_solve` is damped Newton on the exact sparse Jacobian of
   the discrete residual, assembled once per step by the chain rule from
   the difference matrices of the grid, and a GMRES linear solve
-  preconditioned by the sparse LU factor of that Jacobian.  On closed
-  fibers the equation only sees the centered differences of ``u``, so
-  the constants and the fields alternating in sign along each even axis
-  span a known null space; the factor comes from a companion in which
-  one grid cell pins those modes, and each step is then made free of
-  them, hence mean-free.
+  preconditioned by a sparse LU factor kept across steps: each step
+  first tries the factor of an earlier Jacobian, and a new factor is
+  built only when that fails.  On closed fibers the equation only sees
+  the centered differences of ``u``, so the constants and the fields
+  alternating in sign along each even axis span a known null space; the
+  factor comes from a companion in which one grid cell pins those modes,
+  and each step is then made free of them, hence mean-free.
   Non-existence is declared before iterating when the warping is
   constant and the compatibility integral cannot vanish, and
   behaviorally when damped steps stagnate at the minimum step length.
@@ -65,7 +66,8 @@ _STAGNATION_LIMIT = 10
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-6
 # GMRES on the preconditioned companion stops at this relative residual,
-# within this many iterations in all; with the exact LU factor it takes one.
+# within this many iterations in all: one or two with the factor of its own
+# companion, a handful with one kept from an earlier Newton step.
 _LINEAR_RTOL = 1e-8
 _MAX_LINEAR = 2000
 # The flow's step control: a step is at most t_max / _FLOW_MIN_STEPS, and a
@@ -76,9 +78,9 @@ _FLOW_MAX_FACTORS = 64
 # singular and a Krylov step can come back astronomically long; capping
 # its sup norm keeps failing iterates inspectable instead of overflowing.
 _STEP_CAP_FACTOR = 20.0
-# The LU factor leaves GMRES one or two vectors per solve; a short restart
-# keeps the Krylov basis small beside the factor, and _MAX_LINEAR still
-# bounds the total count across restarts.
+# A short restart keeps the Krylov basis small beside the factor.  A kept
+# factor gets one cycle of this length, and a fresh one gets restarts up to
+# _MAX_LINEAR iterations in all.
 _KRYLOV_RESTART = 20
 
 
@@ -112,8 +114,11 @@ class SolveReport:
     rate equal to ``n * integral(H) / Vol``.  ``obstruction_witness`` is
     set only when non-existence was declared analytically.
     ``factorizations`` counts the sparse LU factors the solve built: one
-    per Newton step that reached its linear solve, and one per flow
-    trial, accepted or rejected.
+    per flow trial, accepted or rejected; for Newton, one for the first
+    step that reached its linear solve and one more for each later step
+    that the kept factor did not carry (see :meth:`_Problem.linear_step`).
+    ``krylov_iterations`` counts the Jacobian actions GMRES took, those of
+    failed cycles too; the flow takes none.
     """
 
     verdict: Verdict
@@ -123,6 +128,7 @@ class SolveReport:
     mean_drift_rate: float
     grad_sup: float
     factorizations: int = 0
+    krylov_iterations: int = 0
     obstruction_witness: float | None = None
 
     def __post_init__(self) -> None:
@@ -137,6 +143,7 @@ class SolveReport:
             "mean_drift_rate": self.mean_drift_rate,
             "grad_sup": self.grad_sup,
             "factorizations": self.factorizations,
+            "krylov_iterations": self.krylov_iterations,
         }
         if self.obstruction_witness is not None:
             out["obstruction_witness"] = self.obstruction_witness
@@ -167,7 +174,7 @@ def remove_null_modes(grid: FiberGrid, delta: np.ndarray) -> np.ndarray:
 
 
 class _Problem:
-    """Packing and guarded residual evaluation."""
+    """Packing, guarded residual evaluation, and Newton's kept factor with its counts."""
 
     def __init__(self, wp: WarpedProduct, target: ScalarField):
         wp.fiber.require_same(target.grid, "target curvature")
@@ -176,6 +183,9 @@ class _Problem:
         self.grid = wp.fiber
         self.mask = self.grid.interior_mask.ravel()
         self.n_dof = int(self.mask.sum())
+        self.lu = None
+        self.factorizations = 0
+        self.krylov_iterations = 0
 
     def residual_full(self, u_arr: np.ndarray) -> np.ndarray | None:
         """Residual node values, or None when the iterate or its residual is not finite."""
@@ -274,10 +284,13 @@ class _Problem:
 
         The companion replaces the pinned rows and columns by the identity,
         so its solution vanishes on the pinned cell and meets every other
-        row.  GMRES runs on the companion, right-preconditioned by its LU
-        factor, to a relative residual of ``_LINEAR_RTOL`` within
-        ``_MAX_LINEAR`` iterations; ``info`` is GMRES's own (0 when
-        converged).  A singular companion gives a step of NaN.
+        row.  GMRES runs on the companion, right-preconditioned by the kept
+        LU factor, to a relative residual of ``_LINEAR_RTOL``.  A factor
+        kept from an earlier step gets one restart cycle; when that falls
+        short it is dropped and the companion's own factor, kept from then
+        on, gets up to ``_MAX_LINEAR`` iterations.  ``info`` is that last
+        GMRES run's own (0 when converged).  A singular companion gives a
+        step of NaN.
         """
         free = np.ones(self.n_dof)
         free[self._pinned] = 0.0
@@ -285,14 +298,30 @@ class _Problem:
             companion = (diags(free) @ jac @ diags(free) + diags(1.0 - free)).tocsc()
         else:
             companion = jac.tocsc()
-        lu = _factor(companion)
-        if lu is None:
-            return np.full(self.n_dof, np.nan), 0
-        A = LinearOperator(companion.shape, matvec=lambda z: companion @ lu.solve(z),
-                           dtype=float)
+        rhs = -free * f_dof
         restart = min(_KRYLOV_RESTART, _MAX_LINEAR)
-        z, info = gmres(A, -free * f_dof, rtol=_LINEAR_RTOL, atol=0.0,
-                        restart=restart, maxiter=-(-_MAX_LINEAR // restart))
+        if self.lu is not None:
+            delta, info = self._gmres(companion, rhs, restart, 1)
+            if info == 0:
+                return delta, info
+            self.lu = None  # dropped before its successor is built, not beside it
+        self.lu = _factor(companion)
+        self.factorizations += 1
+        if self.lu is None:
+            return np.full(self.n_dof, np.nan), 0
+        return self._gmres(companion, rhs, restart, -(-_MAX_LINEAR // restart))
+
+    def _gmres(self, companion, rhs: np.ndarray, restart: int,
+               cycles: int) -> tuple[np.ndarray, int]:
+        """GMRES right-preconditioned by the kept factor, counting each Jacobian action."""
+        lu = self.lu
+
+        def matvec(z):
+            self.krylov_iterations += 1
+            return companion @ lu.solve(z)
+
+        A = LinearOperator(companion.shape, matvec=matvec, dtype=float)
+        z, info = gmres(A, rhs, rtol=_LINEAR_RTOL, atol=0.0, restart=restart, maxiter=cycles)
         return lu.solve(z), info
 
 
@@ -310,8 +339,8 @@ def _factor(matrix):
 
 def _exit(wp: WarpedProduct, u_arr: np.ndarray, target: ScalarField, verdict: Verdict,
           history: list[float] | None, iterations: int = 0, drift: float = 0.0,
-          factorizations: int = 0, witness: float | None = None
-          ) -> tuple[GraphState | None, SolveReport]:
+          factorizations: int = 0, krylov_iterations: int = 0,
+          witness: float | None = None) -> tuple[GraphState | None, SolveReport]:
     """The final state and report of a solve that ends at height ``u_arr``.
 
     A finite height can still overflow its derived fields (a near-max
@@ -330,7 +359,7 @@ def _exit(wp: WarpedProduct, u_arr: np.ndarray, target: ScalarField, verdict: Ve
     if history is None:
         history = [math.inf if state is None else state.interior_residual_sup()]
     return state, SolveReport(verdict, iterations, history, osc, drift, gsup, factorizations,
-                              witness)
+                              krylov_iterations, witness)
 
 
 def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField,
@@ -338,10 +367,11 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
     """Damped Newton iteration on the prescribed-curvature residual.
 
     Each step assembles the exact sparse Jacobian (see
-    :meth:`_Problem.jacobian`) and solves for the step by GMRES
-    preconditioned with the LU factor of its pinned companion (see
-    :meth:`_Problem.linear_step`); :func:`remove_null_modes` then makes the
-    step mean-free on closed fibers.  Damping is Armijo backtracking on
+    :meth:`_Problem.jacobian`) and solves for the step by GMRES on its
+    pinned companion, preconditioned by the LU factor of an earlier
+    step's companion while one restart cycle suffices and by its own
+    otherwise (see :meth:`_Problem.linear_step`); :func:`remove_null_modes`
+    then makes the step mean-free on closed fibers.  Damping is Armijo backtracking on
     half the squared residual norm.  Verdicts: ``converged`` (sup residual
     at or below ``tol_abs``), ``obstructed`` (declared from the
     compatibility witness before iterating, or after ten consecutive steps
@@ -369,7 +399,6 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
 
     verdict = Verdict.max_iter
     iterations = 0
-    factorizations = 0
     stagnation = 0
 
     if history[0] <= opts.tol_abs:
@@ -381,7 +410,6 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
                 verdict = Verdict.diverged
                 break
             delta, info = prob.linear_step(jac, f_dof)
-            factorizations += 1
             if not np.isfinite(delta).all():
                 verdict = Verdict.diverged
                 break
@@ -442,7 +470,7 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
                 break
 
     return _exit(wp, u, target_curvature, verdict, history, iterations,
-                 factorizations=factorizations)
+                 factorizations=prob.factorizations, krylov_iterations=prob.krylov_iterations)
 
 
 def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmclab import ScalarField, cli, newton_solve, scenarios
+from pmclab import ScalarField, cli, newton_solve, scenarios, solver
 from pmclab.cli import main
 from pmclab.formulas import (
     _MAX_DEPTH,
@@ -461,15 +461,16 @@ def test_report_is_deterministic_up_to_wall_time():
     # a flow starts from its formula, with no coarser level
     ("hyperbolic_counterexample", {"method": "flow", "t_max": 40.0}, (14, 20, [])),
     ("obstruction_torus", {"method": "flow", "t_max": 5.0}, (16, 16, [])),
-    # newton factors once per step; the 8^2 level does the work and every
-    # finer level starts from a solution
-    ("uniqueness_torus", {}, (0, 0, [([8, 8], "converged", 3, 3), ([16, 16], "converged", 0, 0),
+    # newton factors once per level and reuses that factor while one GMRES
+    # cycle suffices; the 8^2 level does the work and every finer level
+    # starts from a solution
+    ("uniqueness_torus", {}, (0, 0, [([8, 8], "converged", 3, 1), ([16, 16], "converged", 0, 0),
                                      ([32, 32], "converged", 0, 0)])),
     # the witness declares the obstruction before any step, with no coarser level
     ("obstruction_torus", {}, (0, 0, [])),
-    ("hyperbolic_counterexample", {}, (3, 3, [([8, 16], "converged", 5, 5),
-                                              ([16, 32], "converged", 3, 3),
-                                              ([32, 64], "converged", 3, 3)])),
+    ("hyperbolic_counterexample", {}, (3, 1, [([8, 16], "converged", 5, 1),
+                                              ([16, 32], "converged", 3, 1),
+                                              ([32, 64], "converged", 3, 1)])),
 ])
 def test_report_counts_every_factorization(name, solver, counts):
     raw = dict(BUILTIN_SCENARIOS[name], solver=solver, checks=[])
@@ -477,7 +478,8 @@ def test_report_counts_every_factorization(name, solver, counts):
     solve = report["solve"]
     *finest, coarse = counts
     assert (solve["iterations"], solve["factorizations"]) == tuple(finest)
-    assert report["coarse_solves"] == [
+    assert [{k: v for k, v in level.items() if k != "krylov_iterations"}
+            for level in report["coarse_solves"]] == [
         {"dims": dims, "verdict": verdict, "iterations": iterations,
          "factorizations": factorizations}
         for dims, verdict, iterations, factorizations in coarse]
@@ -508,6 +510,19 @@ def test_a_sequenced_solve_ends_where_a_direct_one_does(text):
     assert np.abs(level.state.height.values - state.height.values).max() <= 1e-10
 
 
+def test_a_kept_factor_that_fails_its_cycle_is_rebuilt(monkeypatch):
+    # one Krylov iteration cannot carry a Jacobian on another's factor, so
+    # every step refactors and takes the path of a fresh factor per step
+    config = scenarios._resized_config(builtin_config("hyperbolic_counterexample"), [16, 32])
+    kept = scenarios._solve_config(config, None)
+    monkeypatch.setattr(solver, "_KRYLOV_RESTART", 1)
+    rebuilt = scenarios._solve_config(config, None)
+    assert rebuilt.report.factorizations == rebuilt.report.iterations > 1
+    assert rebuilt.report.verdict == kept.report.verdict == "converged"
+    assert rebuilt.report.iterations == kept.report.iterations
+    assert kept.report.factorizations == 1
+
+
 def test_a_coarse_level_that_diverges_is_recorded_and_not_used(monkeypatch):
     config = parse_config(_cfg(fiber={"kind": "torus", "dims": [16, 16]}, warping="1",
                                initial="1e307*sin(x1)"))
@@ -520,7 +535,8 @@ def test_a_coarse_level_that_diverges_is_recorded_and_not_used(monkeypatch):
     monkeypatch.setattr(scenarios, "newton_solve", recording_newton)
     report = run_scenario(config).to_json_dict()
     assert report["coarse_solves"] == [
-        {"dims": [8, 8], "verdict": "diverged", "iterations": 0, "factorizations": 0}]
+        {"dims": [8, 8], "verdict": "diverged", "iterations": 0, "factorizations": 0,
+         "krylov_iterations": 0}]
     assert report["start"] == "initial"
     assert [s.shape for s in starts] == [(8, 8), (16, 16)]
     assert np.array_equal(starts[-1], config.initial_values())
@@ -563,7 +579,8 @@ def test_refinement_companions_start_from_the_level_before():
         assert record["coarse_solves"][-1] == {
             "dims": [32 * 2**k] * 2, "verdict": previous["solve"]["verdict"],
             "iterations": previous["solve"]["iterations"],
-            "factorizations": previous["solve"]["factorizations"]}
+            "factorizations": previous["solve"]["factorizations"],
+            "krylov_iterations": previous["solve"]["krylov_iterations"]}
         below = record["coarse_solves"]
 
 

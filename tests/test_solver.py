@@ -84,7 +84,7 @@ def test_report_json_shape():
     payload = report.to_json_dict()
     assert set(payload) == {"verdict", "iterations", "residual_history",
                             "u_oscillation", "mean_drift_rate", "grad_sup",
-                            "factorizations"}
+                            "factorizations", "krylov_iterations"}
     assert payload["verdict"] == "converged"
 
     witnessed = SolveReport("obstructed", 0, [0.2], 0.0, 0.0, 0.0,
@@ -324,6 +324,26 @@ def test_newton_step_solves_consistent_systems_in_the_gauge(index):
     else:
         # no null space on the disk: the step is the unique solution
         np.testing.assert_allclose(delta, -w, rtol=0.0, atol=1e-8 * np.abs(w).max())
+
+
+@pytest.mark.parametrize("index", range(2), ids=["fix_mean", "disk"])
+def test_a_later_newton_step_reuses_the_kept_factor(index):
+    name, prob, u = _assembly_problems()[index]
+    prob.linear_step(prob.jacobian(u), prob.pack(prob.residual_full(u)))
+    assert prob.factorizations == 1
+    # the next Jacobian, a little way along: GMRES carries it on the old factor
+    jac = prob.jacobian(1.001 * u)
+    rhs = jac @ np.random.default_rng(9).standard_normal(prob.n_dof)
+    before = prob.krylov_iterations
+    delta, info = prob.linear_step(jac, rhs)
+    assert info == 0
+    assert prob.factorizations == 1, name
+    # more than a fresh factor's two matvecs, within one cycle and its residual check
+    assert 2 < prob.krylov_iterations - before <= solver._KRYLOV_RESTART + 1, name
+    delta = solver.remove_null_modes(prob.grid, delta)
+    assert np.abs(jac @ delta + rhs).max() <= 1e-8 * np.abs(rhs).max(), name
+    if prob.grid.closed:
+        assert abs(delta.mean()) <= 1e-12 * np.abs(delta).max()
 
 
 def test_gauge_projection_removes_the_mean():

@@ -5,7 +5,8 @@ every target must resolve, be wrapped on install and be restored after.
 A refactor that stops calling a wrapped name would instead blank that
 layer's figures, so a traced flow solve must still record residual and
 integrate spans, a traced Newton run a residual span per level and per
-step, and a traced Newton run of every check each check layer.
+step and a matvec span per Krylov iteration it reports, and a traced
+Newton run of every check each check layer.
 """
 
 import importlib.util
@@ -76,6 +77,18 @@ def test_tracer_sees_a_residual_per_level_and_step_of_a_newton_run():
     assert steps > 0
     # each level evaluates its start, and each step at least one trial
     assert calls["warped.residual"] >= levels + steps
+
+
+def test_tracer_sees_every_krylov_iteration_of_a_newton_run():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    with tracer.phase(0):
+        report = scenarios.run_scenario(scenarios.builtin_config("hyperbolic_counterexample"))
+    calls = tracing.summarize(tracer.spans)[0]["calls"]
+    krylov = report.solve.krylov_iterations + sum(c["krylov_iterations"]
+                                                  for c in report.coarse_solves)
+    assert krylov > 0
+    assert calls["solver.matvec"] == krylov
 
 
 def test_tracer_sees_every_check_layer_of_a_newton_run():
