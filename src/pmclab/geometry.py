@@ -333,14 +333,18 @@ def _flat_metric(grid: FiberGrid) -> MetricField:
     return MetricField(grid, mat)
 
 
-def conformal_scale(metric: MetricField, factor: ScalarField) -> MetricField:
-    """Scale a metric node-wise by a positive conformal factor."""
-    metric.grid.require_same(factor.grid, "conformal_scale")
+def _require_positive(factor: ScalarField) -> None:
     if factor.values.min() <= 0.0:
         bad = np.argwhere(factor.values <= 0.0)[0]
         raise ConstructionError(
             f"conformal factor must stay positive, offending node {tuple(int(i) for i in bad)}"
         )
+
+
+def conformal_scale(metric: MetricField, factor: ScalarField) -> MetricField:
+    """Scale a metric node-wise by a positive conformal factor."""
+    metric.grid.require_same(factor.grid, "conformal_scale")
+    _require_positive(factor)
     return MetricField(metric.grid, factor.values[..., None, None] * metric.mat)
 
 
@@ -519,13 +523,13 @@ def volume(metric: MetricField) -> float:
     return integrate(ScalarField.constant(metric.grid, 1.0), metric)
 
 
-def lift_to_circle(grid2d: FiberGrid, metric: MetricField, n_circle: int = 16
+def lift_to_circle(grid2d: FiberGrid, metric: MetricField, n_circle: int
                    ) -> tuple[FiberGrid, MetricField, Callable[[ScalarField], ScalarField]]:
     """Cross a 2-D torus with a unit circle: block metric ``sigma + d theta^2``.
 
     Returns the 3-D grid with ``n_circle`` nodes on the circle, its
     metric, and a map sending a 2-D scalar field (a warping, a height) to
-    its circle-invariant lift.  The identity checks lift with the default.
+    its circle-invariant lift.  The identity checks skip it for :func:`circle_lift_laplacian`.
     """
     if grid2d.kind is not GridKind.torus2d:
         raise GridMismatchError("only 2-D torus fibers can be crossed with a circle")
@@ -543,6 +547,22 @@ def lift_to_circle(grid2d: FiberGrid, metric: MetricField, n_circle: int = 16
         return ScalarField(grid3, np.repeat(f.values[:, :, None], n_circle, axis=2))
 
     return grid3, metric3, lift_map
+
+
+def circle_lift_laplacian(f: ScalarField, metric: MetricField, factor: ScalarField) -> ScalarField:
+    """Laplace-Beltrami of the circle-invariant lift of ``f`` in ``factor (sigma + d theta^2)``.
+
+    The lift has no circle partials or mixed entries, so on the 2-D torus it is the flux
+    ``sqrt(factor) sqrt(det sigma) grad f`` differenced over ``factor^(3/2) sqrt(det sigma)``.
+    """
+    grid = metric.grid
+    if grid.kind is not GridKind.torus2d:
+        raise GridMismatchError("only 2-D torus fibers can be crossed with a circle")
+    grid.require_same(factor.grid, "circle_lift_laplacian")
+    _require_positive(factor)
+    w = np.sqrt(factor.values) * metric.sqrt_det
+    g = gradient(f, metric).components
+    return ScalarField(grid, flux_divergence([w * g[..., 0], w * g[..., 1]], grid, factor.values * w))
 
 
 def coarse_dims(grid: FiberGrid) -> tuple[int, ...] | None:

@@ -44,7 +44,6 @@ from .geometry import (
     dump_field_csv,
     gradient,
     laplace_beltrami,
-    lift_to_circle,
     prolong,
 )
 from .solver import SolveOptions, SolveReport, Verdict, flow_solve, newton_solve, remove_null_modes
@@ -449,12 +448,10 @@ def _run_check(name: str, state: GraphState, config: ScenarioConfig) -> dict:
         if name == "superharmonic":
             violation = check_superharmonic(state, tol_solve=tol_solve)
             return {"max_violation": violation, "pass": violation <= _SUPERHARMONIC_TOL}
-        # conformal_laplacian: probe the conformal rule on the lifted fiber
-        # with the warping itself as test function and factor h^4.
-        grid3, metric3, lift = lift_to_circle(wp.fiber, wp.metric)
-        h3 = lift(wp.warping)
-        factor = ScalarField(grid3, h3.values**4)
-        residual = check_conformal_laplacian(metric3, factor, h3)
+        # conformal_laplacian: probe the conformal rule on the circle lift of
+        # the fiber with the warping itself as test function and factor h^4.
+        factor = ScalarField(wp.fiber, wp.warping.values**4)
+        residual = check_conformal_laplacian(wp.metric, factor, wp.warping)
         sup = float(np.abs(residual.values).max())
         return {"conformal_max_residual": sup, "pass": sup <= _CONFORMAL_CHECK_TOL}
     except PreconditionError as e:

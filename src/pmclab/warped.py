@@ -32,13 +32,13 @@ from .geometry import (
     MetricField,
     ScalarField,
     VectorField,
+    circle_lift_laplacian,
     conformal_scale,
     coordinate_partials,
     divergence,  # noqa: F401 -- a layer the benchmark tracer wraps under this module
     flux_divergence,
     integrate,
     laplace_beltrami,
-    lift_to_circle,
     partial_into,
     volume,
 )
@@ -251,26 +251,23 @@ def check_conformal_laplacian(metric: MetricField, factor: ScalarField,
 
     For a metric scaled by ``phi`` in dimension ``d >= 3`` the scaled
     Laplacian of ``f`` equals
-    ``(Lap f + ((d-2)/2) sigma(grad f, grad ln phi)) / phi``.  The returned
-    field is the difference of the two discretizations; it shrinks at
-    second order for smooth data.
+    ``(Lap f + ((d-2)/2) sigma(grad f, grad ln phi)) / phi``; a 2-D torus stands
+    for its circle lift, ``d = 3``.  The returned field is the difference of the
+    two discretizations; it shrinks at second order for smooth data.
     """
     grid = metric.grid
-    if grid.ndim < 3:
-        raise PreconditionError(
-            "the conformal-change rule is dimension sensitive; lift a 2-D fiber "
-            "to its circle cross product first (dimension must be >= 3)"
-        )
+    if grid.kind is GridKind.disk_polar:
+        raise PreconditionError("the conformal-change rule is dimension sensitive "
+                                "(dimension must be >= 3); a disk fiber has no circle lift")
     grid.require_same(factor.grid, "check_conformal_laplacian")
     grid.require_same(f.grid, "check_conformal_laplacian")
-    scaled = conformal_scale(metric, factor)
-    lhs = laplace_beltrami(f, scaled).values
+    lhs = (circle_lift_laplacian(f, metric, factor) if grid.ndim == 2
+           else laplace_beltrami(f, conformal_scale(metric, factor))).values
     log_factor = ScalarField(grid, np.log(factor.values))
     df = coordinate_partials(f)
     dlog = coordinate_partials(log_factor)
     cross = np.einsum("...ij,...i,...j->...", metric.inv, df, dlog)
-    d = grid.ndim
-    rhs = (laplace_beltrami(f, metric).values + 0.5 * (d - 2) * cross) / factor.values
+    rhs = (laplace_beltrami(f, metric).values + 0.5 * cross) / factor.values
     return ScalarField(grid, lhs - rhs)
 
 
@@ -304,7 +301,7 @@ def check_superharmonic(state: GraphState, tol_solve: float = 1e-8) -> float:
     with a circle to reach dimension 3), so the returned maximum should
     not exceed the discretization tolerance.
 
-    Torus fibers are lifted with the default circle of :func:`lift_to_circle`.
+    Torus fibers take the lifted Laplacian of :func:`~pmclab.geometry.circle_lift_laplacian`.
     Dirichlet fibers are handled in two dimensions and therefore require a
     constant warping, for which the conformal factor is a harmless global
     constant; the maximum is then taken over interior nodes only.
@@ -319,12 +316,8 @@ def check_superharmonic(state: GraphState, tol_solve: float = 1e-8) -> float:
     state.require_solved(tol_solve, "superharmonic check")
     prime = induced_metric(state)
     if wp.fiber.kind is GridKind.torus2d:
-        grid3, prime3, lift = lift_to_circle(wp.fiber, prime)
-        h3 = lift(wp.warping)
-        factor = ScalarField(grid3, h3.values**4)
-        scaled = conformal_scale(prime3, factor)
-        lap = laplace_beltrami(lift(u), scaled).values
-        return float(lap.max())
+        factor = ScalarField(wp.fiber, wp.warping.values**4)
+        return float(circle_lift_laplacian(u, prime, factor).values.max())
     if wp.fiber.kind is GridKind.disk_polar:
         if not wp.warping_is_constant:
             raise PreconditionError(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmclab import ScalarField, cli, newton_solve, scenarios, solver
+from pmclab import GridKind, ScalarField, cli, geometry, newton_solve, scenarios, solver
 from pmclab.cli import main
 from pmclab.formulas import (
     _MAX_DEPTH,
@@ -567,6 +567,32 @@ def test_a_coarse_level_that_is_not_a_valid_config_is_skipped():
     report = run_scenario(config)
     assert report.solve.verdict.value == "converged"
     assert (report.start, report.coarse_solves) == ("initial", [])
+
+
+@pytest.mark.parametrize("name", ["identities", "uniqueness_torus"])
+def test_circle_lift_checks_build_no_lifted_grid(monkeypatch, name):
+    # the superharmonic and conformal checks evaluate the circle lift on the
+    # 2-D fiber; a 3-D lift would hold the same values on every circle node
+    kinds = []
+    build = geometry.MetricField.__init__
+
+    def recording(self, grid, mat):
+        kinds.append(grid.kind)
+        build(self, grid, mat)
+
+    monkeypatch.setattr(geometry.MetricField, "__init__", recording)
+    checks = run_scenario(builtin_config(name)).to_json_dict()["checks"]
+    assert checks["superharmonic"]["pass"]
+    assert checks.get("conformal_laplacian", {"pass": True})["pass"]
+    assert GridKind.torus2d in kinds and GridKind.torus3d_lifted not in kinds
+
+
+def test_a_3d_torus_takes_the_conformal_check_as_it_is():
+    # a 3-D fiber is already in dimension 3: no circle lift, no config error
+    report = run_scenario(parse_config(_cfg(fiber={"kind": "torus", "dims": [8, 8, 8]},
+                                            warping="1+0.1*cos(x1)",
+                                            checks=["conformal_laplacian"])))
+    assert report.checks["conformal_laplacian"]["pass"]
 
 
 def test_refinement_companions_start_from_the_level_before():

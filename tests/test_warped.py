@@ -7,8 +7,11 @@ import pytest
 
 from pmclab import (
     ConstructionError,
+    FiberGrid,
     GraphState,
+    GridKind,
     GridMismatchError,
+    MetricField,
     PreconditionError,
     ScalarField,
     SolveOptions,
@@ -21,12 +24,15 @@ from pmclab import (
     compatibility_integral,
     conformal_scale,
     induced_metric,
+    laplace_beltrami,
+    lift_to_circle,
     mean_curvature_residual,
     newton_solve,
     obstruction_witness,
     quasi_isometry_constants,
     unit_normal,
 )
+from pmclab.geometry import circle_lift_laplacian
 
 
 def _torus_product(n=32, amplitude=0.3):
@@ -223,10 +229,61 @@ def test_conformal_laplacian_refines_at_second_order():
 
 
 def test_conformal_laplacian_needs_three_dimensions():
-    grid, metric = build_torus((12, 12))
+    grid, metric = build_polar_disk(12, 16, radius=1.0)
     one = ScalarField.constant(grid, 1.0)
     with pytest.raises(PreconditionError, match="lift"):
         check_conformal_laplacian(metric, one, one)
+
+
+def _bent_torus():
+    """A 2-D torus with a non-diagonal, non-constant metric, a non-constant
+    positive warping and a height that varies along both axes."""
+    grid = FiberGrid(GridKind.torus2d, (24, 20), (2.0 * math.pi, 5.0))
+    x1, x2 = grid.meshes()
+    y = 2.0 * math.pi * x2 / 5.0
+    mat = np.empty(grid.shape + (2, 2))
+    mat[..., 0, 0] = 1.0 + 0.3 * np.sin(x1) * np.cos(y)
+    mat[..., 1, 1] = 1.2 + 0.2 * np.cos(x1 + y)
+    mat[..., 0, 1] = mat[..., 1, 0] = 0.25 * np.sin(x1) * np.sin(2.0 * y)
+    warping = ScalarField(grid, 1.0 + 0.3 * np.cos(x1) + 0.2 * np.sin(y))
+    u = ScalarField(grid, np.sin(x1) * np.cos(2.0 * y) + 0.3 * np.cos(x1 - y))
+    return WarpedProduct(grid, MetricField(grid, mat), warping), u
+
+
+def _lifted_laplacian(f, metric, factor):
+    """The Laplacian of ``f`` in ``factor (metric + d theta^2)`` on an
+    explicit 16-node circle lift, one slice per circle node."""
+    _, metric3, lift = lift_to_circle(f.grid, metric, 16)
+    lap = laplace_beltrami(lift(f), conformal_scale(metric3, lift(factor))).values
+    return metric3, lift, lap
+
+
+def test_circle_lift_laplacian_equals_every_slice_of_the_explicit_lift():
+    wp, u = _bent_torus()
+    factor = ScalarField(wp.fiber, wp.warping.values**4)
+    lap = circle_lift_laplacian(u, wp.metric, factor).values
+    *_, lifted = _lifted_laplacian(u, wp.metric, factor)
+    tol = 1e-12 * np.abs(lifted).max()
+    for k in range(lifted.shape[2]):
+        np.testing.assert_allclose(lap, lifted[..., k], rtol=0.0, atol=tol)
+
+
+def test_lift_checks_on_the_2d_fiber_match_the_explicit_lift():
+    wp, u = _bent_torus()
+    h4 = ScalarField(wp.fiber, wp.warping.values**4)
+    # superharmonic: the induced metric scaled by h^4, maximum over the lift
+    state = GraphState(wp, u, ScalarField.constant(wp.fiber, 0.0))
+    *_, lifted = _lifted_laplacian(u, induced_metric(state), h4)
+    assert check_superharmonic(state, tol_solve=np.inf) == pytest.approx(
+        lifted.max(), rel=0.0, abs=1e-12 * np.abs(lifted).max())
+    # conformal rule: the 2-D torus against its explicit lift, node for node
+    metric3, lift, lifted = _lifted_laplacian(wp.warping, wp.metric, h4)
+    residual = check_conformal_laplacian(wp.metric, h4, wp.warping).values
+    residual3 = check_conformal_laplacian(metric3, lift(h4), lift(wp.warping)).values
+    assert np.abs(residual).max() > 0.0
+    for k in range(residual3.shape[2]):
+        np.testing.assert_allclose(residual, residual3[..., k], rtol=0.0,
+                                   atol=1e-12 * np.abs(lifted).max())
 
 
 # ---------------------------------------------------------------------------
