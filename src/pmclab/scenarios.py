@@ -313,6 +313,9 @@ def _validate_checks(checks, wp: WarpedProduct, target: ScalarField) -> tuple[st
     if "compatibility" in seen and not wp.fiber.closed:
         raise ValidationError("the compatibility check integrates over a closed fiber")
     if "superharmonic" in seen:
+        if wp.fiber.ndim != 2:
+            raise ValidationError("the superharmonic check lifts a 2-D fiber by a circle, "
+                                  f"got {wp.fiber.kind.value}")
         if np.any(target.values > 0.0):
             raise ValidationError("the superharmonic check needs H_target <= 0 node-wise")
         if is_disk and not wp.warping_is_constant:

@@ -18,9 +18,10 @@ Two drivers share one residual:
 * :func:`flow_solve` is the parabolic relaxation ``du/dt = F(u)``, whose
   equilibria are exactly the solved graphs, taken in linearly implicit
   (Rosenbrock-Euler) steps on the same Jacobian, with at most 16 steps
-  to ``t_max`` and the residual judging each one.  On obstructed
-  problems the mean height drifts at a rate fixed by mass balance, which
-  the report records.
+  to ``t_max`` and the residual judging each one.  Each step is solved
+  by the same kept-factor GMRES as Newton's, then corrected along the
+  constants so that on obstructed problems the mean height drifts at
+  the rate fixed by mass balance, which the report records.
 
 Dirichlet grids keep their pinned ring as data: packing strips it from
 the unknown vector and every update leaves it untouched.
@@ -34,7 +35,7 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import bmat, csr_matrix, diags, hstack, vstack
+from scipy.sparse import bmat, csr_matrix, diags, hstack, identity, vstack
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .geometry import ConstructionError, FiberGrid, ScalarField, integrate, partial_matrix, volume
@@ -65,15 +66,15 @@ _STAGNATION_LIMIT = 10
 # shortest step it tries before a step counts as stagnated.
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-6
-# GMRES on the preconditioned companion stops at this relative residual,
-# within this many iterations in all: one or two with the factor of its own
-# companion, a handful with one kept from an earlier Newton step.
+# GMRES on Newton's companion or the flow's I - dt J stops at this relative
+# residual, within this many iterations in all: one or two with the factor of
+# its own matrix, a handful with one kept from an earlier step or trial.
 _LINEAR_RTOL = 1e-8
 _MAX_LINEAR = 2000
 # The flow's step control: a step is at most t_max / _FLOW_MIN_STEPS, and a
-# run ends after _FLOW_MAX_FACTORS factorizations.
+# run ends after _FLOW_MAX_TRIALS trial steps, accepted or rejected.
 _FLOW_MIN_STEPS = 16
-_FLOW_MAX_FACTORS = 64
+_FLOW_MAX_TRIALS = 64
 # Where the flux saturates (h |grad u| >> 1) the Jacobian is nearly
 # singular and a Krylov step can come back astronomically long; capping
 # its sup norm keeps failing iterates inspectable instead of overflowing.
@@ -114,11 +115,11 @@ class SolveReport:
     rate equal to ``n * integral(H) / Vol``.  ``obstruction_witness`` is
     set only when non-existence was declared analytically.
     ``factorizations`` counts the sparse LU factors the solve built: one
-    per flow trial, accepted or rejected; for Newton, one for the first
-    step that reached its linear solve and one more for each later step
-    that the kept factor did not carry (see :meth:`_Problem.linear_step`).
-    ``krylov_iterations`` counts the Jacobian actions GMRES took, those of
-    failed cycles too; the flow takes none.
+    for the first linear solve, Newton step or flow trial, and one more
+    for each later one that the kept factor did not carry (see
+    :meth:`_Problem.kept_solve`).  ``krylov_iterations`` counts the
+    actions of the solved matrix (Newton's companion or the flow's
+    ``I - dt J``) that GMRES took, those of failed cycles too.
     """
 
     verdict: Verdict
@@ -174,7 +175,7 @@ def remove_null_modes(grid: FiberGrid, delta: np.ndarray) -> np.ndarray:
 
 
 class _Problem:
-    """Packing, guarded residual evaluation, and Newton's kept factor with its counts."""
+    """Packing, guarded residual evaluation, and the linear solves' kept factor with its counts."""
 
     def __init__(self, wp: WarpedProduct, target: ScalarField):
         wp.fiber.require_same(target.grid, "target curvature")
@@ -284,13 +285,7 @@ class _Problem:
 
         The companion replaces the pinned rows and columns by the identity,
         so its solution vanishes on the pinned cell and meets every other
-        row.  GMRES runs on the companion, right-preconditioned by the kept
-        LU factor, to a relative residual of ``_LINEAR_RTOL``.  A factor
-        kept from an earlier step gets one restart cycle; when that falls
-        short it is dropped and the companion's own factor, kept from then
-        on, gets up to ``_MAX_LINEAR`` iterations.  ``info`` is that last
-        GMRES run's own (0 when converged).  A singular companion gives a
-        step of NaN.
+        row.  It is solved by :meth:`kept_solve`.
         """
         free = np.ones(self.n_dof)
         free[self._pinned] = 0.0
@@ -298,29 +293,60 @@ class _Problem:
             companion = (diags(free) @ jac @ diags(free) + diags(1.0 - free)).tocsc()
         else:
             companion = jac.tocsc()
-        rhs = -free * f_dof
+        return self.kept_solve(companion, -free * f_dof)
+
+    def flow_step(self, jac: csr_matrix, dt: float, f_dof: np.ndarray) -> np.ndarray:
+        """The Rosenbrock-Euler step: ``(I - dt J) delta = dt F``, or NaN when unsolved.
+
+        The step comes from :meth:`kept_solve`, then one exact correction
+        along the constants makes its ``sqrt_det``-weighted residual vanish
+        to rounding: ``delta += (s.r) / (s.(A 1))`` with ``A = I - dt J``,
+        ``s`` the packed ``sqrt_det`` and ``r = dt F - A delta``.  On closed
+        fibers ``J 1 = 0``, and with constant warping ``s^T A = s^T``, so each
+        step moves the weighted mean by ``dt * mean(F)`` to rounding, not
+        only to ``_LINEAR_RTOL``.  A singular matrix or a GMRES run that
+        stops short gives a step of NaN.
+        """
+        matrix = identity(self.n_dof, format="csr") - dt * jac
+        rhs = dt * f_dof
+        delta, info = self.kept_solve(matrix, rhs)
+        if info != 0:
+            return np.full(self.n_dof, np.nan)
+        s = self.pack(self.kernel.sqrt_det)
+        delta += (s @ (rhs - matrix @ delta)) / (s @ (matrix @ np.ones(self.n_dof)))
+        return delta
+
+    def kept_solve(self, matrix, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+        """Solve ``matrix @ x = rhs`` on the kept LU factor; returns ``(x, info)``.
+
+        GMRES runs on ``matrix``, right-preconditioned by the kept factor,
+        to a relative residual of ``_LINEAR_RTOL``.  A factor kept from an
+        earlier solve gets one restart cycle; when that falls short it is
+        dropped and the factor of ``matrix`` itself, kept from then on, gets
+        up to ``_MAX_LINEAR`` iterations.  ``info`` is that last GMRES run's
+        own (0 when converged).  A singular matrix gives ``x`` of NaN.
+        """
         restart = min(_KRYLOV_RESTART, _MAX_LINEAR)
         if self.lu is not None:
-            delta, info = self._gmres(companion, rhs, restart, 1)
+            x, info = self._gmres(matrix, rhs, restart, 1)
             if info == 0:
-                return delta, info
+                return x, info
             self.lu = None  # dropped before its successor is built, not beside it
-        self.lu = _factor(companion)
+        self.lu = _factor(matrix)
         self.factorizations += 1
         if self.lu is None:
             return np.full(self.n_dof, np.nan), 0
-        return self._gmres(companion, rhs, restart, -(-_MAX_LINEAR // restart))
+        return self._gmres(matrix, rhs, restart, -(-_MAX_LINEAR // restart))
 
-    def _gmres(self, companion, rhs: np.ndarray, restart: int,
-               cycles: int) -> tuple[np.ndarray, int]:
-        """GMRES right-preconditioned by the kept factor, counting each Jacobian action."""
+    def _gmres(self, matrix, rhs: np.ndarray, restart: int, cycles: int) -> tuple[np.ndarray, int]:
+        """GMRES right-preconditioned by the kept factor, counting each action of ``matrix``."""
         lu = self.lu
 
         def matvec(z):
             self.krylov_iterations += 1
-            return companion @ lu.solve(z)
+            return matrix @ lu.solve(z)
 
-        A = LinearOperator(companion.shape, matvec=matvec, dtype=float)
+        A = LinearOperator(matrix.shape, matvec=matvec, dtype=float)
         z, info = gmres(A, rhs, rtol=_LINEAR_RTOL, atol=0.0, restart=restart, maxiter=cycles)
         return lu.solve(z), info
 
@@ -479,30 +505,33 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
     """Linearly implicit relaxation ``du/dt = F(u)`` until ``t_max`` or convergence.
 
     Each step is Rosenbrock-Euler, ``(I - dt J) delta = dt F(u)`` on the
-    unknowns, with the exact Jacobian ``J`` of :meth:`_Problem.jacobian`
-    and one LU factor.  A step is at most ``t_max / 16`` and the last one
-    ends the run at ``t_max``.  The residual judges each trial: along the
-    exact flow ``F`` solves a linear parabolic equation and its sup cannot
-    rise, so a trial that raises it beyond its own rounding, is not finite,
-    or meets a singular matrix is not taken and ``dt`` halves; after each
-    accepted step ``dt`` doubles back toward the maximum.  The run ends
-    ``max_iter`` after 64 factorizations.  ``iterations`` counts accepted
-    steps, and ``diverged`` means a non-finite start or Jacobian entry.
+    unknowns, with the exact Jacobian ``J`` of :meth:`_Problem.jacobian`,
+    solved by :meth:`_Problem.flow_step` on the LU factor kept from an
+    earlier trial while one GMRES cycle carries it.  A step is at most
+    ``t_max / 16`` and the last one ends the run at ``t_max``.  The
+    residual judges each trial: along the exact flow ``F`` solves a linear
+    parabolic equation and its sup cannot rise, so a trial that raises it
+    beyond its own rounding, is not finite, or whose linear solve fails
+    (a singular matrix or an unconverged GMRES run) is not taken and
+    ``dt`` halves; after each accepted step ``dt`` doubles back toward the
+    maximum.  The run ends ``max_iter`` after 64 trials.  ``iterations``
+    counts accepted steps, and ``diverged`` means a non-finite start or
+    Jacobian entry.
     When the final height or its residual is not finite, the state is None
     and the diagnostics read infinite.
 
     The recorded ``mean_drift_rate`` is minus the time derivative of the
     mean height over the final fifth of the accepted steps, from the exact
     means at the window's ends.  On closed fibers with constant warping
-    ``sqrt_det^T J = 0``, so every step moves the mean by exactly
-    ``dt * mean(F)`` and the rate equals ``n * integral(H) / Vol``.
+    ``sqrt_det^T J = 0``, so every step, corrected along the constants,
+    moves the mean by ``dt * mean(F)`` to rounding and the rate equals
+    ``n * integral(H) / Vol``.
     """
     wp.fiber.require_same(u0.grid, "initial height")
     if not 0.0 < t_max < math.inf:
         raise ConstructionError("t_max must be positive and finite")
     prob = _Problem(wp, target_curvature)
     vol = volume(wp.metric)
-    identity = diags(np.ones(prob.n_dof), format="csr")
 
     def mean(u):
         return integrate(ScalarField(wp.fiber, u), wp.metric) / vol
@@ -518,9 +547,8 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
     span = 1.0 / _FLOW_MIN_STEPS
     verdict = Verdict.max_iter
     jac = None
-    factorizations = 0
 
-    for _ in range(_FLOW_MAX_FACTORS):
+    for _ in range(_FLOW_MAX_TRIALS):
         if history[-1] <= opts.tol_abs or times[-1] >= 1.0:
             break
         if jac is None:
@@ -532,13 +560,8 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
             slack = (_MACHINE_EPS * (1.0 + float(np.abs(u).max()))
                      * float(abs(jac).sum(axis=1).max()))
         step = min(span, 1.0 - times[-1])
-        dt = step * t_max
-        factorizations += 1
-        lu = _factor(identity - dt * jac)
-        # a singular matrix gives a trial that is not finite, hence rejected
-        delta = np.full(prob.n_dof, np.nan) if lu is None else lu.solve(dt * f_dof)
-        del lu  # the factor lives for this one solve, not beside the next one
-        trial = u + prob.scatter(delta)
+        # a step that could not be solved is not finite, hence rejected
+        trial = u + prob.scatter(prob.flow_step(jac, step * t_max, f_dof))
         trial_res = prob.residual_full(trial)
         sup = math.inf if trial_res is None else float(np.abs(prob.pack(trial_res)).max())
         if sup > history[-1] + slack:
@@ -557,7 +580,8 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
     if last >= 1:
         k0 = min(int(0.8 * last), last - 1)
         drift = -(means[last] - means[k0]) / ((times[last] - times[k0]) * t_max)
-    return _exit(wp, u, target_curvature, verdict, history, last, drift, factorizations)
+    return _exit(wp, u, target_curvature, verdict, history, last, drift,
+                 factorizations=prob.factorizations, krylov_iterations=prob.krylov_iterations)
 
 
 def maximum_principle_check(state_a: GraphState, state_b: GraphState,

@@ -25,11 +25,12 @@ from pmclab import (
     inner,
     integrate,
     laplace_beltrami,
-    lift_to_circle,
     norm_sq,
     volume,
 )
 from pmclab.geometry import coarse_dims, prolong
+
+from explicit_lift import lift_to_circle
 
 
 # ---------------------------------------------------------------------------

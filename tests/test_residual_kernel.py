@@ -11,7 +11,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy.sparse import identity
 
 from pmclab import (
     ScalarField,
@@ -22,13 +21,14 @@ from pmclab import (
     build_torus,
     flow_solve,
     integrate,
-    lift_to_circle,
     volume,
 )
 from pmclab import solver
 from pmclab.scenarios import parse_config
-from pmclab.solver import Verdict, _factor, _Problem
+from pmclab.solver import Verdict, _Problem
 from pmclab.warped import mean_curvature_residual
+
+from explicit_lift import lift_to_circle
 
 
 def _roll_derivative(values, grid, axis):
@@ -145,11 +145,13 @@ def test_residual_full_still_returns_none_on_unusable_heights():
 def _every_step_drift(wp, target, u0, opts, t_max):
     """The implicit flow written out: an fsum mean at every accepted step, then the window.
 
-    Returns the drift with the accepted and rejected step counts.
+    Each trial takes its step from the flow's own linear solve,
+    :meth:`_Problem.flow_step`, on a problem of its own, so the kept factor
+    carries the same steps as in ``flow_solve``.  Returns the drift with
+    the accepted and rejected step counts.
     """
     prob = _Problem(wp, target)
     vol = volume(wp.metric)
-    eye = identity(prob.n_dof, format="csr")
     eps = np.finfo(np.float64).eps
     u = u0.values.copy()
     f = prob.pack(prob.residual_full(u))
@@ -160,7 +162,7 @@ def _every_step_drift(wp, target, u0, opts, t_max):
         slack = eps * (1.0 + np.abs(u).max()) * abs(jac).sum(axis=1).max()
         while True:
             step = min(span, 1.0 - times[-1])
-            trial = u + prob.scatter(_factor(eye - step * t_max * jac).solve(step * t_max * f))
+            trial = u + prob.scatter(prob.flow_step(jac, step * t_max, f))
             trial_f = prob.pack(prob.residual_full(trial))
             if np.abs(trial_f).max() <= np.abs(f).max() + slack:
                 break

@@ -175,6 +175,17 @@ def test_checks_that_cannot_run_on_the_declared_fiber():
         parse_config(_disk_cfg(warping="1+0.1*x1", checks=["superharmonic"]))
 
 
+def test_superharmonic_on_a_3d_torus_exits_2_at_parse(tmp_path, capsys):
+    # the check lifts a 2-D fiber by a circle; a 3-D fiber must be refused
+    # before the solve, not fail the check after it
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"fiber": {"kind": "torus", "dims": [8, 8, 8]},
+                                "checks": ["superharmonic"]}))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and "superharmonic" in err and "torus3d_lifted" in err
+
+
 @pytest.mark.parametrize("fiber", [
     {"kind": "klein_bottle", "dims": [8, 8]},
     {"kind": "torus", "dims": [8, True]},
@@ -457,10 +468,12 @@ def test_report_is_deterministic_up_to_wall_time():
 
 
 @pytest.mark.parametrize("name,solver,counts", [
-    # 14 accepted steps and 6 rejected trials, each trial one LU factor;
-    # a flow starts from its formula, with no coarser level
-    ("hyperbolic_counterexample", {"method": "flow", "t_max": 40.0}, (14, 20, [])),
-    ("obstruction_torus", {"method": "flow", "t_max": 5.0}, (16, 16, [])),
+    # 14 accepted steps and 6 rejected trials on 4 factors: a trial refactors
+    # only when the kept factor's GMRES cycle falls short; the obstructed
+    # torus carries all 16 steps on its first factor.  A flow starts from its
+    # formula, with no coarser level
+    ("hyperbolic_counterexample", {"method": "flow", "t_max": 40.0}, (14, 4, [])),
+    ("obstruction_torus", {"method": "flow", "t_max": 5.0}, (16, 1, [])),
     # newton factors once per level and reuses that factor while one GMRES
     # cycle suffices; the 8^2 level does the work and every finer level
     # starts from a solution

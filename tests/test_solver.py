@@ -395,6 +395,82 @@ def test_flow_mass_balance_holds_over_a_varying_volume_density():
     assert report.mean_drift_rate == pytest.approx(expected, rel=1e-10)
 
 
+def _recording_flow_steps(monkeypatch):
+    """Record ``(problem, dt, F, delta)`` for every trial step the flow solves."""
+    steps = []
+    original = _Problem.flow_step
+
+    def recording(self, jac, dt, f_dof):
+        delta = original(self, jac, dt, f_dof)
+        steps.append((self, dt, f_dof.copy(), delta))
+        return delta
+
+    monkeypatch.setattr(_Problem, "flow_step", recording)
+    return steps
+
+
+@pytest.mark.parametrize("conformal", [False, True], ids=["flat", "conformal"])
+def test_every_flow_step_moves_the_weighted_mean_by_dt_mean_f(monkeypatch, conformal):
+    # the exact correction along the constants holds mass balance to
+    # rounding, not only to the linear solve's tolerance
+    grid, metric = build_torus((32, 32))
+    x1, x2 = grid.meshes()
+    if conformal:
+        metric = conformal_scale(metric, ScalarField(grid, 1.0 + 0.3 * np.sin(x1) * np.cos(x2)))
+    wp = WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0))
+    u0 = ScalarField(grid, 0.1 * np.sin(x1) + 0.05 * np.cos(x2))
+    steps = _recording_flow_steps(monkeypatch)
+    _, report = flow_solve(wp, ScalarField.constant(grid, 0.1), u0, SolveOptions(), t_max=3.0)
+    assert report.verdict == "max_iter"
+    assert report.factorizations == 1 and report.krylov_iterations > 0
+    # no trial is rejected, so every solved step is an accepted one
+    assert len(steps) == report.iterations == 16
+    for prob, dt, f_dof, delta in steps:
+        moved = integrate(ScalarField(grid, prob.scatter(delta)), metric)
+        expected = dt * integrate(ScalarField(grid, prob.scatter(f_dof)), metric)
+        assert moved == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_a_flow_whose_kept_factor_fails_its_cycle_refactors(monkeypatch):
+    # one Krylov iteration cannot carry I - dt J on the factor of an earlier
+    # trial, so every trial refactors; the tolerance stops the run before
+    # the Jacobian settles to where one iteration would carry it
+    grid, metric = build_hyperbolic_disk(16, 32, 0.875)
+    wp = WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0))
+    u0 = np.zeros(grid.shape)
+    u0[-1, :] = 0.5 * np.sin(3.0 * grid.axes[1])
+    args = (wp, ScalarField.constant(grid, 0.0), ScalarField(grid, u0), SolveOptions(tol_abs=1e-6))
+    _, kept = flow_solve(*args, t_max=40.0)
+    monkeypatch.setattr(solver, "_KRYLOV_RESTART", 1)
+    steps = _recording_flow_steps(monkeypatch)
+    _, rebuilt = flow_solve(*args, t_max=40.0)
+    # some trials are rejected, and each trial has a factor of its own
+    assert rebuilt.factorizations == len(steps) > rebuilt.iterations > 1
+    assert kept.factorizations < rebuilt.factorizations
+    assert rebuilt.verdict == kept.verdict == "converged"
+    assert rebuilt.iterations == kept.iterations
+    assert rebuilt.residual_history[-1] == pytest.approx(kept.residual_history[-1], rel=1e-6)
+
+
+def test_an_unconverged_flow_step_is_rejected_and_halves_dt(monkeypatch):
+    # no GMRES run reaches a tolerance below rounding, a fresh factor's
+    # neither: no trial may be taken, and each halves the next one's dt
+    monkeypatch.setattr(solver, "_LINEAR_RTOL", 1e-30)
+    monkeypatch.setattr(solver, "_MAX_LINEAR", 4)
+    wp, zero = _torus_problem(16)
+    u0 = _smooth_start(wp.fiber, 5)
+    steps = _recording_flow_steps(monkeypatch)
+    state, report = flow_solve(wp, zero, u0, SolveOptions(), t_max=1.6)
+    assert report.verdict == "max_iter"
+    assert report.iterations == 0
+    assert len(report.residual_history) == 1
+    np.testing.assert_array_equal(state.height.values, u0.values)
+    assert len(steps) == solver._FLOW_MAX_TRIALS
+    assert all(np.isnan(delta).all() for *_, delta in steps)
+    assert [dt for _, dt, *_ in steps] == [0.1 * 0.5**k for k in range(solver._FLOW_MAX_TRIALS)]
+    assert report.factorizations == solver._FLOW_MAX_TRIALS
+
+
 def test_flow_takes_sixteen_steps_where_the_residual_only_rounds():
     # from a level start F stays the constant -2H: a trial's residual
     # differs from it by rounding alone, which is no rise to reject

@@ -59,8 +59,8 @@ def test_tracer_sees_the_residual_and_integrate_layers_of_a_flow_solve():
     steps = report.solve.iterations
     assert report.solve.verdict.value == "max_iter" and steps > 0
     assert calls["solver.flow_solve"] == 1
-    # a residual for the start and for each trial; a trial per factorization
-    assert steps + 1 <= calls["warped.residual"] <= solver._FLOW_MAX_FACTORS + 1
+    # a residual for the start and for each trial, within the trial budget
+    assert steps + 1 <= calls["warped.residual"] <= solver._FLOW_MAX_TRIALS + 1
     # the mean of every accepted state, and the compatibility check
     assert 1 <= calls["geometry.integrate"] <= steps + 2
 

@@ -25,7 +25,6 @@ from pmclab import (
     conformal_scale,
     induced_metric,
     laplace_beltrami,
-    lift_to_circle,
     mean_curvature_residual,
     newton_solve,
     obstruction_witness,
@@ -33,6 +32,8 @@ from pmclab import (
     unit_normal,
 )
 from pmclab.geometry import circle_lift_laplacian
+
+from explicit_lift import lift_to_circle
 
 
 def _torus_product(n=32, amplitude=0.3):
