@@ -3,15 +3,19 @@
 Two drivers share one residual:
 
 * :func:`newton_solve` is damped Newton on the exact sparse Jacobian of
-  the discrete residual, assembled once per step by the chain rule from
-  the difference matrices of the grid, and a GMRES linear solve
-  preconditioned by a sparse LU factor kept across steps: each step
-  first tries the factor of an earlier Jacobian, and a new factor is
-  built only when that fails.  On closed fibers the equation only sees
-  the centered differences of ``u``, so the constants and the fields
-  alternating in sign along each even axis span a known null space; the
-  factor comes from a companion in which one grid cell pins those modes,
-  and each step is then made free of them, hence mean-free.
+  the discrete residual, the chain-rule product of the difference
+  matrices of the grid.  Its stencil never changes: each problem builds
+  one map from the product's node coefficients onto one fixed sparse
+  pattern, and each step computes the coefficients and applies the map.
+  Each step is solved by GMRES preconditioned by a sparse LU factor
+  kept across steps: it first tries the factor of an earlier Jacobian,
+  and a new factor is built only when that fails.  On closed fibers the
+  equation only sees the centered differences of ``u``, so the constants
+  and the fields alternating in sign along each even axis span a known
+  null space; the factor comes from a companion in which one grid cell
+  pins those modes, and each step is then made free of them, hence
+  mean-free.  The companion, like the flow's ``I - dt J``, is an edit
+  of the Jacobian's entries on the same pattern.
   Non-existence is declared before iterating when the warping is
   constant and the compatibility integral cannot vanish, and
   behaviorally when damped steps stagnate at the minimum step length.
@@ -33,9 +37,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import bmat, csr_matrix, diags, hstack, identity, vstack
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .geometry import ConstructionError, FiberGrid, ScalarField, integrate, partial_matrix, volume
@@ -174,8 +179,27 @@ def remove_null_modes(grid: FiberGrid, delta: np.ndarray) -> np.ndarray:
     return (blocks - blocks.mean(axis=tuple(classes), keepdims=True)).reshape(delta.shape)
 
 
+class _Assembly(NamedTuple):
+    """One problem's Jacobian pattern, and the map of node coefficients onto its ``data``.
+
+    ``diagonal`` and ``pinned`` are the pattern positions of the diagonal
+    and of the entries in a pinned row or column.
+    """
+
+    coeff_map: csc_matrix
+    indices: np.ndarray
+    indptr: np.ndarray
+    diagonal: np.ndarray
+    pinned: np.ndarray
+
+
 class _Problem:
-    """Packing, guarded residual evaluation, and the linear solves' kept factor with its counts."""
+    """Packing, guarded residual evaluation, the Jacobian's assembly map, and the kept factor.
+
+    The assembly map (:meth:`_assembly`) is built on the first Jacobian
+    and serves every later one; the kept factor and its counts serve the
+    linear solves (:meth:`kept_solve`).
+    """
 
     def __init__(self, wp: WarpedProduct, target: ScalarField):
         wp.fiber.require_same(target.grid, "target curvature")
@@ -220,19 +244,61 @@ class _Problem:
         return self.pack(rp - rm) / (2.0 * eps)
 
     @cached_property
-    def _stencils(self) -> tuple[csr_matrix, csr_matrix]:
-        """The divergence and gradient stencils of the residual, restricted to unknowns.
+    def _assembly(self) -> _Assembly:
+        """The Jacobian's pattern and the map onto it, built on first use.
 
-        With ``D_a`` the matrix of :func:`partial_matrix` along axis ``a``,
-        the first is ``[diag(1/sqrt_det) D_a]_a`` side by side, with only
-        the unknown rows kept; the second is ``[D_c]_c`` stacked, with
-        only the unknown columns kept.  Every node, the pinned ring too,
-        stays in between, where the fluxes live.
+        :meth:`jacobian` writes ``J`` as ``sum_b L_b diag(x_b) R_b`` over
+        blocks ``b`` of node coefficients ``x_b``: ``m_ac`` with
+        ``L = diag(1/s) D_a`` and ``R = D_c`` for every ``a, c``, then, for
+        a varying warping, ``e_c`` with ``L`` the restriction to the
+        unknowns and ``R = D_c``.  ``L_b`` keeps the unknown rows and
+        ``R_b`` the unknown columns.  So entry ``(i, j)`` is
+        ``sum_b sum_k L_b[i, k] R_b[k, j] x_b[k]``, and the map holds each
+        product ``L_b[i, k] R_b[k, j]`` at row ``(i, j)`` and column
+        ``(b, k)``.  The pattern is the union of those entries and the
+        diagonal, with sorted rows.
         """
-        partials = [partial_matrix(self.grid, axis) for axis in range(self.grid.ndim)]
-        div = (diags(1.0 / self.kernel.sqrt_det.ravel()) @ hstack(partials)).tocsr()[self.mask]
-        grad = vstack(partials, format="csc")[:, self.mask].tocsr()
-        return div, grad
+        unknown = np.flatnonzero(self.mask)
+        n, nodes = self.n_dof, self.mask.size
+        inv_s = 1.0 / self.kernel.sqrt_det.ravel()[unknown]
+        lefts, rights = [], []
+        for axis in range(self.grid.ndim):
+            partial = partial_matrix(self.grid, axis)
+            lefts.append(partial[unknown].multiply(inv_s[:, None]).tocsc())
+            rights.append(partial[:, unknown])
+        if self.kernel.dh is not None:
+            lefts.append(csc_matrix((np.ones(n), (np.arange(n), unknown)), shape=(n, nodes)))
+        diagonal = csr_matrix((np.ones(n, dtype=bool), np.arange(n), np.arange(n + 1)),
+                              shape=(n, n))
+        pattern = (sum(m.astype(bool) for m in lefts)
+                   @ sum(m.astype(bool) for m in rights) + diagonal).tocsr()
+        pattern.sort_indices()
+        indptr, indices = pattern.indptr, pattern.indices
+        # entry (i, j) of this matrix is the position of (i, j) in the pattern
+        lookup = csr_matrix((np.arange(indices.size, dtype=float), indices, indptr), shape=(n, n))
+        # the map is stored by columns: each block's products come grouped by k,
+        # written into arrays sized up front so that no second copy is made
+        blocks = [(left, right) for left in lefts for right in rights]
+        ends = np.concatenate(([0], np.cumsum(np.concatenate(
+            [np.diff(left.indptr) * np.diff(right.indptr) for left, right in blocks]))))
+        values = np.empty(ends[-1])
+        positions = np.empty(ends[-1], dtype=indices.dtype)
+        for b, (left, right) in enumerate(blocks):
+            span = slice(ends[b * nodes], ends[(b + 1) * nodes])
+            i, j, value = _products(left, right)
+            values[span] = value
+            positions[span] = np.asarray(lookup[i, j]).ravel()
+        coeff_map = csc_matrix((values, positions, ends), shape=(indices.size, len(ends) - 1))
+        row_of = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+        pinned = np.zeros(n, dtype=bool)
+        pinned[self._pinned] = True
+        return _Assembly(coeff_map, indices, indptr, np.flatnonzero(row_of == indices),
+                         np.flatnonzero(pinned[row_of] | pinned[indices]))
+
+    def _on_pattern(self, data: np.ndarray) -> csr_matrix:
+        """A matrix over the unknowns with ``data`` on the shared pattern."""
+        asm = self._assembly
+        return csr_matrix((data, asm.indices, asm.indptr), shape=(self.n_dof, self.n_dof))
 
     def jacobian(self, u_arr: np.ndarray) -> csr_matrix | None:
         """Sparse Jacobian of the packed residual, or None when an entry is not finite.
@@ -244,25 +310,29 @@ class _Problem:
         ``J = diag(1/s) sum_ac D_a diag(m_ac) D_c``, plus
         ``sum_c diag(e_c) D_c`` for the drift of a varying warping, with
         ``e_c = sum_a dh_a (sigma^{ac} / W - h^2 g^a g^c / W^3)``.  Only
-        the unknown rows and columns are kept.
+        the unknown rows and columns are kept.  The stencil never changes,
+        so only the coefficients are computed here; the map of
+        :meth:`_assembly` carries them onto the entries of one pattern,
+        which every Jacobian of the problem shares.
         """
         k = self.kernel
         d = self.grid.ndim
-        div, grad = self._stencils
+        asm = self._assembly
+        coeffs = np.empty((d + (k.dh is not None), d) + self.grid.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             _, gu, _, W = k.tilt(u_arr)
             flux = k.sqrt_det * k.h / W
             bend = k.h2 / W**2
-            m = [[diags((flux * (k.inv[a][c] - bend * gu[a] * gu[c])).ravel())
-                  for c in range(d)] for a in range(d)]
-            jac = div @ (bmat(m, format="csr") @ grad)
+            for a in range(d):
+                for c in range(d):
+                    np.multiply(flux, k.inv[a][c] - bend * gu[a] * gu[c], out=coeffs[a, c])
             if k.dh is not None:
                 pull = sum(k.dh[a] * gu[a] for a in range(d)) * bend
-                e = [(sum(k.dh[a] * k.inv[a][c] for a in range(d)) - pull * gu[c]) / W
-                     for c in range(d)]
-                rows = hstack([diags(ec.ravel()) for ec in e], format="csr")[self.mask]
-                jac = jac + rows @ grad
-        return jac if np.isfinite(jac.data).all() else None
+                for c in range(d):
+                    np.divide(sum(k.dh[a] * k.inv[a][c] for a in range(d)) - pull * gu[c], W,
+                              out=coeffs[d, c])
+            data = asm.coeff_map @ coeffs.ravel()
+        return self._on_pattern(data) if np.isfinite(data).all() else None
 
     @cached_property
     def _pinned(self) -> np.ndarray:
@@ -285,29 +355,38 @@ class _Problem:
 
         The companion replaces the pinned rows and columns by the identity,
         so its solution vanishes on the pinned cell and meets every other
-        row.  It is solved by :meth:`kept_solve`.
+        row.  It is a copy of ``jac``'s entries on the shared pattern with
+        the pinned rows and columns zeroed and their diagonal set to 1, and
+        is solved by :meth:`kept_solve`.
         """
         free = np.ones(self.n_dof)
         free[self._pinned] = 0.0
+        companion = jac
         if self._pinned.size:
-            companion = (diags(free) @ jac @ diags(free) + diags(1.0 - free)).tocsc()
-        else:
-            companion = jac.tocsc()
+            asm = self._assembly
+            data = jac.data.copy()
+            data[asm.pinned] = 0.0
+            data[asm.diagonal[self._pinned]] = 1.0
+            companion = self._on_pattern(data)
         return self.kept_solve(companion, -free * f_dof)
 
     def flow_step(self, jac: csr_matrix, dt: float, f_dof: np.ndarray) -> np.ndarray:
         """The Rosenbrock-Euler step: ``(I - dt J) delta = dt F``, or NaN when unsolved.
 
-        The step comes from :meth:`kept_solve`, then one exact correction
-        along the constants makes its ``sqrt_det``-weighted residual vanish
-        to rounding: ``delta += (s.r) / (s.(A 1))`` with ``A = I - dt J``,
-        ``s`` the packed ``sqrt_det`` and ``r = dt F - A delta``.  On closed
-        fibers ``J 1 = 0``, and with constant warping ``s^T A = s^T``, so each
+        ``I - dt J`` is ``-dt`` times ``jac``'s entries plus 1 on the
+        diagonal, on the shared pattern.  The step comes from
+        :meth:`kept_solve`, then one exact correction along the constants
+        makes its ``sqrt_det``-weighted residual vanish to rounding:
+        ``delta += (s.r) / (s.(A 1))`` with ``A = I - dt J``, ``s`` the
+        packed ``sqrt_det`` and ``r = dt F - A delta``.  On closed fibers
+        ``J 1 = 0``, and with constant warping ``s^T A = s^T``, so each
         step moves the weighted mean by ``dt * mean(F)`` to rounding, not
         only to ``_LINEAR_RTOL``.  A singular matrix or a GMRES run that
         stops short gives a step of NaN.
         """
-        matrix = identity(self.n_dof, format="csr") - dt * jac
+        data = -dt * jac.data
+        data[self._assembly.diagonal] += 1.0
+        matrix = self._on_pattern(data)
         rhs = dt * f_dof
         delta, info = self.kept_solve(matrix, rhs)
         if info != 0:
@@ -351,13 +430,28 @@ class _Problem:
         return lu.solve(z), info
 
 
+def _products(left: csc_matrix, right: csr_matrix):
+    """``i``, ``j`` and ``left[i, k] * right[k, j]`` for every pair of stored entries, by ``k``."""
+    k = np.repeat(np.arange(left.shape[1], dtype=left.indices.dtype), np.diff(left.indptr))
+    count = np.diff(right.indptr)[k]
+    ends = np.cumsum(count)
+    # product t reads right's stored entry at index[t]
+    index = np.arange(int(count.sum())) + np.repeat(right.indptr[k] - (ends - count), count)
+    return (np.repeat(left.indices, count), right.indices[index],
+            np.repeat(left.data, count) * right.data[index])
+
+
 def _factor(matrix):
     """Sparse LU factor of a matrix with the residual's stencil pattern, or None if singular."""
+    # the shared pattern stores zeros (the cross terms at a flat start) that
+    # the factor would fill; they are dropped from this copy only
+    csc = matrix.tocsc(copy=True)
+    csc.eliminate_zeros()
     # the stencil pattern is symmetric and the operator elliptic, so order
     # on A + A^T and prefer diagonal pivots; left to general row pivoting
     # the same fill takes ten times as long to compute
     try:
-        return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+        return splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                     options={"SymmetricMode": True})
     except RuntimeError:  # splu found the matrix exactly singular
         return None

@@ -1,11 +1,15 @@
 """The Newton Jacobian as the exact derivative of the discrete residual.
 
 ``_Problem.jacobian`` assembles ``J`` from the difference matrices of
-:func:`pmclab.geometry.partial_matrix` by the chain rule.  The matrices
+:func:`pmclab.geometry.partial_matrix` by the chain rule, through a map
+from node coefficients onto one sparse pattern per problem.  The matrices
 must be the stencils the residual applies, and ``J v`` must be the limit
 of centered differences of the residual: their gap shrinks at second
 order in the step, on every row kind (drift, off-diagonal metric, the
-third axis, the disk's axis ring and the ring next to its rim).
+third axis, the disk's axis ring and the ring next to its rim).  The map
+must give the chain-rule product of the sparse matrices themselves, kept
+here as the oracle, and the matrices that Newton and the flow solve must
+be the ones their formulas name.
 """
 
 import os
@@ -14,6 +18,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.sparse import bmat, diags, hstack, identity, vstack
 
 import pmclab
 from pmclab import (
@@ -28,7 +33,7 @@ from pmclab import (
     newton_solve,
 )
 from pmclab.geometry import partial_into, partial_matrix
-from pmclab.solver import _Problem
+from pmclab.solver import _factor, _Problem
 
 _EPS = (1e-3, 1e-4, 1e-5)
 
@@ -80,8 +85,101 @@ def _hyperbolic_disk():
     return prob, u, {"axis": slice(0, 1), "rim": slice(-1, None)}
 
 
-@pytest.mark.parametrize("build", [_drift_torus, _lifted_torus, _hyperbolic_disk],
-                         ids=["drift_torus", "lifted_torus", "hyperbolic_disk"])
+def _drift_disk():
+    # a varying warping on a polar disk: drift rows on the axis ring and
+    # next to the rim
+    grid, metric = build_polar_disk(16, 32, 1.5)
+    rho, theta = grid.meshes()
+    warping = ScalarField(grid, 1.0 + 0.2 * rho * np.cos(theta) + 0.1 * rho**2)
+    wp = WarpedProduct(grid, metric, warping)
+    prob = _Problem(wp, ScalarField.constant(grid, 0.0))
+    u = 0.4 * (rho / 1.5) ** 2 * np.sin(2.0 * theta) + 0.3 * rho * np.sin(theta)
+    return prob, u, {"axis": slice(0, 1), "rim": slice(-1, None)}
+
+
+_FIBERS = pytest.mark.parametrize(
+    "build", [_drift_torus, _lifted_torus, _hyperbolic_disk, _drift_disk],
+    ids=["drift_torus", "lifted_torus", "hyperbolic_disk", "drift_disk"])
+
+
+def _chain_rule_jacobian(prob, u):
+    """The chain-rule product of sparse matrices: ``div @ bmat(m) @ grad`` plus the drift rows."""
+    k, grid, d = prob.kernel, prob.grid, prob.grid.ndim
+    partials = [partial_matrix(grid, axis) for axis in range(d)]
+    div = (diags(1.0 / k.sqrt_det.ravel()) @ hstack(partials)).tocsr()[prob.mask]
+    grad = vstack(partials, format="csc")[:, prob.mask].tocsr()
+    _, gu, _, W = k.tilt(u)
+    flux = k.sqrt_det * k.h / W
+    bend = k.h2 / W**2
+    m = [[diags((flux * (k.inv[a][c] - bend * gu[a] * gu[c])).ravel()) for c in range(d)]
+         for a in range(d)]
+    jac = div @ (bmat(m, format="csr") @ grad)
+    if k.dh is not None:
+        pull = sum(k.dh[a] * gu[a] for a in range(d)) * bend
+        e = [(sum(k.dh[a] * k.inv[a][c] for a in range(d)) - pull * gu[c]) / W
+             for c in range(d)]
+        jac = jac + hstack([diags(ec.ravel()) for ec in e], format="csr")[prob.mask] @ grad
+    return jac
+
+
+@_FIBERS
+def test_jacobian_matches_the_chain_rule_product(build):
+    prob, u, _ = build()
+    expected = _chain_rule_jacobian(prob, u).toarray()
+    got = prob.jacobian(u).toarray()
+    assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("build", [_drift_torus, _hyperbolic_disk],
+                         ids=["drift_torus", "hyperbolic_disk"])
+def test_companion_and_flow_matrix_are_their_formulas_bit_for_bit(build, monkeypatch):
+    prob, u, _ = build()
+    jac = prob.jacobian(u)
+    seen = []
+
+    def kept_solve(matrix, rhs):
+        seen.append(matrix)
+        return np.zeros_like(rhs), 0
+
+    monkeypatch.setattr(prob, "kept_solve", kept_solve)
+    prob.linear_step(jac, np.ones(prob.n_dof))
+    free = np.ones(prob.n_dof)
+    free[prob._pinned] = 0.0
+    companion = diags(free) @ jac @ diags(free) + diags(1.0 - free)
+    np.testing.assert_array_equal(seen[0].toarray(), companion.toarray())
+    dt = 0.0375
+    prob.flow_step(jac, dt, np.ones(prob.n_dof))
+    np.testing.assert_array_equal(seen[1].toarray(),
+                                  (identity(prob.n_dof) - dt * jac).toarray())
+
+
+def test_jacobians_of_one_problem_share_one_pattern():
+    prob, u, _ = _drift_torus()
+    first, second = prob.jacobian(u), prob.jacobian(0.5 * u)
+    assert not np.array_equal(first.data, second.data)
+    assert first.indptr is second.indptr
+    # the constructor keeps a view of the pattern's column indices
+    assert np.shares_memory(first.indices, second.indices)
+
+
+def test_kept_factor_has_the_fill_of_the_chain_rule_product():
+    # at zero height on a flat torus the cross terms are zeros in the
+    # shared pattern, which the product never stores
+    grid, metric = build_torus((16, 16))
+    wp = WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0))
+    prob = _Problem(wp, ScalarField.constant(grid, 0.0))
+    zero = np.zeros(grid.shape)
+    jac = prob.jacobian(zero)
+    assert (jac.data == 0.0).any()
+    prob.linear_step(jac, np.ones(prob.n_dof))
+    free = np.ones(prob.n_dof)
+    free[prob._pinned] = 0.0
+    old = _chain_rule_jacobian(prob, zero)
+    expected = _factor(diags(free) @ old @ diags(free) + diags(1.0 - free))
+    assert prob.lu.L.nnz + prob.lu.U.nnz == expected.L.nnz + expected.U.nnz
+
+
+@_FIBERS
 def test_centered_differences_converge_to_the_jacobian_at_second_order(build):
     prob, u, ring_sets = build()
     v = np.random.default_rng(5).standard_normal(prob.n_dof)
