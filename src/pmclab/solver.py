@@ -23,7 +23,11 @@ Two drivers share one residual:
   equilibria are exactly the solved graphs, taken in linearly implicit
   (Rosenbrock-Euler) steps on the same Jacobian, with at most 16 steps
   to ``t_max`` and the residual judging each one.  Each step is solved
-  by the same kept-factor GMRES as Newton's, then corrected along the
+  by the same kept-preconditioner GMRES as Newton's.  On closed fibers
+  that first tries the exact inverse of the averaged stencil of
+  ``I - dt J``, two FFTs, so a torus flow builds no factor while one
+  restart cycle carries each step; a disk, or a step that cycle misses,
+  takes the kept-factor path.  Each step is then corrected along the
   constants so that on obstructed problems the mean height drifts at
   the rate fixed by mass balance, which the report records.
 
@@ -73,7 +77,8 @@ _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-6
 # GMRES on Newton's companion or the flow's I - dt J stops at this relative
 # residual, within this many iterations in all: one or two with the factor of
-# its own matrix, a handful with one kept from an earlier step or trial.
+# its own matrix, a handful with one kept from an earlier step or trial or
+# with the inverse of a torus flow matrix's averaged stencil.
 _LINEAR_RTOL = 1e-8
 _MAX_LINEAR = 2000
 # The flow's step control: a step is at most t_max / _FLOW_MIN_STEPS, and a
@@ -85,8 +90,8 @@ _FLOW_MAX_TRIALS = 64
 # its sup norm keeps failing iterates inspectable instead of overflowing.
 _STEP_CAP_FACTOR = 20.0
 # A short restart keeps the Krylov basis small beside the factor.  A kept
-# factor gets one cycle of this length, and a fresh one gets restarts up to
-# _MAX_LINEAR iterations in all.
+# preconditioner gets one cycle of this length, and a fresh factor gets
+# restarts up to _MAX_LINEAR iterations in all.
 _KRYLOV_RESTART = 20
 
 
@@ -122,7 +127,9 @@ class SolveReport:
     ``factorizations`` counts the sparse LU factors the solve built: one
     for the first linear solve, Newton step or flow trial, and one more
     for each later one that the kept factor did not carry (see
-    :meth:`_Problem.kept_solve`).  ``krylov_iterations`` counts the
+    :meth:`_Problem.kept_solve`).  A torus flow builds none while the
+    inverse of its averaged stencil carries each trial in one GMRES
+    cycle.  ``krylov_iterations`` counts the
     actions of the solved matrix (Newton's companion or the flow's
     ``I - dt J``) that GMRES took, those of failed cycles too.
     """
@@ -295,6 +302,20 @@ class _Problem:
         return _Assembly(coeff_map, indices, indptr, np.flatnonzero(row_of == indices),
                          np.flatnonzero(pinned[row_of] | pinned[indices]))
 
+    @cached_property
+    def _offsets(self) -> np.ndarray | None:
+        """Each pattern entry's periodic offset ``(j - i) mod shape``, as a flat node index.
+
+        Built on the first flow step of a closed fiber, where every node is
+        an unknown, so rows and columns are node indices.  A disk gives None.
+        """
+        if not self.grid.closed:
+            return None
+        asm, shape = self._assembly, self.grid.shape
+        rows = np.repeat(np.arange(self.n_dof), np.diff(asm.indptr))
+        step = np.subtract(np.unravel_index(asm.indices, shape), np.unravel_index(rows, shape))
+        return np.ravel_multi_index(tuple(step % np.array(shape)[:, None]), shape)
+
     def _on_pattern(self, data: np.ndarray) -> csr_matrix:
         """A matrix over the unknowns with ``data`` on the shared pattern."""
         asm = self._assembly
@@ -375,8 +396,11 @@ class _Problem:
 
         ``I - dt J`` is ``-dt`` times ``jac``'s entries plus 1 on the
         diagonal, on the shared pattern.  The step comes from
-        :meth:`kept_solve`, then one exact correction along the constants
-        makes its ``sqrt_det``-weighted residual vanish to rounding:
+        :meth:`kept_solve`, which on a closed fiber first tries the inverse
+        of the matrix's averaged stencil (:meth:`_fourier_inverse`), so a
+        torus flow builds no factor while that carries its steps.  Then
+        one exact correction along the constants makes its
+        ``sqrt_det``-weighted residual vanish to rounding:
         ``delta += (s.r) / (s.(A 1))`` with ``A = I - dt J``, ``s`` the
         packed ``sqrt_det`` and ``r = dt F - A delta``.  On closed fibers
         ``J 1 = 0``, and with constant warping ``s^T A = s^T``, so each
@@ -388,26 +412,55 @@ class _Problem:
         data[self._assembly.diagonal] += 1.0
         matrix = self._on_pattern(data)
         rhs = dt * f_dof
-        delta, info = self.kept_solve(matrix, rhs)
+        delta, info = self.kept_solve(matrix, rhs, self._fourier_inverse(data))
         if info != 0:
             return np.full(self.n_dof, np.nan)
         s = self.pack(self.kernel.sqrt_det)
         delta += (s @ (rhs - matrix @ delta)) / (s @ (matrix @ np.ones(self.n_dof)))
         return delta
 
-    def kept_solve(self, matrix, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-        """Solve ``matrix @ x = rhs`` on the kept LU factor; returns ``(x, info)``.
+    def _fourier_inverse(self, data: np.ndarray):
+        """The exact inverse of the averaged stencil of ``data`` on the pattern, or None.
 
-        GMRES runs on ``matrix``, right-preconditioned by the kept factor,
-        to a relative residual of ``_LINEAR_RTOL``.  A factor kept from an
-        earlier solve gets one restart cycle; when that falls short it is
-        dropped and the factor of ``matrix`` itself, kept from then on, gets
-        up to ``_MAX_LINEAR`` iterations.  ``info`` is that last GMRES run's
-        own (0 when converged).  A singular matrix gives ``x`` of NaN.
+        Averaging each periodic offset's entries over the grid gives a
+        stencil ``w`` whose operator, ``x -> sum_o w[o] x[. + o]``, is
+        diagonal in the Fourier modes with symbol ``conj(rfftn(w))``;
+        dividing by it inverts that operator in two FFTs.  For ``I - dt J``
+        the symbol's real part is at least 1, up to rounding.  A disk has
+        no periodic offsets, and a symbol that is zero or not finite gives
+        None.
+        """
+        offsets = self._offsets
+        if offsets is None:
+            return None
+        shape, axes = self.grid.shape, tuple(range(self.grid.ndim))
+        stencil = np.bincount(offsets, weights=data, minlength=self.n_dof) / self.n_dof
+        symbol = np.conj(np.fft.rfftn(stencil.reshape(shape), axes=axes))
+        if not (np.isfinite(symbol).all() and symbol.all()):
+            return None
+
+        def inverse(z):
+            modes = np.fft.rfftn(z.reshape(shape), axes=axes) / symbol
+            return np.fft.irfftn(modes, s=shape, axes=axes).ravel()
+
+        return inverse
+
+    def kept_solve(self, matrix, rhs: np.ndarray, fourier=None) -> tuple[np.ndarray, int]:
+        """Solve ``matrix @ x = rhs`` on the kept preconditioner; returns ``(x, info)``.
+
+        GMRES runs on ``matrix``, right-preconditioned, to a relative
+        residual of ``_LINEAR_RTOL``.  The kept preconditioner is the LU
+        factor kept from an earlier solve or, while none is kept, the
+        ``fourier`` inverse that the flow passes on closed fibers; it gets
+        one restart cycle.  When that falls short the factor is dropped and
+        the factor of ``matrix`` itself, kept from then on, gets up to
+        ``_MAX_LINEAR`` iterations.  ``info`` is that last GMRES run's own
+        (0 when converged).  A singular matrix gives ``x`` of NaN.
         """
         restart = min(_KRYLOV_RESTART, _MAX_LINEAR)
-        if self.lu is not None:
-            x, info = self._gmres(matrix, rhs, restart, 1)
+        kept = fourier if self.lu is None else self.lu.solve
+        if kept is not None:
+            x, info = self._gmres(matrix, rhs, kept, restart, 1)
             if info == 0:
                 return x, info
             self.lu = None  # dropped before its successor is built, not beside it
@@ -415,19 +468,19 @@ class _Problem:
         self.factorizations += 1
         if self.lu is None:
             return np.full(self.n_dof, np.nan), 0
-        return self._gmres(matrix, rhs, restart, -(-_MAX_LINEAR // restart))
+        return self._gmres(matrix, rhs, self.lu.solve, restart, -(-_MAX_LINEAR // restart))
 
-    def _gmres(self, matrix, rhs: np.ndarray, restart: int, cycles: int) -> tuple[np.ndarray, int]:
-        """GMRES right-preconditioned by the kept factor, counting each action of ``matrix``."""
-        lu = self.lu
+    def _gmres(self, matrix, rhs: np.ndarray, precondition, restart: int,
+               cycles: int) -> tuple[np.ndarray, int]:
+        """GMRES right-preconditioned by ``precondition``, counting each action of ``matrix``."""
 
         def matvec(z):
             self.krylov_iterations += 1
-            return matrix @ lu.solve(z)
+            return matrix @ precondition(z)
 
         A = LinearOperator(matrix.shape, matvec=matvec, dtype=float)
         z, info = gmres(A, rhs, rtol=_LINEAR_RTOL, atol=0.0, restart=restart, maxiter=cycles)
-        return lu.solve(z), info
+        return precondition(z), info
 
 
 def _products(left: csc_matrix, right: csr_matrix):
@@ -600,8 +653,10 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
 
     Each step is Rosenbrock-Euler, ``(I - dt J) delta = dt F(u)`` on the
     unknowns, with the exact Jacobian ``J`` of :meth:`_Problem.jacobian`,
-    solved by :meth:`_Problem.flow_step` on the LU factor kept from an
-    earlier trial while one GMRES cycle carries it.  A step is at most
+    solved by :meth:`_Problem.flow_step` in one GMRES cycle on a kept
+    preconditioner: on a torus, while no factor is kept, the inverse of
+    the averaged stencil of ``I - dt J``, which builds no factor; else
+    the LU factor kept from an earlier trial.  A step is at most
     ``t_max / 16`` and the last one ends the run at ``t_max``.  The
     residual judges each trial: along the exact flow ``F`` solves a linear
     parabolic equation and its sup cannot rise, so a trial that raises it

@@ -233,15 +233,31 @@ def induced_metric(state: GraphState) -> MetricField:
 def quasi_isometry_constants(state: GraphState) -> tuple[float, float]:
     """Global eigenvalue range of the graph metric measured against sigma.
 
-    Solved by a batched Cholesky reduction to an ordinary symmetric
-    eigenproblem, not by the closed-form rank-one spectrum, so the pinch
+    Solved by a Cholesky reduction to an ordinary symmetric eigenproblem,
+    not by the closed-form rank-one spectrum, so the pinch
     ``1 <= lambda <= 1 + sup(h |grad u|)^2`` is an independent cross-check.
+    On 2-D fibers the reduction and the spectrum are whole-array
+    arithmetic: with ``sigma = L L^T`` and ``C = L^-1 A L^-T`` the
+    eigenvalues are ``(c11 + c22)/2 +- hypot((c11 - c22)/2, c12)``.  3-D
+    fibers take a batched ``np.linalg`` Cholesky, two solves and ``eigvalsh``.
     """
-    prime = induced_metric(state)
-    L = np.linalg.cholesky(state.warped.metric.mat)
-    T = np.linalg.solve(L, prime.mat)
-    A = np.linalg.solve(L, np.swapaxes(T, -1, -2))
-    eigs = np.linalg.eigvalsh(A)
+    prime = induced_metric(state).mat
+    sigma = state.warped.metric.mat
+    if state.warped.fiber.ndim == 2:
+        l11 = np.sqrt(sigma[..., 0, 0])
+        l21 = sigma[..., 1, 0] / l11
+        l22 = np.sqrt(sigma[..., 1, 1] - l21 * l21)
+        # T = L^-1 A by forward substitution, then C = L^-1 T^T, lower triangle
+        t0 = prime[..., 0, :] / l11[..., None]
+        t1 = (prime[..., 1, :] - l21[..., None] * t0) / l22[..., None]
+        c11 = t0[..., 0] / l11
+        c12 = (t0[..., 1] - l21 * c11) / l22
+        c22 = (t1[..., 1] - l21 * t1[..., 0] / l11) / l22
+        centre, radius = 0.5 * (c11 + c22), np.hypot(0.5 * (c11 - c22), c12)
+        return float((centre - radius).min()), float((centre + radius).max())
+    L = np.linalg.cholesky(sigma)
+    T = np.linalg.solve(L, prime)
+    eigs = np.linalg.eigvalsh(np.linalg.solve(L, np.swapaxes(T, -1, -2)))
     return float(eigs.min()), float(eigs.max())
 
 

@@ -9,7 +9,8 @@ order in the step, on every row kind (drift, off-diagonal metric, the
 third axis, the disk's axis ring and the ring next to its rim).  The map
 must give the chain-rule product of the sparse matrices themselves, kept
 here as the oracle, and the matrices that Newton and the flow solve must
-be the ones their formulas name.
+be the ones their formulas name.  The flow's Fourier preconditioner must
+be the exact inverse of a circulant matrix on a torus pattern.
 """
 
 import os
@@ -137,7 +138,7 @@ def test_companion_and_flow_matrix_are_their_formulas_bit_for_bit(build, monkeyp
     jac = prob.jacobian(u)
     seen = []
 
-    def kept_solve(matrix, rhs):
+    def kept_solve(matrix, rhs, fourier=None):
         seen.append(matrix)
         return np.zeros_like(rhs), 0
 
@@ -151,6 +152,21 @@ def test_companion_and_flow_matrix_are_their_formulas_bit_for_bit(build, monkeyp
     prob.flow_step(jac, dt, np.ones(prob.n_dof))
     np.testing.assert_array_equal(seen[1].toarray(),
                                   (identity(prob.n_dof) - dt * jac).toarray())
+
+
+@pytest.mark.parametrize("build", [_drift_torus, _lifted_torus], ids=["drift_torus", "torus3d"])
+def test_fourier_inverse_undoes_a_circulant_matrix_on_the_pattern(build):
+    # entries that depend on their periodic offset alone make a circulant
+    # matrix, its own averaged stencil: the Fourier inverse must undo it to
+    # rounding, and it must do so for a stencil that is not symmetric
+    prob, _, _ = build()
+    rng = np.random.default_rng(11)
+    stencil = 0.02 * rng.standard_normal(prob.n_dof)
+    stencil[0] = 1.0
+    data = stencil[prob._offsets]
+    x = rng.standard_normal(prob.n_dof)
+    got = prob._fourier_inverse(data)(prob._on_pattern(data) @ x)
+    assert np.abs(got - x).max() <= 1e-13 * np.abs(x).max()
 
 
 def test_jacobians_of_one_problem_share_one_pattern():

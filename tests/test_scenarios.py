@@ -470,10 +470,10 @@ def test_report_is_deterministic_up_to_wall_time():
 @pytest.mark.parametrize("name,solver,counts", [
     # 14 accepted steps and 6 rejected trials on 4 factors: a trial refactors
     # only when the kept factor's GMRES cycle falls short; the obstructed
-    # torus carries all 16 steps on its first factor.  A flow starts from its
-    # formula, with no coarser level
+    # torus carries all 16 steps on the inverse of its averaged stencil and
+    # builds no factor.  A flow starts from its formula, with no coarser level
     ("hyperbolic_counterexample", {"method": "flow", "t_max": 40.0}, (14, 4, [])),
-    ("obstruction_torus", {"method": "flow", "t_max": 5.0}, (16, 1, [])),
+    ("obstruction_torus", {"method": "flow", "t_max": 5.0}, (16, 0, [])),
     # newton factors once per level and reuses that factor while one GMRES
     # cycle suffices; the 8^2 level does the work and every finer level
     # starts from a solution

@@ -409,12 +409,14 @@ def _recording_flow_steps(monkeypatch):
     return steps
 
 
-@pytest.mark.parametrize("conformal", [False, True], ids=["flat", "conformal"])
-def test_every_flow_step_moves_the_weighted_mean_by_dt_mean_f(monkeypatch, conformal):
+@pytest.mark.parametrize("dims,conformal", [((32, 32), False), ((32, 32), True),
+                                             ((16, 16, 8), False)],
+                         ids=["flat", "conformal", "3d"])
+def test_every_flow_step_moves_the_weighted_mean_by_dt_mean_f(monkeypatch, dims, conformal):
     # the exact correction along the constants holds mass balance to
     # rounding, not only to the linear solve's tolerance
-    grid, metric = build_torus((32, 32))
-    x1, x2 = grid.meshes()
+    grid, metric = build_torus(dims)
+    x1, x2 = grid.meshes()[:2]
     if conformal:
         metric = conformal_scale(metric, ScalarField(grid, 1.0 + 0.3 * np.sin(x1) * np.cos(x2)))
     wp = WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0))
@@ -422,7 +424,8 @@ def test_every_flow_step_moves_the_weighted_mean_by_dt_mean_f(monkeypatch, confo
     steps = _recording_flow_steps(monkeypatch)
     _, report = flow_solve(wp, ScalarField.constant(grid, 0.1), u0, SolveOptions(), t_max=3.0)
     assert report.verdict == "max_iter"
-    assert report.factorizations == 1 and report.krylov_iterations > 0
+    # the averaged stencil's inverse carries every step: no factor is built
+    assert report.factorizations == 0 and report.krylov_iterations > 0
     # no trial is rejected, so every solved step is an accepted one
     assert len(steps) == report.iterations == 16
     for prob, dt, f_dof, delta in steps:
@@ -471,16 +474,42 @@ def test_an_unconverged_flow_step_is_rejected_and_halves_dt(monkeypatch):
     assert report.factorizations == solver._FLOW_MAX_TRIALS
 
 
-def test_flow_takes_sixteen_steps_where_the_residual_only_rounds():
+def test_flow_takes_sixteen_steps_where_the_residual_only_rounds(monkeypatch):
     # from a level start F stays the constant -2H: a trial's residual
     # differs from it by rounding alone, which is no rise to reject
     grid, metric = build_torus((32, 32))
     wp = WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0))
+    steps = _recording_flow_steps(monkeypatch)
     _, report = flow_solve(wp, ScalarField.constant(grid, 0.1), ScalarField.constant(grid, 0.0),
                            SolveOptions(), t_max=2.0)
     assert report.verdict == "max_iter"
-    assert report.iterations == 16
+    assert len(steps) == report.iterations == 16
     assert report.mean_drift_rate == pytest.approx(0.2, rel=1e-10)
+    # a level height makes the Jacobian's coefficients constant, so the
+    # averaged stencil is the stencil and its Fourier inverse is exact: one
+    # GMRES iteration beside the initial residual, and no factor
+    assert report.factorizations == 0
+    assert 0 < report.krylov_iterations <= 2 * len(steps)
+
+
+def test_a_fourier_cycle_that_falls_short_falls_back_to_a_factor(monkeypatch):
+    # one Krylov iteration cannot carry I - dt J over a varying conformal
+    # factor on the averaged stencil's inverse, so the step builds a factor
+    # and the kept-factor rule takes over; the run ends where it did
+    grid, metric = build_torus((32, 32))
+    x1, x2 = grid.meshes()
+    metric = conformal_scale(metric, ScalarField(grid, np.exp(np.sin(x1))))
+    wp = WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0))
+    u0 = ScalarField(grid, 0.1 * np.sin(x1) + 0.05 * np.cos(x2))
+    args = (wp, ScalarField.constant(grid, 0.1), u0, SolveOptions())
+    _, fourier = flow_solve(*args, t_max=3.0)
+    monkeypatch.setattr(solver, "_KRYLOV_RESTART", 1)
+    _, factored = flow_solve(*args, t_max=3.0)
+    assert fourier.factorizations == 0
+    assert factored.factorizations >= 1
+    assert factored.verdict == fourier.verdict == "max_iter"
+    assert factored.iterations == fourier.iterations
+    assert factored.mean_drift_rate == pytest.approx(fourier.mean_drift_rate, rel=1e-10)
 
 
 def test_flow_rejects_steps_that_raise_the_residual():

@@ -16,6 +16,7 @@ from pmclab import (
     ScalarField,
     SolveOptions,
     WarpedProduct,
+    build_hyperbolic_disk,
     build_polar_disk,
     build_torus,
     check_conformal_laplacian,
@@ -183,6 +184,56 @@ def test_quasi_isometry_tight_for_level_height():
         wp, ScalarField.constant(wp.fiber, 4.0), ScalarField.constant(wp.fiber, 0.0)))
     assert lam_min == pytest.approx(1.0, abs=1e-13)
     assert lam_max == pytest.approx(1.0, abs=1e-13)
+
+
+def _eigvalsh_quasi_isometry(state):
+    """The per-node reference: batched Cholesky, two solves and ``eigvalsh``."""
+    L = np.linalg.cholesky(state.warped.metric.mat)
+    T = np.linalg.solve(L, induced_metric(state).mat)
+    eigs = np.linalg.eigvalsh(np.linalg.solve(L, np.swapaxes(T, -1, -2)))
+    return eigs.min(), eigs.max()
+
+
+def _conformal_torus_state():
+    grid, metric = build_torus((64, 64))
+    x1, x2 = grid.meshes()
+    metric = conformal_scale(metric, ScalarField(grid, np.exp(np.sin(x1) * np.cos(x2))))
+    wp = WarpedProduct(grid, metric, ScalarField(grid, 1.0 + 0.3 * np.cos(x2)))
+    u = ScalarField(grid, 0.6 * np.sin(x1 + x2) + 0.3 * np.cos(2.0 * x1))
+    return GraphState(wp, u, ScalarField.constant(grid, 0.0))
+
+
+def _sheared_torus_state():
+    # an off-diagonal sigma, so the Cholesky factor has a lower entry
+    grid, _ = build_torus((64, 64))
+    x1, x2 = grid.meshes()
+    mat = np.zeros(grid.shape + (2, 2))
+    mat[..., 0, 0] = 1.2 + 0.2 * np.sin(x2)
+    mat[..., 1, 1] = 1.0 + 0.2 * np.cos(x1)
+    mat[..., 0, 1] = mat[..., 1, 0] = 0.5 * np.sin(x1 + x2)
+    wp = WarpedProduct(grid, MetricField(grid, mat), ScalarField.constant(grid, 1.0))
+    u = ScalarField(grid, 0.6 * np.sin(x1) + 0.4 * np.cos(x1 - 2.0 * x2))
+    return GraphState(wp, u, ScalarField.constant(grid, 0.0))
+
+
+def _hyperbolic_disk_state():
+    grid, metric = build_hyperbolic_disk(64, 128, 0.875)
+    r, theta = grid.meshes()
+    wp = WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0))
+    u = ScalarField(grid, 0.5 * (r / 0.875) ** 3 * np.sin(3.0 * theta))
+    return GraphState(wp, u, ScalarField.constant(grid, 0.0))
+
+
+@pytest.mark.parametrize("build", [_conformal_torus_state, _sheared_torus_state,
+                                   _hyperbolic_disk_state],
+                         ids=["conformal_torus", "sheared_torus", "hyperbolic_disk"])
+def test_closed_form_quasi_isometry_spectrum_matches_eigvalsh(build):
+    state = build()
+    got = quasi_isometry_constants(state)
+    expected = _eigvalsh_quasi_isometry(state)
+    assert got[0] < got[1]
+    for value, reference in zip(got, expected):
+        assert abs(value - reference) <= 4 * np.spacing(reference), (value, reference)
 
 
 # ---------------------------------------------------------------------------
