@@ -4,17 +4,20 @@ A scenario is a JSON document naming a fiber grid, a metric, a warping,
 a target curvature, initial (and for disks boundary) data, solver
 options, and a list of post-solve checks.  :func:`parse_config` validates
 everything eagerly (unknown keys, malformed formulas, sign-violating
-warpings, and checks that cannot run on the declared fiber are all
-rejected before any solve starts) and produces a normalized echo that
-round-trips byte-identically through ``json.dumps(sort_keys=True)``.
+warpings, and checks whose own guard in :mod:`pmclab.warped` refuses the
+declared fiber, warping or target are all rejected before any solve
+starts) and produces a normalized echo that round-trips byte-identically
+through ``json.dumps(sort_keys=True)``.
 
 :func:`run_scenario` solves, runs the requested checks, and packages a
 :class:`RunReport` whose JSON form is deterministic for a fixed config
 and seed (wall time is the one excluded field).  A Newton solve starts
 from the prolonged solution of the same config on the grid with every
 axis halved, solved the same way first (grid sequencing), and each
-refinement companion from the level before it.  A small battery of
-refinement studies lives in :func:`run_verification_suite`.
+refinement companion from the level before it.  A check that cannot be
+evaluated on the solved state (unsolved, or data beyond the float range
+of its arithmetic) is recorded as a ``precondition`` failure.  A small
+battery of refinement studies lives in :func:`run_verification_suite`.
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ from .warped import (
     obstruction_witness,
     quasi_isometry_constants,
     radial_ricci,
+    require_compatibility,
+    require_conformal_laplacian,
+    require_superharmonic,
     unit_normal,
 )
 
@@ -76,6 +82,13 @@ CHECK_NAMES = (
     "compatibility",
     "superharmonic",
 )
+
+# the guard of each check that does not run on every product and target
+_CHECK_GUARDS = {
+    "conformal_laplacian": lambda wp, target: require_conformal_laplacian(wp.fiber),
+    "compatibility": lambda wp, target: require_compatibility(wp.fiber),
+    "superharmonic": require_superharmonic,
+}
 
 _EXPECTATIONS = ("converged", "obstructed")
 _TORUS_KINDS = frozenset({"torus", "torus2d", "torus3d_lifted"})
@@ -112,11 +125,6 @@ def _fiber_env(grid: FiberGrid) -> dict[str, np.ndarray]:
         }
     env = {f"x{i + 1}": m for i, m in enumerate(meshes)}
     return env
-
-
-def _boundary_env(grid: FiberGrid) -> dict[str, np.ndarray]:
-    theta = grid.axes[1]
-    return {"theta": theta, "θ": theta}
 
 
 def _reject_unknown(obj: dict, allowed, where: str) -> None:
@@ -306,20 +314,11 @@ def _validate_checks(checks, wp: WarpedProduct, target: ScalarField) -> tuple[st
         if name in seen:
             raise ValidationError(f"check {name!r} requested twice")
         seen.add(name)
-    is_disk = wp.fiber.kind is GridKind.disk_polar
-    if "conformal_laplacian" in seen and is_disk:
-        raise ValidationError("the conformal_laplacian check lifts the fiber by a circle "
-                              "and therefore needs a torus fiber")
-    if "compatibility" in seen and not wp.fiber.closed:
-        raise ValidationError("the compatibility check integrates over a closed fiber")
-    if "superharmonic" in seen:
-        if wp.fiber.ndim != 2:
-            raise ValidationError("the superharmonic check lifts a 2-D fiber by a circle, "
-                                  f"got {wp.fiber.kind.value}")
-        if np.any(target.values > 0.0):
-            raise ValidationError("the superharmonic check needs H_target <= 0 node-wise")
-        if is_disk and not wp.warping_is_constant:
-            raise ValidationError("on a disk the superharmonic check needs constant warping")
+        if name in _CHECK_GUARDS:
+            try:
+                _CHECK_GUARDS[name](wp, target)
+            except PreconditionError as e:
+                raise ValidationError(f"check {name!r} cannot run on this config: {e}") from e
     return tuple(checks)
 
 
@@ -373,8 +372,9 @@ def parse_config(text: str) -> ScenarioConfig:
     if family == "disk":
         boundary_text = raw.get("boundary", "0")
         bform = _field_formula(boundary_text, ("theta", "θ"), "boundary")
-        bvals = np.broadcast_to(
-            np.asarray(bform.evaluate(_boundary_env(grid)), dtype=float), (grid.dims[1],))
+        theta = grid.axes[1]
+        bvals = np.broadcast_to(np.asarray(bform.evaluate({"theta": theta, "θ": theta}),
+                                           dtype=float), (grid.dims[1],))
         if not np.isfinite(bvals).all():
             raise ValidationError("boundary data evaluates to a non-finite value")
         boundary_values = np.array(bvals)
@@ -407,10 +407,6 @@ def parse_config(text: str) -> ScenarioConfig:
 # checks
 
 
-def _check_tol_solve(opts: SolveOptions) -> float:
-    return max(1e-8, 100.0 * opts.tol_abs)
-
-
 def _quasi_isometry(state: GraphState) -> tuple[float, float, float, bool]:
     """Graph-metric eigenvalue range, its pinch ``1 + sup(h^2 |grad u|^2)``, and whether it holds."""
     lam_min, lam_max = quasi_isometry_constants(state)
@@ -419,7 +415,7 @@ def _quasi_isometry(state: GraphState) -> tuple[float, float, float, bool]:
 
 
 def _run_check(name: str, state: GraphState, config: ScenarioConfig) -> dict:
-    tol_solve = _check_tol_solve(config.solver_opts)
+    tol_solve = max(1e-8, 100.0 * config.solver_opts.tol_abs)
     wp = state.warped
     try:
         if name == "quasi_isometry":
@@ -457,7 +453,8 @@ def _run_check(name: str, state: GraphState, config: ScenarioConfig) -> dict:
         residual = check_conformal_laplacian(wp.metric, factor, wp.warping)
         sup = float(np.abs(residual.values).max())
         return {"conformal_max_residual": sup, "pass": sup <= _CONFORMAL_CHECK_TOL}
-    except PreconditionError as e:
+    except (PreconditionError, ConstructionError) as e:
+        # outside the check's contract, or beyond the float range of its arithmetic
         return {"precondition": str(e), "pass": False}
 
 

@@ -17,7 +17,10 @@ with a positive warping ``h`` on ``P``; the product metric is
 
 Identity checks (height-function identity, conformally scaled Laplacian,
 superharmonicity of a solved height) are exposed as residual fields so
-their convergence under refinement can be measured.
+their convergence under refinement can be measured.  A check that does
+not run on every product and target states its conditions once, in a
+``require_*`` guard that raises :class:`PreconditionError`; the check
+calls it first, and config parsing calls it before any solve.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .geometry import (
     ConstructionError,
     FiberGrid,
     GridKind,
-    GridMismatchError,
     MetricField,
     ScalarField,
     VectorField,
@@ -76,6 +78,45 @@ class WarpedProduct:
     @property
     def warping_is_constant(self) -> bool:
         return (self.h_sup - self.h_inf) <= 1e-12 * self.h_sup
+
+
+def require_conformal_laplacian(fiber: FiberGrid) -> None:
+    """Raise :class:`PreconditionError` on a fiber that :func:`check_conformal_laplacian` refuses.
+
+    The rule needs dimension ``>= 3``; a 2-D torus reaches it by a circle
+    lift, which a disk fiber does not have.
+    """
+    if fiber.kind is GridKind.disk_polar:
+        raise PreconditionError("the conformal-change rule needs dimension >= 3, which a 2-D "
+                                "fiber reaches by a circle lift, so it needs a torus fiber: "
+                                "a disk fiber has no circle lift")
+
+
+def require_compatibility(fiber: FiberGrid) -> None:
+    """Raise :class:`PreconditionError` on a fiber that :func:`compatibility_integral` refuses."""
+    if not fiber.closed:
+        raise PreconditionError("the compatibility witness integrates over a closed fiber; "
+                                "Dirichlet disks have boundary flux instead")
+
+
+def require_superharmonic(wp: WarpedProduct, target: ScalarField) -> None:
+    """Raise :class:`PreconditionError` on data that :func:`check_superharmonic` refuses.
+
+    The height is superharmonic for target curvature ``<= 0`` on the circle
+    lift of a 2-D fiber.  A disk has no circle lift, so there the check
+    stays two-dimensional and needs a constant warping.
+    """
+    fiber = wp.fiber
+    if fiber.ndim != 2:
+        raise PreconditionError("the superharmonic check lifts a 2-D fiber by a circle, "
+                                f"got {fiber.kind.value}")
+    if np.any(target.values > 0.0):
+        bad = np.argwhere(target.values > 0.0)[0]
+        raise PreconditionError("superharmonicity of the height needs H_target <= 0 at every "
+                                f"node; positive value at node {tuple(int(i) for i in bad)}")
+    if fiber.kind is GridKind.disk_polar and not wp.warping_is_constant:
+        raise PreconditionError("on a disk the superharmonic check stays two-dimensional and "
+                                "needs constant warping (no circle lift for disks)")
 
 
 def _contract(a, b):
@@ -222,12 +263,16 @@ def unit_normal(state: GraphState) -> tuple[VectorField, ScalarField, ScalarFiel
     return fiber_part, vertical, angle
 
 
-def induced_metric(state: GraphState) -> MetricField:
-    """Graph metric ``sigma_ij + h^2 (d_i u)(d_j u)`` on the fiber chart."""
+def _graph_metric_mat(state: GraphState) -> np.ndarray:
+    """The node matrices ``sigma_ij + h^2 (d_i u)(d_j u)``, a rank-one update of sigma."""
     du = np.stack(state.du, axis=-1)
     h2 = state.kernel.h2
-    mat = state.warped.metric.mat + h2[..., None, None] * (du[..., :, None] * du[..., None, :])
-    return MetricField(state.warped.fiber, mat)
+    return state.warped.metric.mat + h2[..., None, None] * (du[..., :, None] * du[..., None, :])
+
+
+def induced_metric(state: GraphState) -> MetricField:
+    """Graph metric ``sigma_ij + h^2 (d_i u)(d_j u)`` on the fiber chart."""
+    return MetricField(state.warped.fiber, _graph_metric_mat(state))
 
 
 def quasi_isometry_constants(state: GraphState) -> tuple[float, float]:
@@ -241,7 +286,7 @@ def quasi_isometry_constants(state: GraphState) -> tuple[float, float]:
     eigenvalues are ``(c11 + c22)/2 +- hypot((c11 - c22)/2, c12)``.  3-D
     fibers take a batched ``np.linalg`` Cholesky, two solves and ``eigvalsh``.
     """
-    prime = induced_metric(state).mat
+    prime = _graph_metric_mat(state)
     sigma = state.warped.metric.mat
     if state.warped.fiber.ndim == 2:
         l11 = np.sqrt(sigma[..., 0, 0])
@@ -272,9 +317,7 @@ def check_conformal_laplacian(metric: MetricField, factor: ScalarField,
     two discretizations; it shrinks at second order for smooth data.
     """
     grid = metric.grid
-    if grid.kind is GridKind.disk_polar:
-        raise PreconditionError("the conformal-change rule is dimension sensitive "
-                                "(dimension must be >= 3); a disk fiber has no circle lift")
+    require_conformal_laplacian(grid)
     grid.require_same(factor.grid, "check_conformal_laplacian")
     grid.require_same(f.grid, "check_conformal_laplacian")
     lhs = (circle_lift_laplacian(f, metric, factor) if grid.ndim == 2
@@ -318,35 +361,21 @@ def check_superharmonic(state: GraphState, tol_solve: float = 1e-8) -> float:
     not exceed the discretization tolerance.
 
     Torus fibers take the lifted Laplacian of :func:`~pmclab.geometry.circle_lift_laplacian`.
-    Dirichlet fibers are handled in two dimensions and therefore require a
-    constant warping, for which the conformal factor is a harmless global
-    constant; the maximum is then taken over interior nodes only.
+    Dirichlet fibers are handled in two dimensions, where the conformal
+    factor of a constant warping is a harmless global constant; the
+    maximum is then taken over interior nodes only.  The fiber, warping
+    and target must pass :func:`require_superharmonic`.
     """
-    wp, u, target = state.warped, state.height, state.target.values
-    if np.any(target > 0.0):
-        bad = np.argwhere(target > 0.0)[0]
-        raise PreconditionError(
-            "superharmonicity of the height needs target curvature <= 0; "
-            f"positive value at node {tuple(int(i) for i in bad)}"
-        )
+    wp, u = state.warped, state.height
+    require_superharmonic(wp, state.target)
     state.require_solved(tol_solve, "superharmonic check")
     prime = induced_metric(state)
     if wp.fiber.kind is GridKind.torus2d:
         factor = ScalarField(wp.fiber, wp.warping.values**4)
         return float(circle_lift_laplacian(u, prime, factor).values.max())
-    if wp.fiber.kind is GridKind.disk_polar:
-        if not wp.warping_is_constant:
-            raise PreconditionError(
-                "on a Dirichlet fiber the check stays two-dimensional and "
-                "needs a constant warping (no circle lift for disks)"
-            )
-        factor = ScalarField(wp.fiber, np.full(wp.fiber.shape, wp.h_sup**4))
-        scaled = conformal_scale(prime, factor)
-        lap = laplace_beltrami(u, scaled).values
-        return float(lap[wp.fiber.interior_mask].max())
-    raise PreconditionError(
-        f"superharmonic check supports 2-D fibers, got {wp.fiber.kind.value}"
-    )
+    factor = ScalarField(wp.fiber, np.full(wp.fiber.shape, wp.h_sup**4))
+    lap = laplace_beltrami(u, conformal_scale(prime, factor)).values
+    return float(lap[wp.fiber.interior_mask].max())
 
 
 def radial_ricci(wp: WarpedProduct) -> ScalarField:
@@ -369,11 +398,7 @@ def compatibility_integral(state: GraphState) -> float:
     any height.
     """
     wp = state.warped
-    if not wp.fiber.closed:
-        raise GridMismatchError(
-            "the compatibility witness integrates over a closed fiber; "
-            "Dirichlet disks have boundary flux instead"
-        )
+    require_compatibility(wp.fiber)
     drift = state.kernel.drift(state.gu, state.W)
     return integrate(ScalarField(wp.fiber, drift - wp.dimension * state.target.values), wp.metric)
 

@@ -5,6 +5,7 @@ Exit-code contract: 0 outcome-as-expected with all checks passing,
 checks or an outcome that contradicts the declared expectation.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -13,7 +14,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmclab import GridKind, ScalarField, cli, geometry, newton_solve, scenarios, solver
+from pmclab import (
+    GraphState,
+    GridKind,
+    PreconditionError,
+    ScalarField,
+    SolveOptions,
+    cli,
+    geometry,
+    newton_solve,
+    scenarios,
+    solver,
+)
 from pmclab.cli import main
 from pmclab.formulas import (
     _MAX_DEPTH,
@@ -33,6 +45,7 @@ from pmclab.scenarios import (
     run_scenario,
     run_verification_suite,
 )
+from pmclab.warped import require_compatibility, require_conformal_laplacian, require_superharmonic
 
 _TOO_DEEP = {
     "parentheses": "(" * 5000 + "1" + ")" * 5000,
@@ -184,6 +197,46 @@ def test_superharmonic_on_a_3d_torus_exits_2_at_parse(tmp_path, capsys):
     assert main(["solve", str(path)]) == 2
     err = capsys.readouterr().err
     assert "invalid config" in err and "superharmonic" in err and "torus3d_lifted" in err
+
+
+# each guarded check and the guard that states its conditions; the other
+# checks run on every product and target
+_GUARDS = {
+    "conformal_laplacian": lambda wp, target: require_conformal_laplacian(wp.fiber),
+    "compatibility": lambda wp, target: require_compatibility(wp.fiber),
+    "superharmonic": require_superharmonic,
+}
+
+
+@pytest.mark.parametrize("warping", ["1", "1+0.1*cos(x1)"])
+@pytest.mark.parametrize("h_target", ["0", "-0.1", "0.1"])
+@pytest.mark.parametrize("check", CHECK_NAMES)
+@pytest.mark.parametrize("fiber", [
+    {"kind": "torus", "dims": [8, 8]},
+    {"kind": "torus", "dims": [8, 8, 8]},
+    {"kind": "disk", "dims": [8, 16], "R": 0.5},
+], ids=["torus2d", "torus3d", "disk"])
+def test_parse_accepts_a_check_exactly_when_its_guard_does(fiber, check, h_target, warping):
+    product = parse_config(_cfg(fiber=fiber, warping=warping, H_target=h_target))
+    try:
+        _GUARDS.get(check, lambda wp, target: None)(product.warped, product.target)
+        guarded = None
+    except PreconditionError as e:
+        guarded = str(e)
+    try:
+        parse_config(_cfg(fiber=fiber, warping=warping, H_target=h_target, checks=[check]))
+        refused = None
+    except ValidationError as e:
+        refused = str(e)
+    assert (refused is None) == (guarded is None)
+    if refused is not None:
+        assert check in refused and guarded in refused
+    # the check itself refuses the same data, here on a level height that
+    # a loose tolerance counts as solved
+    state = GraphState(product.warped, ScalarField.constant(product.grid, 0.0), product.target)
+    loose = dataclasses.replace(product, solver_opts=SolveOptions(tol_abs=1e3))
+    entry = scenarios._run_check(check, state, loose)
+    assert entry.get("precondition") == guarded
 
 
 @pytest.mark.parametrize("fiber", [
@@ -399,6 +452,13 @@ def test_formula_and_check_sections_parse_or_raise_and_solve_ends_in_an_exit_cod
     path = directory / "config.json"
     path.write_text(text, encoding="utf-8")
     assert main(["solve", str(path), "--out", str(directory / "report.json")]) in (0, 2, 3, 4)
+    # parse refused every check that cannot run on the config; what is left
+    # is a check that needs a solved height
+    report = json.loads((directory / "report.json").read_text(encoding="ascii"))
+    for entry in report["checks"].values():
+        if "precondition" in entry:
+            assert ("expects a solved height" in entry["precondition"]
+                    or "no representable height" in entry["precondition"])
 
 
 @pytest.mark.parametrize("config", [
@@ -640,6 +700,19 @@ def test_a_lost_height_fails_every_check_and_reads_no_angle(tmp_path, capsys, me
     for entry in report["checks"].values():
         assert entry["pass"] is False
         assert "no representable height" in entry["precondition"]
+
+
+@pytest.mark.parametrize("check", ["conformal_laplacian", "superharmonic"])
+def test_a_check_beyond_the_float_range_fails_after_the_solve(tmp_path, capsys, check):
+    # h^4 underflows to zero, so the check's conformal factor is not
+    # positive; the check fails with a report, not an invalid config
+    config = tmp_path / "run.json"
+    config.write_text(_cfg(warping="1e-90", checks=[check]))
+    assert main(["solve", str(config)]) == 4
+    report = _strict_report(capsys.readouterr().out)
+    assert report["solve"]["verdict"] == "converged"
+    entry = report["checks"][check]
+    assert entry["pass"] is False and "must stay positive" in entry["precondition"]
 
 
 def test_a_lost_height_dumps_no_fields(tmp_path):

@@ -10,7 +10,6 @@ from pmclab import (
     FiberGrid,
     GraphState,
     GridKind,
-    GridMismatchError,
     MetricField,
     PreconditionError,
     ScalarField,
@@ -438,7 +437,7 @@ def test_compatibility_integral_needs_closed_fiber():
     grid, metric = build_polar_disk(16, 32, radius=1.0)
     wp = WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0))
     u = ScalarField.constant(grid, 0.0)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(PreconditionError, match="closed fiber"):
         compatibility_integral(GraphState(wp, u, u))
 
 
