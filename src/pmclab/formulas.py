@@ -202,7 +202,7 @@ class Formula:
         if op == "*":
             return a * b
         if op == "/":
-            return a / b
+            return np.divide(a, b)  # 0/0 is nan, not ZeroDivisionError, on numbers too
         return np.power(a, b)
 
 

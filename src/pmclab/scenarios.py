@@ -127,6 +127,11 @@ def _fiber_env(grid: FiberGrid) -> dict[str, np.ndarray]:
     return env
 
 
+def _boundary_env(grid: FiberGrid) -> dict[str, np.ndarray]:
+    theta = grid.axes[1]
+    return {"theta": theta, "θ": theta}
+
+
 def _reject_unknown(obj: dict, allowed, where: str) -> None:
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
@@ -372,9 +377,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if family == "disk":
         boundary_text = raw.get("boundary", "0")
         bform = _field_formula(boundary_text, ("theta", "θ"), "boundary")
-        theta = grid.axes[1]
-        bvals = np.broadcast_to(np.asarray(bform.evaluate({"theta": theta, "θ": theta}),
-                                           dtype=float), (grid.dims[1],))
+        bvals = np.broadcast_to(
+            np.asarray(bform.evaluate(_boundary_env(grid)), dtype=float), (grid.dims[1],))
         if not np.isfinite(bvals).all():
             raise ValidationError("boundary data evaluates to a non-finite value")
         boundary_values = np.array(bvals)
@@ -407,6 +411,10 @@ def parse_config(text: str) -> ScenarioConfig:
 # checks
 
 
+def _check_tol_solve(opts: SolveOptions) -> float:
+    return max(1e-8, 100.0 * opts.tol_abs)
+
+
 def _quasi_isometry(state: GraphState) -> tuple[float, float, float, bool]:
     """Graph-metric eigenvalue range, its pinch ``1 + sup(h^2 |grad u|^2)``, and whether it holds."""
     lam_min, lam_max = quasi_isometry_constants(state)
@@ -415,7 +423,7 @@ def _quasi_isometry(state: GraphState) -> tuple[float, float, float, bool]:
 
 
 def _run_check(name: str, state: GraphState, config: ScenarioConfig) -> dict:
-    tol_solve = max(1e-8, 100.0 * config.solver_opts.tol_abs)
+    tol_solve = _check_tol_solve(config.solver_opts)
     wp = state.warped
     try:
         if name == "quasi_isometry":

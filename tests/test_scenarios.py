@@ -12,12 +12,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pmclab import (
     GraphState,
     GridKind,
-    PreconditionError,
     ScalarField,
     SolveOptions,
     cli,
@@ -45,7 +44,6 @@ from pmclab.scenarios import (
     run_scenario,
     run_verification_suite,
 )
-from pmclab.warped import require_compatibility, require_conformal_laplacian, require_superharmonic
 
 _TOO_DEEP = {
     "parentheses": "(" * 5000 + "1" + ")" * 5000,
@@ -84,6 +82,13 @@ def test_formula_precedence_and_power_associativity():
     assert evaluate_formula("x**3", env) == evaluate_formula("x^3", env)
     assert evaluate_formula("ln(e)", env) == pytest.approx(1.0)
     assert evaluate_formula("cos(pi)", env) == pytest.approx(-1.0)
+
+
+def test_division_by_zero_gives_a_non_finite_value_that_parse_rejects():
+    assert evaluate_formula("1/0", {}) == math.inf
+    assert math.isnan(evaluate_formula("0/0", {}))
+    with pytest.raises(ValidationError, match=r"warping evaluates to a non-finite value"):
+        parse_config(_cfg(warping="0/0"))
 
 
 def test_formula_unknown_symbol_reports_position():
@@ -199,15 +204,6 @@ def test_superharmonic_on_a_3d_torus_exits_2_at_parse(tmp_path, capsys):
     assert "invalid config" in err and "superharmonic" in err and "torus3d_lifted" in err
 
 
-# each guarded check and the guard that states its conditions; the other
-# checks run on every product and target
-_GUARDS = {
-    "conformal_laplacian": lambda wp, target: require_conformal_laplacian(wp.fiber),
-    "compatibility": lambda wp, target: require_compatibility(wp.fiber),
-    "superharmonic": require_superharmonic,
-}
-
-
 @pytest.mark.parametrize("warping", ["1", "1+0.1*cos(x1)"])
 @pytest.mark.parametrize("h_target", ["0", "-0.1", "0.1"])
 @pytest.mark.parametrize("check", CHECK_NAMES)
@@ -216,27 +212,21 @@ _GUARDS = {
     {"kind": "torus", "dims": [8, 8, 8]},
     {"kind": "disk", "dims": [8, 16], "R": 0.5},
 ], ids=["torus2d", "torus3d", "disk"])
-def test_parse_accepts_a_check_exactly_when_its_guard_does(fiber, check, h_target, warping):
+def test_parse_refuses_a_check_exactly_when_the_check_does(fiber, check, h_target, warping):
+    # the check itself runs on a level height that a loose tolerance counts
+    # as solved, so all it can refuse is the fiber, warping or target
     product = parse_config(_cfg(fiber=fiber, warping=warping, H_target=h_target))
-    try:
-        _GUARDS.get(check, lambda wp, target: None)(product.warped, product.target)
-        guarded = None
-    except PreconditionError as e:
-        guarded = str(e)
-    try:
-        parse_config(_cfg(fiber=fiber, warping=warping, H_target=h_target, checks=[check]))
-        refused = None
-    except ValidationError as e:
-        refused = str(e)
-    assert (refused is None) == (guarded is None)
-    if refused is not None:
-        assert check in refused and guarded in refused
-    # the check itself refuses the same data, here on a level height that
-    # a loose tolerance counts as solved
     state = GraphState(product.warped, ScalarField.constant(product.grid, 0.0), product.target)
     loose = dataclasses.replace(product, solver_opts=SolveOptions(tol_abs=1e3))
-    entry = scenarios._run_check(check, state, loose)
-    assert entry.get("precondition") == guarded
+    refused_at_run = scenarios._run_check(check, state, loose).get("precondition")
+    try:
+        parse_config(_cfg(fiber=fiber, warping=warping, H_target=h_target, checks=[check]))
+        refused_at_parse = None
+    except ValidationError as e:
+        refused_at_parse = str(e)
+    assert (refused_at_parse is None) == (refused_at_run is None)
+    if refused_at_parse is not None:
+        assert check in refused_at_parse and refused_at_run in refused_at_parse
 
 
 @pytest.mark.parametrize("fiber", [
@@ -439,8 +429,16 @@ _CONFIGS = st.one_of(*(
 ))
 
 
+# what a check may still refuse after parse: a height that is not solved,
+# or data beyond the float range of the check's arithmetic
+_SOLVED_STATE_PRECONDITIONS = ("expects a solved height", "no representable height",
+                               "must stay positive", "non-finite value")
+
+
 @settings(max_examples=150)
 @given(_CONFIGS)
+@example({"fiber": {"kind": "torus", "dims": [8, 8]}, "warping": "exp(-210.5)",
+          "checks": ["conformal_laplacian"]})
 def test_formula_and_check_sections_parse_or_raise_and_solve_ends_in_an_exit_code(
         tmp_path_factory, config):
     text = json.dumps(config)
@@ -451,14 +449,16 @@ def test_formula_and_check_sections_parse_or_raise_and_solve_ends_in_an_exit_cod
     directory = tmp_path_factory.mktemp("fuzz")
     path = directory / "config.json"
     path.write_text(text, encoding="utf-8")
-    assert main(["solve", str(path), "--out", str(directory / "report.json")]) in (0, 2, 3, 4)
-    # parse refused every check that cannot run on the config; what is left
-    # is a check that needs a solved height
+    code = main(["solve", str(path), "--out", str(directory / "report.json")])
+    assert code in (0, 2, 3, 4)
+    if code == 2:  # the run raised before any report was written
+        return
+    # parse refused every check that cannot run on the config's fiber,
+    # warping or target
     report = json.loads((directory / "report.json").read_text(encoding="ascii"))
     for entry in report["checks"].values():
         if "precondition" in entry:
-            assert ("expects a solved height" in entry["precondition"]
-                    or "no representable height" in entry["precondition"])
+            assert any(m in entry["precondition"] for m in _SOLVED_STATE_PRECONDITIONS)
 
 
 @pytest.mark.parametrize("config", [
