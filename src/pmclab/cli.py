@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Subcommands: ``solve`` runs a JSON config file, ``scenario`` runs one or
-more bundled scenarios by name, ``verify`` runs the identity/refinement
-battery.  Reports are emitted as JSON (stdout or ``--out``).  Exit codes:
-0 when the outcome matched the scenario's expectation and every check
-passed, 2 for validation problems (including a config file that cannot
-be read as UTF-8, formulas nested too deeply, a negative ``--refine`` or
-``--seed``, and grids or refinements over the node budget), 3 when the
-solver diverged or ran out of iterations, 4 for failed checks or a
+more bundled scenarios by name, one after another, ``verify`` runs the
+identity/refinement battery.  Reports are emitted as JSON (stdout or
+``--out``).  Exit codes: 0 when the outcome matched the scenario's
+expectation and every check passed, 2 for validation problems
+(including a config file that cannot be read as UTF-8, formulas nested
+too deeply, a torus kind that contradicts its dims, a negative
+``--refine`` or ``--seed``, an unknown option, and grids or refinements
+over the node budget), 3 when the solver diverged or ran out of iterations, 4 for failed checks or a
 verdict that contradicts the expectation.  Reports are strict JSON:
 non-finite numbers are written as the strings ``"inf"``, ``"-inf"`` and
 ``"nan"``.  No environment variables are consulted.
@@ -20,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .geometry import ConstructionError, GridMismatchError, ModelDomainError
 from .formulas import FormulaError
@@ -82,23 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario = subs.add_parser("scenario", help="run bundled scenarios by name")
     scenario.add_argument("names", nargs="+", metavar="NAME",
                           help=f"one of: {', '.join(sorted(BUILTIN_SCENARIOS))}")
-    scenario.add_argument("--parallel", action="store_true",
-                          help="run independent scenarios concurrently")
     _add_run_flags(scenario)
 
     verify = subs.add_parser("verify", help="run the identity verification battery")
     verify.add_argument("--out", metavar="REPORT.json")
     return parser
-
-
-def _scenario_report(name: str, args) -> "RunReport":
-    config = builtin_config(name)
-    dump = None
-    if args.dump_fields is not None:
-        dump = os.path.join(args.dump_fields, name) if len(args.names) > 1 \
-            else args.dump_fields
-    return run_scenario(config, scenario_name=name, dump_dir=dump,
-                        refine=args.refine, seed_override=args.seed)
 
 
 def main(argv=None) -> int:
@@ -121,13 +109,15 @@ def main(argv=None) -> int:
         return report.exit_code()
 
     if args.command == "scenario":
+        reports = []
         try:
-            if args.parallel and len(args.names) > 1:
-                workers = min(len(args.names), os.cpu_count() or 1)
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    reports = list(pool.map(lambda n: _scenario_report(n, args), args.names))
-            else:
-                reports = [_scenario_report(name, args) for name in args.names]
+            for name in args.names:
+                dump = args.dump_fields
+                if dump is not None and len(args.names) > 1:
+                    dump = os.path.join(dump, name)
+                reports.append(run_scenario(builtin_config(name), scenario_name=name,
+                                            dump_dir=dump, refine=args.refine,
+                                            seed_override=args.seed))
         except _CONFIG_ERRORS as e:
             print(f"invalid scenario: {e}", file=sys.stderr)
             return 2

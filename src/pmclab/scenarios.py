@@ -11,12 +11,13 @@ through ``json.dumps(sort_keys=True)``.
 
 :func:`run_scenario` solves, runs the requested checks, and packages a
 :class:`RunReport` whose JSON form is deterministic for a fixed config
-and seed (wall time is the one excluded field).  A Newton solve starts
-from the prolonged solution of the same config on the grid with every
-axis halved, solved the same way first (grid sequencing), and each
-refinement companion from the level before it.  A check that cannot be
-evaluated on the solved state (unsolved, or data beyond the float range
-of its arithmetic) is recorded as a ``precondition`` failure.  A small
+and seed (wall time is the one excluded field).  It solves one ladder of
+grids, coarsest first: the config with every axis halved, as often as
+that is possible and useful, then the config itself, then its
+refinement companions.  Each Newton level starts from the prolonged
+solution of the level before it (grid sequencing).  A check that cannot
+be evaluated on the solved state (unsolved, or data beyond the float
+range of its arithmetic) is recorded as a ``precondition`` failure.  A small
 battery of refinement studies lives in :func:`run_verification_suite`.
 """
 
@@ -66,7 +67,6 @@ from .warped import (
     require_compatibility,
     require_conformal_laplacian,
     require_superharmonic,
-    unit_normal,
 )
 
 
@@ -229,6 +229,9 @@ def _parse_fiber(raw) -> tuple[dict, str]:
         if not (isinstance(dims, list) and len(dims) in (2, 3)
                 and all(isinstance(n, int) and not isinstance(n, bool) for n in dims)):
             raise ValidationError("torus fibers need dims: a list of 2 or 3 integers")
+        named = {"torus2d": 2, "torus3d_lifted": 3}.get(kind, len(dims))
+        if named != len(dims):
+            raise ValidationError(f"fiber kind {kind!r} needs {named} dims, got {len(dims)}")
         extents = raw.get("extents", [2.0 * math.pi] * len(dims))
         if not (isinstance(extents, list) and len(extents) == len(dims)):
             raise ValidationError("extents must be one positive number per axis")
@@ -422,6 +425,9 @@ def _quasi_isometry(state: GraphState) -> tuple[float, float, float, bool]:
     return lam_min, lam_max, bound, lam_min >= 1.0 - 1e-12 and lam_max <= bound + 1e-10
 
 
+# numpy's warnings are silenced: a field built from a value that left the
+# float range raises ConstructionError, which the check records
+@np.errstate(all="ignore")
 def _run_check(name: str, state: GraphState, config: ScenarioConfig) -> dict:
     tol_solve = _check_tol_solve(config.solver_opts)
     wp = state.warped
@@ -461,9 +467,11 @@ def _run_check(name: str, state: GraphState, config: ScenarioConfig) -> dict:
         residual = check_conformal_laplacian(wp.metric, factor, wp.warping)
         sup = float(np.abs(residual.values).max())
         return {"conformal_max_residual": sup, "pass": sup <= _CONFORMAL_CHECK_TOL}
-    except (PreconditionError, ConstructionError) as e:
-        # outside the check's contract, or beyond the float range of its arithmetic
+    except PreconditionError as e:  # outside the check's contract
         return {"precondition": str(e), "pass": False}
+    except ConstructionError as e:  # a field built from values beyond the float range
+        return {"precondition": f"the check's arithmetic left the float range: {e}",
+                "pass": False}
 
 
 # --------------------------------------------------------------------------
@@ -492,18 +500,7 @@ class RunReport:
     wall_time_s: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "config": self.config,
-            "solve": self.solve.to_json_dict(),
-            "start": self.start,
-            "coarse_solves": self.coarse_solves,
-            "graph": self.graph,
-            "checks": self.checks,
-            "expectation": self.expectation,
-            "refinements": self.refinements,
-            "wall_time_s": self.wall_time_s,
-        }
+        return {**vars(self), "solve": self.solve.to_json_dict()}
 
     def exit_code(self) -> int:
         if self.solve.verdict in (Verdict.diverged, Verdict.max_iter):
@@ -543,6 +540,29 @@ def _resized_config(config: ScenarioConfig, dims) -> ScenarioConfig:
     return parse_config(json.dumps(scaled))
 
 
+def _ladder(config: ScenarioConfig, refine: int) -> list[ScenarioConfig]:
+    """The grids to solve, coarsest first: ``config``, halved ones below, ``refine`` above.
+
+    A Newton config is halved while its grid halves, the halved config is
+    valid on its own nodes (disk radii are not nested: a formula may fail
+    on the coarse nodes) and the obstruction witness leaves the verdict
+    open; once the witness decides it, there is nothing to sequence.  The
+    flow is not sequenced, since its path and drift depend on the start.
+    """
+    below, coarsest = [], config
+    while (coarsest.method == "newton"
+           and obstruction_witness(coarsest.warped, coarsest.target) is None
+           and (half := coarse_dims(coarsest.grid)) is not None):
+        try:
+            coarsest = _resized_config(coarsest, half)
+        except ValidationError:
+            break
+        below.append(coarsest)
+    above = [_resized_config(config, [n * 2**k for n in config.grid.dims])
+             for k in range(1, refine + 1)]
+    return below[::-1] + [config] + above
+
+
 def _coarse_start(config: ScenarioConfig, coarse: GraphState, u0: np.ndarray) -> np.ndarray:
     """The coarse height prolonged onto the config's grid, with ``u0``'s fixed parts.
 
@@ -558,16 +578,13 @@ def _coarse_start(config: ScenarioConfig, coarse: GraphState, u0: np.ndarray) ->
     return vals
 
 
-def _solve_config(config: ScenarioConfig, seed_override: int | None,
-                  coarse: _Level | None = None) -> _Level:
-    """Solve one level; Newton starts from the next coarser level's solution.
+def _solve_level(config: ScenarioConfig, seed_override: int | None,
+                 previous: _Level | None) -> _Level:
+    """Solve one grid of the ladder; ``previous`` is the grid below it, if any.
 
-    That level is ``coarse`` when given, else the config with every axis
-    halved, solved the same way, as long as the grid halves and the
-    halved config is valid on its own nodes; when the obstruction witness
-    decides the verdict there is nothing to sequence.  A coarse level that
-    did not converge is not used.  The flow starts from ``initial``, since
-    its path and drift depend on the start.
+    Newton starts from the prolonged solution of ``previous`` when that
+    converged, and from ``initial`` otherwise.  The flow always starts from
+    ``initial`` and lists no levels below.
     """
     u0 = config.initial_values(seed_override)
     dims = list(config.grid.dims)
@@ -575,41 +592,30 @@ def _solve_config(config: ScenarioConfig, seed_override: int | None,
         state, report = flow_solve(config.warped, config.target, ScalarField(config.grid, u0),
                                    config.solver_opts, t_max=config.t_max)
         return _Level(dims, state, report, "initial", [])
-    if (coarse is None and obstruction_witness(config.warped, config.target) is None
-            and (half := coarse_dims(config.grid)) is not None):
-        try:
-            # disk radii are not nested: a formula may fail on the coarse nodes
-            halved = _resized_config(config, half)
-        except ValidationError:
-            halved = None
-        if halved is not None:
-            coarse = _solve_config(halved, seed_override)
-    below = [] if coarse is None else coarse.below_next()
-    start = "initial"
-    if coarse is not None and coarse.report.verdict is Verdict.converged:
-        u0, start = _coarse_start(config, coarse.state, u0), "coarse"
+    below, start = [], "initial"
+    if previous is not None:
+        below = previous.below_next()
+        if previous.report.verdict is Verdict.converged:
+            u0, start = _coarse_start(config, previous.state, u0), "coarse"
     state, report = newton_solve(config.warped, config.target, ScalarField(config.grid, u0),
                                  config.solver_opts)
     return _Level(dims, state, report, start, below)
 
 
-def _run_once(config: ScenarioConfig, seed_override: int | None,
-              coarse: _Level | None = None) -> tuple[dict, _Level]:
-    level = _solve_config(config, seed_override, coarse)
-    state, solve_report = level.state, level.report
+def _section(config: ScenarioConfig, level: _Level) -> dict:
+    """The report of one solved grid: its solve, start, levels below, graph angle and checks."""
+    state = level.state
     if state is None:
         graph = {"theta_min": math.nan, "theta_max": math.nan}
         checks = {name: {"precondition": "the solve left no representable height to check",
                          "pass": False} for name in config.checks}
     else:
-        _, _, angle = unit_normal(state)
-        graph = {"theta_min": float(angle.values.min()), "theta_max": float(angle.values.max())}
+        # the angle function h/W; the vertical normal 1/(h W) may overflow
+        angle = state.kernel.h / state.W
+        graph = {"theta_min": float(angle.min()), "theta_max": float(angle.max())}
         checks = {name: _run_check(name, state, config) for name in config.checks}
-    observed = solve_report.verdict.value
-    expectation = {"expected": config.expect, "observed": observed,
-                   "matched": observed == config.expect}
-    body = {"graph": graph, "checks": checks, "expectation": expectation}
-    return body, level
+    return {"dims": level.dims, "solve": level.report.to_json_dict(), "start": level.start,
+            "coarse_solves": level.coarse_solves, "graph": graph, "checks": checks}
 
 
 def run_scenario(config: ScenarioConfig, *, scenario_name: str | None = None,
@@ -617,8 +623,10 @@ def run_scenario(config: ScenarioConfig, *, scenario_name: str | None = None,
                  ) -> RunReport:
     """Solve one scenario, run its checks, and assemble the report.
 
-    ``refine`` adds companion runs with every axis doubled per level; a
-    Newton companion starts from the level before it.
+    Every grid of :func:`_ladder` is solved in turn, coarsest first, each
+    Newton solve from the one before it.  The report is that of ``config``
+    itself, with the ``refine`` companions, every axis doubled per level,
+    as its ``refinements``.
     ``seed_override`` replaces the seed of a ``random(...)`` initial field;
     PCG64 takes only non-negative seeds, so a negative one is rejected.
     ``dump_dir`` writes final height and residual fields as CSV, unless
@@ -628,30 +636,28 @@ def run_scenario(config: ScenarioConfig, *, scenario_name: str | None = None,
         raise ValidationError(f"seed must be a non-negative integer, got {seed_override}")
     _check_budget(config.grid.dims, refine)
     start = time.perf_counter()
-    body, base = _run_once(config, seed_override)
-
-    refinements = []
-    level = base
-    for k in range(1, refine + 1):
-        refined = _resized_config(config, [n * 2**k for n in config.grid.dims])
-        sub_body, level = _run_once(refined, seed_override, coarse=level)
-        refinements.append({
-            "dims": refined.normalized["fiber"]["dims"],
-            "solve": level.report.to_json_dict(),
-            "start": level.start,
-            "coarse_solves": level.coarse_solves,
-            "graph": sub_body["graph"],
-            "checks": sub_body["checks"],
-        })
+    ladder = _ladder(config, refine)
+    reported = len(ladder) - 1 - refine  # the index of config itself
+    level, sections = None, []
+    for index, rung in enumerate(ladder):
+        level = _solve_level(rung, seed_override, level)
+        if index == reported:
+            base = level
+        if index >= reported:
+            sections.append(_section(rung, level))
 
     if dump_dir is not None and base.state is not None:
         os.makedirs(dump_dir, exist_ok=True)
         dump_field_csv(base.state.height, os.path.join(dump_dir, "height.csv"))
         dump_field_csv(base.state.residual, os.path.join(dump_dir, "residual.csv"))
 
+    head, *refinements = sections
+    observed = base.report.verdict.value
+    expectation = {"expected": config.expect, "observed": observed,
+                   "matched": observed == config.expect}
     wall = time.perf_counter() - start
-    return RunReport(scenario_name, config.normalized, base.report, base.start,
-                     base.coarse_solves, body["graph"], body["checks"], body["expectation"],
+    return RunReport(scenario_name, config.normalized, base.report, head["start"],
+                     head["coarse_solves"], head["graph"], head["checks"], expectation,
                      refinements, wall)
 
 

@@ -8,7 +8,6 @@ checks or an outcome that contradicts the declared expectation.
 import dataclasses
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from pmclab import (
     ScalarField,
     SolveOptions,
     cli,
+    flow_solve,
     geometry,
     newton_solve,
     scenarios,
@@ -191,6 +191,25 @@ def test_checks_that_cannot_run_on_the_declared_fiber():
         parse_config(_cfg(H_target="0.1", checks=["superharmonic"]))
     with pytest.raises(ValidationError, match="constant warping"):
         parse_config(_disk_cfg(warping="1+0.1*x1", checks=["superharmonic"]))
+
+
+@pytest.mark.parametrize("kind,dims,named", [
+    ("torus2d", [8, 8, 8], 2),
+    ("torus3d_lifted", [8, 8], 3),
+])
+def test_a_torus_kind_that_contradicts_its_dims_exits_2(tmp_path, capsys, kind, dims, named):
+    text = json.dumps({"fiber": {"kind": kind, "dims": dims}})
+    with pytest.raises(ValidationError,
+                       match=f"fiber kind '{kind}' needs {named} dims, got {len(dims)}"):
+        parse_config(text)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 2
+    assert f"'{kind}' needs {named} dims, got {len(dims)}" in capsys.readouterr().err
+    # the plain kind picks by dims, and the echo names the kind it picked
+    plain = parse_config(json.dumps({"fiber": {"kind": "torus", "dims": dims}}))
+    assert plain.normalized["fiber"]["kind"] == ("torus2d" if len(dims) == 2 else "torus3d_lifted")
+    assert parse_config(plain.echo_json()).echo_json() == plain.echo_json()
 
 
 def test_superharmonic_on_a_3d_torus_exits_2_at_parse(tmp_path, capsys):
@@ -560,6 +579,14 @@ def test_report_counts_every_factorization(name, solver, counts):
                                else "initial")
 
 
+def _sequenced(config):
+    """The config's own level, solved after every coarser level of its ladder."""
+    level = None
+    for rung in scenarios._ladder(config, 0):
+        level = scenarios._solve_level(rung, None, level)
+    return level
+
+
 def _direct_newton(config):
     """Newton from the config's own initial field, with no coarser level."""
     u0 = ScalarField(config.grid, config.initial_values())
@@ -575,7 +602,7 @@ def _direct_newton(config):
 ], ids=["hyperbolic_counterexample", "random_torus"])
 def test_a_sequenced_solve_ends_where_a_direct_one_does(text):
     config = parse_config(text)
-    level = scenarios._solve_config(config, None)
+    level = _sequenced(config)
     assert level.start == "coarse"
     assert level.report.verdict.value == "converged"
     state, report = _direct_newton(config)
@@ -587,9 +614,9 @@ def test_a_kept_factor_that_fails_its_cycle_is_rebuilt(monkeypatch):
     # one Krylov iteration cannot carry a Jacobian on another's factor, so
     # every step refactors and takes the path of a fresh factor per step
     config = scenarios._resized_config(builtin_config("hyperbolic_counterexample"), [16, 32])
-    kept = scenarios._solve_config(config, None)
+    kept = _sequenced(config)
     monkeypatch.setattr(solver, "_KRYLOV_RESTART", 1)
-    rebuilt = scenarios._solve_config(config, None)
+    rebuilt = _sequenced(config)
     assert rebuilt.report.factorizations == rebuilt.report.iterations > 1
     assert rebuilt.report.verdict == kept.report.verdict == "converged"
     assert rebuilt.report.iterations == kept.report.iterations
@@ -683,6 +710,23 @@ def test_refinement_companions_start_from_the_level_before():
         below = record["coarse_solves"]
 
 
+def test_a_flow_ladder_starts_every_level_from_initial(monkeypatch):
+    calls = []
+
+    def counting_flow(*args, **kwargs):
+        calls.append(args[2].grid.dims)
+        return flow_solve(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "flow_solve", counting_flow)
+    config = parse_config(_cfg(fiber={"kind": "torus", "dims": [16, 16]},
+                               warping="1+0.3*cos(x1)", initial="0.2*sin(x1)",
+                               solver={"method": "flow", "t_max": 1.0}))
+    report = run_scenario(config, refine=2).to_json_dict()
+    assert calls == [(16, 16), (32, 32), (64, 64)]
+    for level in [report, *report["refinements"]]:
+        assert (level["start"], level["coarse_solves"]) == ("initial", [])
+
+
 @pytest.mark.parametrize("method", ["newton", "flow"])
 def test_a_lost_height_fails_every_check_and_reads_no_angle(tmp_path, capsys, method):
     # the final height cannot be represented, so the solver hands back a
@@ -713,6 +757,38 @@ def test_a_check_beyond_the_float_range_fails_after_the_solve(tmp_path, capsys, 
     assert report["solve"]["verdict"] == "converged"
     entry = report["checks"][check]
     assert entry["pass"] is False and "must stay positive" in entry["precondition"]
+
+
+@pytest.mark.parametrize("warping,check", [
+    ("1e80", "conformal_laplacian"),
+    ("1e-78", "conformal_laplacian"),
+    ("1e-78", "superharmonic"),
+])
+def test_a_check_that_leaves_the_float_range_says_so_without_a_warning(
+        tmp_path, capsys, warping, check):
+    # h^4 overflows, or the circle lift divides by an underflowed factor;
+    # numpy must not warn, and the entry must keep the field's own message
+    config = tmp_path / "run.json"
+    config.write_text(_cfg(warping=warping, checks=[check]))
+    assert main(["solve", str(config)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    entry = _strict_report(captured.out)["checks"][check]
+    assert entry["pass"] is False
+    assert entry["precondition"].startswith("the check's arithmetic left the float range: ")
+    assert "non-finite value" in entry["precondition"]
+
+
+def test_a_tiny_warping_reads_its_graph_angle_without_overflow(tmp_path, capsys):
+    # 1/(h W) overflows for h = 5e-324, but the angle h/W does not
+    config = tmp_path / "run.json"
+    config.write_text(_cfg(warping="5e-324"))
+    assert main(["solve", str(config)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = _strict_report(captured.out)
+    assert report["solve"]["verdict"] == "converged"
+    assert report["graph"] == {"theta_min": 5e-324, "theta_max": 5e-324}
 
 
 def test_a_lost_height_dumps_no_fields(tmp_path):
@@ -849,7 +925,7 @@ def test_negative_refine_is_rejected(tmp_path, capsys):
 
 def test_negative_seed_is_rejected_before_any_run(monkeypatch):
     # PCG64 takes no negative seed; the run must not start to find that out
-    monkeypatch.setattr(scenarios, "_run_once", lambda *args: pytest.fail("a run started"))
+    monkeypatch.setattr(scenarios, "_solve_level", lambda *args: pytest.fail("a run started"))
     with pytest.raises(ValidationError, match="non-negative integer, got -1"):
         run_scenario(parse_config(_cfg(initial="random(1, 0.1)")), seed_override=-1)
 
@@ -924,28 +1000,12 @@ def test_emit_writes_non_finite_numbers_as_strings(tmp_path):
     }
 
 
-@pytest.mark.parametrize("cpus,workers", [(2, 2), (8, 3), (None, 1)])
-def test_cli_parallel_pool_is_capped_by_the_cpu_count(monkeypatch, tmp_path, cpus, workers):
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    out = tmp_path / "reports.json"
-    assert main(["scenario", *["obstruction_torus"] * 3, "--parallel", "--out", str(out)]) == 0
-    assert sizes == [workers]
+def test_cli_scenarios_take_no_parallel_flag(capsys):
+    # scenarios run one after another; the retired flag is an unknown option
+    with pytest.raises(SystemExit) as exit_info:
+        main(["scenario", "obstruction_torus", "--parallel"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
 
 def test_cli_unknown_scenario_exits_2(capsys):
@@ -977,9 +1037,9 @@ def test_cli_expectation_mismatch_exits_4(tmp_path):
     }
 
 
-def test_cli_scenarios_in_parallel_with_field_dumps(tmp_path):
+def test_cli_scenarios_with_field_dumps(tmp_path):
     out = tmp_path / "reports.json"
-    code = main(["scenario", "obstruction_torus", "ricci_sign", "--parallel",
+    code = main(["scenario", "obstruction_torus", "ricci_sign",
                  "--dump-fields", str(tmp_path / "fields"), "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
@@ -988,16 +1048,6 @@ def test_cli_scenarios_in_parallel_with_field_dumps(tmp_path):
         0.1 * 2.0 * 4.0 * math.pi**2)
     for name in ("obstruction_torus", "ricci_sign"):
         assert (tmp_path / "fields" / name / "height.csv").exists()
-
-
-def test_cli_parallel_reports_match_sequential_ones(tmp_path):
-    texts = []
-    for flags in ([], ["--parallel"]):
-        out = tmp_path / f"reports{len(flags)}.json"
-        assert main(["scenario", "identities", "ricci_sign", "obstruction_torus",
-                     "--refine", "1", *flags, "--out", str(out)]) == 0
-        texts.append(re.sub(r'"wall_time_s": [^\n]*', '"wall_time_s"', out.read_text()))
-    assert texts[0] == texts[1]
 
 
 def test_cli_remaining_bundled_scenarios_exit_zero(tmp_path):
