@@ -4,11 +4,11 @@ Subcommands: ``solve`` runs a JSON config file, ``scenario`` runs one or
 more bundled scenarios by name, one after another, ``verify`` runs the
 identity/refinement battery.  Reports are emitted as JSON (stdout or
 ``--out``).  Exit codes: 0 when the outcome matched the scenario's
-expectation and every check passed, 2 for validation problems
-(including a config file that cannot be read as UTF-8, formulas nested
-too deeply, a torus kind that contradicts its dims, a negative
-``--refine`` or ``--seed``, an unknown option, and grids or refinements
-over the node budget), 3 when the solver diverged or ran out of iterations, 4 for failed checks or a
+expectation and every check passed, 2 for validation problems (a config
+file that cannot be read as UTF-8, formulas nested too deeply, a torus
+kind that contradicts its dims, a negative ``--refine`` or ``--seed``,
+grids or refinements over the node budget, an unknown option), 3 when
+the solver diverged or ran out of iterations, 4 for failed checks or a
 verdict that contradicts the expectation.  Reports are strict JSON:
 non-finite numbers are written as the strings ``"inf"``, ``"-inf"`` and
 ``"nan"``.  No environment variables are consulted.

@@ -500,7 +500,18 @@ class RunReport:
     wall_time_s: float
 
     def to_json_dict(self) -> dict:
-        return {**vars(self), "solve": self.solve.to_json_dict()}
+        return {
+            "scenario": self.scenario,
+            "config": self.config,
+            "solve": self.solve.to_json_dict(),
+            "start": self.start,
+            "coarse_solves": self.coarse_solves,
+            "graph": self.graph,
+            "checks": self.checks,
+            "expectation": self.expectation,
+            "refinements": self.refinements,
+            "wall_time_s": self.wall_time_s,
+        }
 
     def exit_code(self) -> int:
         if self.solve.verdict in (Verdict.diverged, Verdict.max_iter):
@@ -513,12 +524,12 @@ class RunReport:
 
 
 class _Level(NamedTuple):
-    """One solved grid: its dims, final state and report, how it started, and the levels below.
+    """One solved grid: its config, final state and report, how it started, and the levels below.
 
     The state is None when the solve lost its height (see :func:`newton_solve`).
     """
 
-    dims: list
+    config: ScenarioConfig
     state: GraphState | None
     report: SolveReport
     start: str
@@ -527,7 +538,7 @@ class _Level(NamedTuple):
     def below_next(self) -> list:
         """The ``coarse_solves`` of the next finer level: these plus this one."""
         return self.coarse_solves + [{
-            "dims": self.dims, "verdict": self.report.verdict.value,
+            "dims": list(self.config.grid.dims), "verdict": self.report.verdict.value,
             "iterations": self.report.iterations,
             "factorizations": self.report.factorizations,
             "krylov_iterations": self.report.krylov_iterations,
@@ -587,11 +598,10 @@ def _solve_level(config: ScenarioConfig, seed_override: int | None,
     ``initial`` and lists no levels below.
     """
     u0 = config.initial_values(seed_override)
-    dims = list(config.grid.dims)
     if config.method == "flow":
         state, report = flow_solve(config.warped, config.target, ScalarField(config.grid, u0),
                                    config.solver_opts, t_max=config.t_max)
-        return _Level(dims, state, report, "initial", [])
+        return _Level(config, state, report, "initial", [])
     below, start = [], "initial"
     if previous is not None:
         below = previous.below_next()
@@ -599,23 +609,20 @@ def _solve_level(config: ScenarioConfig, seed_override: int | None,
             u0, start = _coarse_start(config, previous.state, u0), "coarse"
     state, report = newton_solve(config.warped, config.target, ScalarField(config.grid, u0),
                                  config.solver_opts)
-    return _Level(dims, state, report, start, below)
+    return _Level(config, state, report, start, below)
 
 
-def _section(config: ScenarioConfig, level: _Level) -> dict:
-    """The report of one solved grid: its solve, start, levels below, graph angle and checks."""
-    state = level.state
+def _observe(level: _Level) -> dict:
+    """What one solved grid reports beyond its solve: the graph angle range and the checks."""
+    state, checks = level.state, level.config.checks
     if state is None:
-        graph = {"theta_min": math.nan, "theta_max": math.nan}
-        checks = {name: {"precondition": "the solve left no representable height to check",
-                         "pass": False} for name in config.checks}
-    else:
-        # the angle function h/W; the vertical normal 1/(h W) may overflow
-        angle = state.kernel.h / state.W
-        graph = {"theta_min": float(angle.min()), "theta_max": float(angle.max())}
-        checks = {name: _run_check(name, state, config) for name in config.checks}
-    return {"dims": level.dims, "solve": level.report.to_json_dict(), "start": level.start,
-            "coarse_solves": level.coarse_solves, "graph": graph, "checks": checks}
+        return {"graph": {"theta_min": math.nan, "theta_max": math.nan},
+                "checks": {name: {"precondition": "the solve left no representable height "
+                                  "to check", "pass": False} for name in checks}}
+    # the angle function h/W; the vertical normal 1/(h W) may overflow
+    angle = state.kernel.h / state.W
+    return {"graph": {"theta_min": float(angle.min()), "theta_max": float(angle.max())},
+            "checks": {name: _run_check(name, state, level.config) for name in checks}}
 
 
 def run_scenario(config: ScenarioConfig, *, scenario_name: str | None = None,
@@ -638,26 +645,28 @@ def run_scenario(config: ScenarioConfig, *, scenario_name: str | None = None,
     start = time.perf_counter()
     ladder = _ladder(config, refine)
     reported = len(ladder) - 1 - refine  # the index of config itself
-    level, sections = None, []
+    level, levels = None, []
     for index, rung in enumerate(ladder):
         level = _solve_level(rung, seed_override, level)
-        if index == reported:
-            base = level
         if index >= reported:
-            sections.append(_section(rung, level))
+            levels.append(level)
+    base, *above = levels
 
     if dump_dir is not None and base.state is not None:
         os.makedirs(dump_dir, exist_ok=True)
         dump_field_csv(base.state.height, os.path.join(dump_dir, "height.csv"))
         dump_field_csv(base.state.residual, os.path.join(dump_dir, "residual.csv"))
 
-    head, *refinements = sections
+    refinements = [{"dims": list(level.config.grid.dims), "solve": level.report.to_json_dict(),
+                    "start": level.start, "coarse_solves": level.coarse_solves, **_observe(level)}
+                   for level in above]
+    seen = _observe(base)
     observed = base.report.verdict.value
     expectation = {"expected": config.expect, "observed": observed,
                    "matched": observed == config.expect}
     wall = time.perf_counter() - start
-    return RunReport(scenario_name, config.normalized, base.report, head["start"],
-                     head["coarse_solves"], head["graph"], head["checks"], expectation,
+    return RunReport(scenario_name, config.normalized, base.report, base.start,
+                     base.coarse_solves, seen["graph"], seen["checks"], expectation,
                      refinements, wall)
 
 
