@@ -7,13 +7,17 @@ Two drivers share one residual:
   matrices of the grid.  Its stencil never changes: each problem builds
   one map from the product's node coefficients onto one fixed sparse
   pattern, and each step computes the coefficients and applies the map.
-  Each step is solved by GMRES preconditioned by a sparse LU factor
-  kept across steps: it first tries the factor of an earlier Jacobian,
-  and a new factor is built only when that fails.  On closed fibers the
-  equation only sees the centered differences of ``u``, so the constants
-  and the fields alternating in sign along each even axis span a known
-  null space; the factor comes from a companion in which one grid cell
-  pins those modes, and each step is then made free of them, hence
+  Each step is solved by GMRES.  On a disk it is preconditioned by the
+  exact inverse of the Jacobian's averaged stencil: averaged over the
+  angle, the entries give one band matrix in the radius per angular
+  mode, inverted by an FFT in angle and a banded elimination in radius,
+  so no factor is built while that carries the step.  On closed fibers
+  the equation only sees the centered differences of ``u``, so the
+  constants and the fields alternating in sign along each even axis
+  span a known null space; the step comes from a companion in which one
+  grid cell pins those modes, preconditioned by a sparse LU factor kept
+  across steps (the factor of an earlier companion first, a new factor
+  only when that fails), and is then made free of them, hence
   mean-free.  The companion, like the flow's ``I - dt J``, is an edit
   of the Jacobian's entries on the same pattern.
   Non-existence is declared before iterating when the warping is
@@ -23,13 +27,13 @@ Two drivers share one residual:
   equilibria are exactly the solved graphs, taken in linearly implicit
   (Rosenbrock-Euler) steps on the same Jacobian, with at most 16 steps
   to ``t_max`` and the residual judging each one.  Each step is solved
-  by the same kept-preconditioner GMRES as Newton's.  On closed fibers
-  that first tries the exact inverse of the averaged stencil of
-  ``I - dt J``, two FFTs, so a torus flow builds no factor while one
-  restart cycle carries each step; a disk, or a step that cycle misses,
-  takes the kept-factor path.  Each step is then corrected along the
-  constants so that on obstructed problems the mean height drifts at
-  the rate fixed by mass balance, which the report records.
+  by the same GMRES as Newton's, on every fiber preconditioned by the
+  exact inverse of the averaged stencil of ``I - dt J`` (two FFTs on a
+  torus), so a flow builds no factor while that carries each step; a
+  step it misses takes the kept-factor path.  Each step is then
+  corrected along the constants so that on obstructed problems the mean
+  height drifts at the rate fixed by mass balance, which the report
+  records.
 
 Dirichlet grids keep their pinned ring as data: packing strips it from
 the unknown vector and every update leaves it untouched.
@@ -66,10 +70,6 @@ class Verdict(str, Enum):
 
 
 _MACHINE_EPS = float(np.finfo(np.float64).eps)
-# Central differencing balances truncation against rounding near the cube
-# root of machine epsilon; this keeps the Jacobian action accurate enough
-# that its own error stays below the O(eps^2) comparisons made against it.
-_FD_STEP = _MACHINE_EPS ** (1.0 / 3.0)
 _STAGNATION_LIMIT = 10
 # Newton's line search: the Armijo sufficient-decrease constant, and the
 # shortest step it tries before a step counts as stagnated.
@@ -78,7 +78,7 @@ _MIN_STEP = 1e-6
 # GMRES on Newton's companion or the flow's I - dt J stops at this relative
 # residual, within this many iterations in all: one or two with the factor of
 # its own matrix, a handful with one kept from an earlier step or trial or
-# with the inverse of a torus flow matrix's averaged stencil.
+# with the inverse of the matrix's averaged stencil.
 _LINEAR_RTOL = 1e-8
 _MAX_LINEAR = 2000
 # The flow's step control: a step is at most t_max / _FLOW_MIN_STEPS, and a
@@ -89,9 +89,11 @@ _FLOW_MAX_TRIALS = 64
 # singular and a Krylov step can come back astronomically long; capping
 # its sup norm keeps failing iterates inspectable instead of overflowing.
 _STEP_CAP_FACTOR = 20.0
-# A short restart keeps the Krylov basis small beside the factor.  A kept
-# preconditioner gets one cycle of this length, and a fresh factor gets
-# restarts up to _MAX_LINEAR iterations in all.
+# A short restart keeps the Krylov basis small beside the preconditioner.  A
+# factor kept from an earlier matrix gets one cycle of this length; the
+# preconditioners built from the solved matrix itself, the inverse of its
+# averaged stencil and then a fresh factor, share restarts up to _MAX_LINEAR
+# iterations in all.
 _KRYLOV_RESTART = 20
 
 
@@ -125,11 +127,12 @@ class SolveReport:
     rate equal to ``n * integral(H) / Vol``.  ``obstruction_witness`` is
     set only when non-existence was declared analytically.
     ``factorizations`` counts the sparse LU factors the solve built: one
-    for the first linear solve, Newton step or flow trial, and one more
-    for each later one that the kept factor did not carry (see
-    :meth:`_Problem.kept_solve`).  A torus flow builds none while the
-    inverse of its averaged stencil carries each trial in one GMRES
-    cycle.  ``krylov_iterations`` counts the
+    for each linear solve, Newton step or flow trial, that neither a
+    factor kept from an earlier one nor the inverse of its matrix's
+    averaged stencil carried (see :meth:`_Problem.kept_solve`).  Newton
+    on a torus factors its first pinned companion; a flow, and Newton on
+    a disk, build none while the averaged stencil's inverse carries each
+    solve.  ``krylov_iterations`` counts the
     actions of the solved matrix (Newton's companion or the flow's
     ``I - dt J``) that GMRES took, those of failed cycles too.
     """
@@ -161,10 +164,6 @@ class SolveReport:
         if self.obstruction_witness is not None:
             out["obstruction_witness"] = self.obstruction_witness
         return out
-
-
-class _ResidualBlewUp(Exception):
-    """Internal: a trial residual left the representable range."""
 
 
 def remove_null_modes(grid: FiberGrid, delta: np.ndarray) -> np.ndarray:
@@ -237,19 +236,6 @@ class _Problem:
         full[self.mask] = dof
         return full.reshape(self.grid.shape)
 
-    def jacobian_action(self, u_arr: np.ndarray, dof: np.ndarray) -> np.ndarray:
-        """Central difference of the packed residual along ``dof``, unprojected."""
-        vn = float(np.abs(dof).max()) if dof.size else 0.0
-        if vn == 0.0:
-            return np.zeros_like(dof)
-        eps = _FD_STEP * (1.0 + float(np.abs(u_arr).max())) / max(vn, 1e-30)
-        step = eps * self.scatter(dof)
-        rp = self.residual_full(u_arr + step)
-        rm = self.residual_full(u_arr - step)
-        if rp is None or rm is None:
-            raise _ResidualBlewUp
-        return self.pack(rp - rm) / (2.0 * eps)
-
     @cached_property
     def _assembly(self) -> _Assembly:
         """The Jacobian's pattern and the map onto it, built on first use.
@@ -301,20 +287,6 @@ class _Problem:
         pinned[self._pinned] = True
         return _Assembly(coeff_map, indices, indptr, np.flatnonzero(row_of == indices),
                          np.flatnonzero(pinned[row_of] | pinned[indices]))
-
-    @cached_property
-    def _offsets(self) -> np.ndarray | None:
-        """Each pattern entry's periodic offset ``(j - i) mod shape``, as a flat node index.
-
-        Built on the first flow step of a closed fiber, where every node is
-        an unknown, so rows and columns are node indices.  A disk gives None.
-        """
-        if not self.grid.closed:
-            return None
-        asm, shape = self._assembly, self.grid.shape
-        rows = np.repeat(np.arange(self.n_dof), np.diff(asm.indptr))
-        step = np.subtract(np.unravel_index(asm.indices, shape), np.unravel_index(rows, shape))
-        return np.ravel_multi_index(tuple(step % np.array(shape)[:, None]), shape)
 
     def _on_pattern(self, data: np.ndarray) -> csr_matrix:
         """A matrix over the unknowns with ``data`` on the shared pattern."""
@@ -378,27 +350,28 @@ class _Problem:
         so its solution vanishes on the pinned cell and meets every other
         row.  It is a copy of ``jac``'s entries on the shared pattern with
         the pinned rows and columns zeroed and their diagonal set to 1, and
-        is solved by :meth:`kept_solve`.
+        is solved by :meth:`kept_solve`.  Where nothing is pinned (a disk)
+        the companion is ``jac`` itself, and the solve is handed the
+        inverse of its averaged stencil (:meth:`_averaged_inverse`).
         """
+        if not self._pinned.size:
+            return self.kept_solve(jac, -f_dof, self._averaged_inverse(jac.data))
         free = np.ones(self.n_dof)
         free[self._pinned] = 0.0
-        companion = jac
-        if self._pinned.size:
-            asm = self._assembly
-            data = jac.data.copy()
-            data[asm.pinned] = 0.0
-            data[asm.diagonal[self._pinned]] = 1.0
-            companion = self._on_pattern(data)
-        return self.kept_solve(companion, -free * f_dof)
+        asm = self._assembly
+        data = jac.data.copy()
+        data[asm.pinned] = 0.0
+        data[asm.diagonal[self._pinned]] = 1.0
+        return self.kept_solve(self._on_pattern(data), -free * f_dof)
 
     def flow_step(self, jac: csr_matrix, dt: float, f_dof: np.ndarray) -> np.ndarray:
         """The Rosenbrock-Euler step: ``(I - dt J) delta = dt F``, or NaN when unsolved.
 
         ``I - dt J`` is ``-dt`` times ``jac``'s entries plus 1 on the
         diagonal, on the shared pattern.  The step comes from
-        :meth:`kept_solve`, which on a closed fiber first tries the inverse
-        of the matrix's averaged stencil (:meth:`_fourier_inverse`), so a
-        torus flow builds no factor while that carries its steps.  Then
+        :meth:`kept_solve`, handed the inverse of the matrix's averaged
+        stencil (:meth:`_averaged_inverse`), so a flow builds no factor
+        while that carries its steps.  Then
         one exact correction along the constants makes its
         ``sqrt_det``-weighted residual vanish to rounding:
         ``delta += (s.r) / (s.(A 1))`` with ``A = I - dt J``, ``s`` the
@@ -412,63 +385,121 @@ class _Problem:
         data[self._assembly.diagonal] += 1.0
         matrix = self._on_pattern(data)
         rhs = dt * f_dof
-        delta, info = self.kept_solve(matrix, rhs, self._fourier_inverse(data))
+        delta, info = self.kept_solve(matrix, rhs, self._averaged_inverse(data))
         if info != 0:
             return np.full(self.n_dof, np.nan)
         s = self.pack(self.kernel.sqrt_det)
         delta += (s @ (rhs - matrix @ delta)) / (s @ (matrix @ np.ones(self.n_dof)))
         return delta
 
-    def _fourier_inverse(self, data: np.ndarray):
+    @cached_property
+    def _stencil(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Each pattern entry's place in the averaged stencil, and the stencil's shape.
+
+        The shape is ``(rings, 2 b + 1, *periodic)``.  Along each periodic
+        axis an entry is placed by its offset ``(j - i) mod n``.  A disk's
+        unknowns are every ring but the pinned rim, and its entries are
+        also placed by the ring of their row and by their radial offset,
+        which lies in ``-b..b`` with ``b`` = 2: the across-center pair
+        joins ring 0 to rings 0 and 1 half a turn away, inside the band.
+        A torus is one ring with ``b`` = 0.
+        """
+        asm, periodic = self._assembly, self.grid.periodic_axes
+        dims = tuple(n if p else n - 1 for n, p in zip(self.grid.shape, periodic))
+        rows = np.unravel_index(np.repeat(np.arange(self.n_dof), np.diff(asm.indptr)), dims)
+        step = np.subtract(np.unravel_index(asm.indices, dims), rows)
+        wrapped = [o % n for o, n, p in zip(step, dims, periodic) if p]
+        ring, radial, rings, band = 0, 0, 1, 0
+        if not self.grid.closed:
+            ring, radial, rings = rows[0], step[0], dims[0]
+            band = int(np.abs(radial).max())
+        shape = (rings, 2 * band + 1, *(n for n, p in zip(dims, periodic) if p))
+        return np.ravel_multi_index((ring, radial + band, *wrapped), shape), shape
+
+    def _averaged_inverse(self, data: np.ndarray):
         """The exact inverse of the averaged stencil of ``data`` on the pattern, or None.
 
-        Averaging each periodic offset's entries over the grid gives a
-        stencil ``w`` whose operator, ``x -> sum_o w[o] x[. + o]``, is
-        diagonal in the Fourier modes with symbol ``conj(rfftn(w))``;
-        dividing by it inverts that operator in two FFTs.  For ``I - dt J``
-        the symbol's real part is at least 1, up to rounding.  A disk has
-        no periodic offsets, and a symbol that is zero or not finite gives
+        Averaging each entry over the periodic axes, placed as in
+        :meth:`_stencil`, gives weights ``w[r, o]`` on ring ``r`` and
+        offset ``o``, and an operator
+        ``x[r] -> sum_o w[r, o] x[r + o_ring][. + o_periodic]`` that
+        commutes with every periodic shift.  So each Fourier mode along
+        the periodic axes is mapped to itself, through a band matrix in
+        the ring index whose entries are ``conj(rfftn(w))``.  Pivot-free
+        elimination of those bands runs over all modes at once, ring by
+        ring.  On a torus the band is one entry, and the inverse is two
+        FFTs and a division.  A pivot that is zero or not finite gives
         None.
         """
-        offsets = self._offsets
-        if offsets is None:
+        keys, shape = self._stencil
+        rings, width, *periodic = shape
+        band = width // 2
+        stencil = np.bincount(keys, weights=data, minlength=math.prod(shape)) / math.prod(periodic)
+        bands = np.conj(np.fft.rfftn(stencil.reshape(shape), axes=tuple(range(2, len(shape)))))
+        # ring r is row b + r, between b zero rows on either side; the row of
+        # ring k + s holds column k at b - s and columns k + 1..k + b from b - s + 1
+        lu = np.zeros((rings + 2 * band, *bands.shape[1:]), dtype=complex)
+        lu[band:band + rings] = bands
+        s = np.arange(1, band + 1)
+        below, right = (s, band - s), (s[:, None], band - s[:, None] + s)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for k in range(band, band + rings):
+                rows = lu[k:k + band + 1]
+                rows[below] /= rows[0, band]
+                rows[right] -= rows[below][:, None] * rows[0, band + 1:]
+        ring = np.arange(rings)[:, None]
+        pivots = lu[band:band + rings, band]
+        # ring k's multiples of the b rings below it, and its entries in the b rings above
+        lower, above = lu[band + ring + s, band - s], lu[ring + s - 1, 2 * band + 1 - s]
+        if not (np.isfinite(lu).all() and pivots.all()):
             return None
-        shape, axes = self.grid.shape, tuple(range(self.grid.ndim))
-        stencil = np.bincount(offsets, weights=data, minlength=self.n_dof) / self.n_dof
-        symbol = np.conj(np.fft.rfftn(stencil.reshape(shape), axes=axes))
-        if not (np.isfinite(symbol).all() and symbol.all()):
-            return None
+        axes = tuple(range(1, len(shape) - 1))
 
         def inverse(z):
-            modes = np.fft.rfftn(z.reshape(shape), axes=axes) / symbol
-            return np.fft.irfftn(modes, s=shape, axes=axes).ravel()
+            y = np.zeros(lu.shape[:1] + lu.shape[2:], dtype=complex)
+            y[band:band + rings] = np.fft.rfftn(z.reshape(rings, *periodic), axes=axes)
+            for k in range(rings):
+                y[band + k + 1:2 * band + k + 1] -= lower[k] * y[band + k]
+            for k in reversed(range(rings)):
+                y[band + k] /= pivots[k]
+                y[k:band + k] -= above[k] * y[band + k]
+            return np.fft.irfftn(y[band:band + rings], s=periodic, axes=axes).ravel()
 
         return inverse
 
-    def kept_solve(self, matrix, rhs: np.ndarray, fourier=None) -> tuple[np.ndarray, int]:
+    def kept_solve(self, matrix, rhs: np.ndarray, averaged=None) -> tuple[np.ndarray, int]:
         """Solve ``matrix @ x = rhs`` on the kept preconditioner; returns ``(x, info)``.
 
         GMRES runs on ``matrix``, right-preconditioned, to a relative
-        residual of ``_LINEAR_RTOL``.  The kept preconditioner is the LU
-        factor kept from an earlier solve or, while none is kept, the
-        ``fourier`` inverse that the flow passes on closed fibers; it gets
-        one restart cycle.  When that falls short the factor is dropped and
-        the factor of ``matrix`` itself, kept from then on, gets up to
-        ``_MAX_LINEAR`` iterations.  ``info`` is that last GMRES run's own
-        (0 when converged).  A singular matrix gives ``x`` of NaN.
+        residual of ``_LINEAR_RTOL``, in restart cycles of
+        ``_KRYLOV_RESTART``.  An LU factor kept from an earlier matrix gets
+        one cycle.  Preconditioners built from ``matrix`` itself share
+        restarts up to ``_MAX_LINEAR`` iterations in all: while no factor
+        is kept, ``averaged``, the inverse of the averaged stencil of
+        ``matrix`` that the caller may pass, runs first; when the one
+        tried falls short, the factor of ``matrix``, kept from then on,
+        gets what is left, and at least one cycle.  ``info`` is the last
+        GMRES run's own (0 when converged).  A singular matrix gives ``x``
+        of NaN.
         """
         restart = min(_KRYLOV_RESTART, _MAX_LINEAR)
-        kept = fourier if self.lu is None else self.lu.solve
-        if kept is not None:
-            x, info = self._gmres(matrix, rhs, kept, restart, 1)
+        budget = _MAX_LINEAR
+        if self.lu is not None:
+            x, info = self._gmres(matrix, rhs, self.lu.solve, restart, 1)
             if info == 0:
                 return x, info
             self.lu = None  # dropped before its successor is built, not beside it
+        elif averaged is not None:
+            start = self.krylov_iterations
+            x, info = self._gmres(matrix, rhs, averaged, restart, -(-budget // restart))
+            if info == 0:
+                return x, info
+            budget -= self.krylov_iterations - start
         self.lu = _factor(matrix)
         self.factorizations += 1
         if self.lu is None:
             return np.full(self.n_dof, np.nan), 0
-        return self._gmres(matrix, rhs, self.lu.solve, restart, -(-_MAX_LINEAR // restart))
+        return self._gmres(matrix, rhs, self.lu.solve, restart, max(1, -(-budget // restart)))
 
     def _gmres(self, matrix, rhs: np.ndarray, precondition, restart: int,
                cycles: int) -> tuple[np.ndarray, int]:
@@ -541,10 +572,12 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
 
     Each step assembles the exact sparse Jacobian (see
     :meth:`_Problem.jacobian`) and solves for the step by GMRES on its
-    pinned companion, preconditioned by the LU factor of an earlier
-    step's companion while one restart cycle suffices and by its own
-    otherwise (see :meth:`_Problem.linear_step`); :func:`remove_null_modes`
-    then makes the step mean-free on closed fibers.  Damping is Armijo backtracking on
+    pinned companion (see :meth:`_Problem.linear_step`): on a disk,
+    preconditioned by the inverse of the Jacobian's averaged stencil; on
+    a closed fiber, by the LU factor of an earlier step's companion while
+    one restart cycle suffices and by its own otherwise.
+    :func:`remove_null_modes` then makes the step mean-free on closed
+    fibers.  Damping is Armijo backtracking on
     half the squared residual norm.  Verdicts: ``converged`` (sup residual
     at or below ``tol_abs``), ``obstructed`` (declared from the
     compatibility witness before iterating, or after ten consecutive steps
@@ -653,10 +686,10 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
 
     Each step is Rosenbrock-Euler, ``(I - dt J) delta = dt F(u)`` on the
     unknowns, with the exact Jacobian ``J`` of :meth:`_Problem.jacobian`,
-    solved by :meth:`_Problem.flow_step` in one GMRES cycle on a kept
-    preconditioner: on a torus, while no factor is kept, the inverse of
-    the averaged stencil of ``I - dt J``, which builds no factor; else
-    the LU factor kept from an earlier trial.  A step is at most
+    solved by :meth:`_Problem.flow_step` by GMRES: while no factor is
+    kept, on the inverse of the averaged stencil of ``I - dt J``, which
+    builds no factor; else in one cycle on the LU factor kept from an
+    earlier trial.  A step is at most
     ``t_max / 16`` and the last one ends the run at ``t_max``.  The
     residual judges each trial: along the exact flow ``F`` solves a linear
     parabolic equation and its sup cannot rise, so a trial that raises it

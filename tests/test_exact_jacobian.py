@@ -9,8 +9,9 @@ order in the step, on every row kind (drift, off-diagonal metric, the
 third axis, the disk's axis ring and the ring next to its rim).  The map
 must give the chain-rule product of the sparse matrices themselves, kept
 here as the oracle, and the matrices that Newton and the flow solve must
-be the ones their formulas name.  The flow's Fourier preconditioner must
-be the exact inverse of a circulant matrix on a torus pattern.
+be the ones their formulas name.  The averaged-stencil preconditioner
+must be the exact inverse of a circulant matrix on a torus pattern and of
+an angle-invariant matrix on a disk pattern.
 """
 
 import os
@@ -138,7 +139,7 @@ def test_companion_and_flow_matrix_are_their_formulas_bit_for_bit(build, monkeyp
     jac = prob.jacobian(u)
     seen = []
 
-    def kept_solve(matrix, rhs, fourier=None):
+    def kept_solve(matrix, rhs, averaged=None):
         seen.append(matrix)
         return np.zeros_like(rhs), 0
 
@@ -163,10 +164,24 @@ def test_fourier_inverse_undoes_a_circulant_matrix_on_the_pattern(build):
     rng = np.random.default_rng(11)
     stencil = 0.02 * rng.standard_normal(prob.n_dof)
     stencil[0] = 1.0
-    data = stencil[prob._offsets]
+    data = stencil[prob._stencil[0]]
     x = rng.standard_normal(prob.n_dof)
-    got = prob._fourier_inverse(data)(prob._on_pattern(data) @ x)
+    got = prob._averaged_inverse(data)(prob._on_pattern(data) @ x)
     assert np.abs(got - x).max() <= 1e-13 * np.abs(x).max()
+
+
+def test_averaged_inverse_undoes_a_theta_invariant_disk_matrix():
+    # at zero height with zero rim data the hyperbolic disk's Jacobian does
+    # not depend on the angle, so it is its own averaged stencil: one band
+    # per angular mode, the across-center pair inside it, and the averaged
+    # inverse must undo the matrix to rounding
+    grid, metric = build_hyperbolic_disk(16, 32, 0.875)
+    wp = WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0))
+    prob = _Problem(wp, ScalarField.constant(grid, 0.0))
+    jac = prob.jacobian(np.zeros(grid.shape))
+    x = np.random.default_rng(12).standard_normal(prob.n_dof)
+    got = prob._averaged_inverse(jac.data)(jac @ x)
+    assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
 
 
 def test_jacobians_of_one_problem_share_one_pattern():

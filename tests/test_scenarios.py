@@ -547,22 +547,24 @@ def test_report_is_deterministic_up_to_wall_time():
 
 
 @pytest.mark.parametrize("name,solver,counts", [
-    # 14 accepted steps and 6 rejected trials on 4 factors: a trial refactors
-    # only when the kept factor's GMRES cycle falls short; the obstructed
-    # torus carries all 16 steps on the inverse of its averaged stencil and
-    # builds no factor.  A flow starts from its formula, with no coarser level
-    ("hyperbolic_counterexample", {"method": "flow", "t_max": 40.0}, (14, 4, [])),
+    # 14 accepted steps and 6 rejected trials with no factor: the inverse of
+    # each trial matrix's averaged stencil carries it, on the disk as on the
+    # obstructed torus's 16 steps.  A flow starts from its formula, with no
+    # coarser level
+    ("hyperbolic_counterexample", {"method": "flow", "t_max": 40.0}, (14, 0, [])),
     ("obstruction_torus", {"method": "flow", "t_max": 5.0}, (16, 0, [])),
-    # newton factors once per level and reuses that factor while one GMRES
-    # cycle suffices; the 8^2 level does the work and every finer level
-    # starts from a solution
+    # newton on a torus factors its pinned companion once per level and
+    # reuses that factor while one GMRES cycle suffices; the 8^2 level does
+    # the work and every finer level starts from a solution
     ("uniqueness_torus", {}, (0, 0, [([8, 8], "converged", 3, 1), ([16, 16], "converged", 0, 0),
                                      ([32, 32], "converged", 0, 0)])),
     # the witness declares the obstruction before any step, with no coarser level
     ("obstruction_torus", {}, (0, 0, [])),
-    ("hyperbolic_counterexample", {}, (3, 1, [([8, 16], "converged", 5, 1),
-                                              ([16, 32], "converged", 3, 1),
-                                              ([32, 64], "converged", 3, 1)])),
+    # nothing is pinned on the disk: the averaged stencil's inverse carries
+    # every newton step of every level, and no level factors
+    ("hyperbolic_counterexample", {}, (3, 0, [([8, 16], "converged", 5, 0),
+                                              ([16, 32], "converged", 3, 0),
+                                              ([32, 64], "converged", 3, 0)])),
 ])
 def test_report_counts_every_factorization(name, solver, counts):
     raw = dict(BUILTIN_SCENARIOS[name], solver=solver, checks=[])
@@ -611,16 +613,40 @@ def test_a_sequenced_solve_ends_where_a_direct_one_does(text):
 
 
 def test_a_kept_factor_that_fails_its_cycle_is_rebuilt(monkeypatch):
-    # one Krylov iteration cannot carry a Jacobian on another's factor, so
-    # every step refactors and takes the path of a fresh factor per step
+    # four iterations cannot carry a disk step on its averaged stencil's
+    # inverse, so steps build factors and later ones keep them; one Krylov
+    # iteration cannot carry a Jacobian on another's factor, so every step
+    # refactors and takes the path of a fresh factor per step
     config = scenarios._resized_config(builtin_config("hyperbolic_counterexample"), [16, 32])
+    monkeypatch.setattr(solver, "_MAX_LINEAR", 4)
     kept = _sequenced(config)
     monkeypatch.setattr(solver, "_KRYLOV_RESTART", 1)
     rebuilt = _sequenced(config)
     assert rebuilt.report.factorizations == rebuilt.report.iterations > 1
     assert rebuilt.report.verdict == kept.report.verdict == "converged"
     assert rebuilt.report.iterations == kept.report.iterations
-    assert kept.report.factorizations == 1
+    assert 1 <= kept.report.factorizations < kept.report.iterations
+
+
+@pytest.mark.parametrize("method", [{}, {"method": "flow", "t_max": 40.0}], ids=["newton", "flow"])
+def test_a_disk_step_the_averaged_inverse_cannot_carry_builds_a_factor(monkeypatch, method):
+    # no bundled disk builds a factor; with four iterations the averaged
+    # stencil's inverse carries no disk step, so the first step factors, a
+    # later one keeps that factor, and the run ends where it did
+    raw = dict(BUILTIN_SCENARIOS["hyperbolic_counterexample"], solver=method, checks=[])
+    config = scenarios._resized_config(parse_config(json.dumps(raw)), [16, 32])
+
+    def levels():
+        report = run_scenario(config).to_json_dict()
+        return report["coarse_solves"] + [report["solve"]]
+
+    averaged = levels()
+    monkeypatch.setattr(solver, "_MAX_LINEAR", 4)
+    factored = levels()
+    assert [level["factorizations"] for level in averaged] == [0] * len(averaged)
+    assert all(1 <= level["factorizations"] < level["iterations"] for level in factored)
+    assert ([(level["verdict"], level["iterations"]) for level in factored]
+            == [(level["verdict"], level["iterations"]) for level in averaged])
 
 
 def test_a_coarse_level_that_diverges_is_recorded_and_not_used(monkeypatch):
