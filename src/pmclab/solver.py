@@ -443,7 +443,7 @@ class _Problem:
         s = np.arange(1, band + 1)
         below, right = (s, band - s), (s[:, None], band - s[:, None] + s)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for k in range(band, band + rings):
+            for k in range(band, band + rings - 1):
                 rows = lu[k:k + band + 1]
                 rows[below] /= rows[0, band]
                 rows[right] -= rows[below][:, None] * rows[0, band + 1:]
@@ -456,14 +456,14 @@ class _Problem:
         axes = tuple(range(1, len(shape) - 1))
 
         def inverse(z):
-            y = np.zeros(lu.shape[:1] + lu.shape[2:], dtype=complex)
-            y[band:band + rings] = np.fft.rfftn(z.reshape(rings, *periodic), axes=axes)
-            for k in range(rings):
-                y[band + k + 1:2 * band + k + 1] -= lower[k] * y[band + k]
-            for k in reversed(range(rings)):
-                y[band + k] /= pivots[k]
-                y[k:band + k] -= above[k] * y[band + k]
-            return np.fft.irfftn(y[band:band + rings], s=periodic, axes=axes).ravel()
+            y = np.fft.rfftn(z.reshape(rings, *periodic), axes=axes)
+            for k in range(rings - 1):
+                y[k + 1:k + band + 1] -= lower[k, :rings - 1 - k] * y[k]
+            for k in range(rings - 1, 0, -1):
+                y[k] /= pivots[k]
+                y[max(k - band, 0):k] -= above[k, max(band - k, 0):] * y[k]
+            y[0] /= pivots[0]
+            return np.fft.irfftn(y, s=periodic, axes=axes).ravel()
 
         return inverse
 
