@@ -11,9 +11,11 @@ Two drivers share one residual:
   exact inverse of the Jacobian's averaged stencil: averaged over the
   angle, the entries give one band matrix in the radius per angular
   mode, inverted by an FFT in angle and a banded elimination in radius,
-  so no factor is built while that carries the step.  On closed fibers
-  the equation only sees the centered differences of ``u``, so the
-  constants and the fields alternating in sign along each even axis
+  so no factor is built while that carries the step.  GMRES measures
+  that run's residual after the inverse, which bounds the step's error,
+  and leaves a step it would carry only slowly to a factor.  On closed
+  fibers the equation only sees the centered differences of ``u``, so
+  the constants and the fields alternating in sign along each even axis
   span a known null space; the step comes from a companion in which one
   grid cell pins those modes, preconditioned by a sparse LU factor kept
   across steps (the factor of an earlier companion first, a new factor
@@ -76,9 +78,10 @@ _STAGNATION_LIMIT = 10
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-6
 # GMRES on Newton's companion or the flow's I - dt J stops at this relative
-# residual, within this many iterations in all: one or two with the factor of
-# its own matrix, a handful with one kept from an earlier step or trial or
-# with the inverse of the matrix's averaged stencil.
+# residual (measured after the preconditioner when that is the inverse of the
+# matrix's averaged stencil), within this many iterations in all: one or two
+# with the factor of its own matrix, a handful with one kept from an earlier
+# step or trial or with the averaged stencil's inverse.
 _LINEAR_RTOL = 1e-8
 _MAX_LINEAR = 2000
 # The flow's step control: a step is at most t_max / _FLOW_MIN_STEPS, and a
@@ -91,9 +94,9 @@ _FLOW_MAX_TRIALS = 64
 _STEP_CAP_FACTOR = 20.0
 # A short restart keeps the Krylov basis small beside the preconditioner.  A
 # factor kept from an earlier matrix gets one cycle of this length; the
-# preconditioners built from the solved matrix itself, the inverse of its
-# averaged stencil and then a fresh factor, share restarts up to _MAX_LINEAR
-# iterations in all.
+# preconditioners built from the solved matrix itself get restarts up to
+# _MAX_LINEAR iterations: the inverse of its averaged stencil while one more
+# cycle at the last one's rate would finish, and then a fresh factor.
 _KRYLOV_RESTART = 20
 
 
@@ -134,7 +137,8 @@ class SolveReport:
     a disk, build none while the averaged stencil's inverse carries each
     solve.  ``krylov_iterations`` counts the
     actions of the solved matrix (Newton's companion or the flow's
-    ``I - dt J``) that GMRES took, those of failed cycles too.
+    ``I - dt J``) that GMRES took, those of failed cycles and of the
+    residual checks between them too.
     """
 
     verdict: Verdict
@@ -351,11 +355,11 @@ class _Problem:
         row.  It is a copy of ``jac``'s entries on the shared pattern with
         the pinned rows and columns zeroed and their diagonal set to 1, and
         is solved by :meth:`kept_solve`.  Where nothing is pinned (a disk)
-        the companion is ``jac`` itself, and the solve is handed the
-        inverse of its averaged stencil (:meth:`_averaged_inverse`).
+        the companion is ``jac`` itself, and the solve may try the inverse
+        of its averaged stencil first.
         """
         if not self._pinned.size:
-            return self.kept_solve(jac, -f_dof, self._averaged_inverse(jac.data))
+            return self.kept_solve(jac, -f_dof, averaged=True)
         free = np.ones(self.n_dof)
         free[self._pinned] = 0.0
         asm = self._assembly
@@ -369,9 +373,9 @@ class _Problem:
 
         ``I - dt J`` is ``-dt`` times ``jac``'s entries plus 1 on the
         diagonal, on the shared pattern.  The step comes from
-        :meth:`kept_solve`, handed the inverse of the matrix's averaged
-        stencil (:meth:`_averaged_inverse`), so a flow builds no factor
-        while that carries its steps.  Then
+        :meth:`kept_solve`, which may try the inverse of the matrix's
+        averaged stencil first, so a flow builds no factor while that
+        carries its steps.  Then
         one exact correction along the constants makes its
         ``sqrt_det``-weighted residual vanish to rounding:
         ``delta += (s.r) / (s.(A 1))`` with ``A = I - dt J``, ``s`` the
@@ -385,7 +389,7 @@ class _Problem:
         data[self._assembly.diagonal] += 1.0
         matrix = self._on_pattern(data)
         rhs = dt * f_dof
-        delta, info = self.kept_solve(matrix, rhs, self._averaged_inverse(data))
+        delta, info = self.kept_solve(matrix, rhs, averaged=True)
         if info != 0:
             return np.full(self.n_dof, np.nan)
         s = self.pack(self.kernel.sqrt_det)
@@ -467,51 +471,84 @@ class _Problem:
 
         return inverse
 
-    def kept_solve(self, matrix, rhs: np.ndarray, averaged=None) -> tuple[np.ndarray, int]:
+    def kept_solve(self, matrix, rhs: np.ndarray,
+                   averaged: bool = False) -> tuple[np.ndarray, int]:
         """Solve ``matrix @ x = rhs`` on the kept preconditioner; returns ``(x, info)``.
 
-        GMRES runs on ``matrix``, right-preconditioned, to a relative
-        residual of ``_LINEAR_RTOL``, in restart cycles of
-        ``_KRYLOV_RESTART``.  An LU factor kept from an earlier matrix gets
-        one cycle.  Preconditioners built from ``matrix`` itself share
-        restarts up to ``_MAX_LINEAR`` iterations in all: while no factor
-        is kept, ``averaged``, the inverse of the averaged stencil of
-        ``matrix`` that the caller may pass, runs first; when the one
-        tried falls short, the factor of ``matrix``, kept from then on,
-        gets what is left, and at least one cycle.  ``info`` is the last
-        GMRES run's own (0 when converged).  A singular matrix gives ``x``
-        of NaN.
+        GMRES runs on ``matrix`` to a relative residual of ``_LINEAR_RTOL``
+        in restart cycles of ``_KRYLOV_RESTART``.  An LU factor kept from
+        an earlier matrix gets one cycle.  While no factor is kept and the
+        caller asks for it (``averaged``), the inverse of the averaged
+        stencil of ``matrix`` runs first (:meth:`_averaged_gmres`).  When
+        the one tried falls short, the factor of ``matrix``, kept from then
+        on, gets restarts up to ``_MAX_LINEAR`` iterations.  ``info`` is
+        the last GMRES run's own (0 when converged).  A singular matrix
+        gives ``x`` of NaN.
         """
         restart = min(_KRYLOV_RESTART, _MAX_LINEAR)
-        budget = _MAX_LINEAR
+        cycles = -(-_MAX_LINEAR // restart)
         if self.lu is not None:
             x, info = self._gmres(matrix, rhs, self.lu.solve, restart, 1)
             if info == 0:
                 return x, info
             self.lu = None  # dropped before its successor is built, not beside it
-        elif averaged is not None:
-            start = self.krylov_iterations
-            x, info = self._gmres(matrix, rhs, averaged, restart, -(-budget // restart))
+        elif averaged and (inverse := self._averaged_inverse(matrix.data)) is not None:
+            x, info = self._averaged_gmres(matrix, rhs, inverse, restart, cycles)
             if info == 0:
                 return x, info
-            budget -= self.krylov_iterations - start
         self.lu = _factor(matrix)
         self.factorizations += 1
         if self.lu is None:
             return np.full(self.n_dof, np.nan), 0
-        return self._gmres(matrix, rhs, self.lu.solve, restart, max(1, -(-budget // restart)))
+        return self._gmres(matrix, rhs, self.lu.solve, restart, cycles)
+
+    def _operator(self, matrix, inverse, left: bool) -> LinearOperator:
+        """``matrix`` preconditioned by ``inverse``, counting each action of ``matrix``."""
+
+        def act(z):
+            self.krylov_iterations += 1
+            return matrix @ z
+
+        matvec = (lambda z: inverse(act(z))) if left else (lambda z: act(inverse(z)))
+        return LinearOperator(matrix.shape, matvec=matvec, dtype=float)
 
     def _gmres(self, matrix, rhs: np.ndarray, precondition, restart: int,
                cycles: int) -> tuple[np.ndarray, int]:
-        """GMRES right-preconditioned by ``precondition``, counting each action of ``matrix``."""
-
-        def matvec(z):
-            self.krylov_iterations += 1
-            return matrix @ precondition(z)
-
-        A = LinearOperator(matrix.shape, matvec=matvec, dtype=float)
+        """GMRES right-preconditioned by ``precondition``, in at most ``cycles`` restart cycles."""
+        A = self._operator(matrix, precondition, left=False)
         z, info = gmres(A, rhs, rtol=_LINEAR_RTOL, atol=0.0, restart=restart, maxiter=cycles)
         return precondition(z), info
+
+    def _averaged_gmres(self, matrix, rhs: np.ndarray, inverse, restart: int,
+                        cycles: int) -> tuple[np.ndarray, int]:
+        """GMRES on the averaged stencil's ``inverse``, restarted while a cycle can finish.
+
+        On a disk ``inverse`` stands in for the exact factor that made
+        each step exact, and the residual of ``matrix`` alone can leave an
+        error in ``x`` of ``_LINEAR_RTOL`` times the matrix's condition
+        number; so ``inverse`` is applied on the left, and GMRES measures
+        the residual after it, which bounds that error by the condition of
+        ``inverse @ matrix``.  On a closed fiber it is applied on the
+        right, and GMRES measures the residual of ``matrix``.  A cycle that
+        falls short is followed by another, up to ``cycles``, only while
+        one more at its rate would finish: its relative residual squared
+        must be at most ``_LINEAR_RTOL`` times the previous cycle's (1 at
+        the start).  A slow or stalled run is left to a factor.
+        """
+        left = not self.grid.closed
+        A = self._operator(matrix, inverse, left)
+        target = inverse(rhs) if left else rhs
+        scale = np.linalg.norm(target)
+        x, residual = None, 1.0
+        for _ in range(cycles):
+            x, info = gmres(A, target, x0=x, rtol=_LINEAR_RTOL, atol=0.0, restart=restart,
+                            maxiter=1)
+            if info == 0:
+                break
+            last, residual = residual, np.linalg.norm(target - A @ x) / scale
+            if residual * residual > _LINEAR_RTOL * last:
+                break
+        return (x if left else inverse(x)), info
 
 
 def _products(left: csc_matrix, right: csr_matrix):
