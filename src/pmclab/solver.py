@@ -453,20 +453,26 @@ class _Problem:
                 rows[right] -= rows[below][:, None] * rows[0, band + 1:]
         ring = np.arange(rings)[:, None]
         pivots = lu[band:band + rings, band]
-        # ring k's multiples of the b rings below it, and its entries in the b rings above
-        lower, above = lu[band + ring + s, band - s], lu[ring + s - 1, 2 * band + 1 - s]
         if not (np.isfinite(lu).all() and pivots.all()):
             return None
+        # ring k's multiples of the b rings below it, and its entries in the b
+        # rings above over its pivot, so the back sweep divides once at its end
+        lower = lu[band + ring + s, band - s]
+        above = lu[ring + s - 1, 2 * band + 1 - s] / pivots[:, None]
         axes = tuple(range(1, len(shape) - 1))
+
+        # each step of the forward then the back sweep: a ring, the rows it
+        # updates and their weights, sliced once here rather than per call
+        sweeps = ([(k, slice(k + 1, k + band + 1), lower[k, :rings - 1 - k])
+                   for k in range(rings - 1)]
+                  + [(k, slice(max(k - band, 0), k), above[k, max(band - k, 0):])
+                     for k in range(rings - 1, 0, -1)])
 
         def inverse(z):
             y = np.fft.rfftn(z.reshape(rings, *periodic), axes=axes)
-            for k in range(rings - 1):
-                y[k + 1:k + band + 1] -= lower[k, :rings - 1 - k] * y[k]
-            for k in range(rings - 1, 0, -1):
-                y[k] /= pivots[k]
-                y[max(k - band, 0):k] -= above[k, max(band - k, 0):] * y[k]
-            y[0] /= pivots[0]
+            for k, rows, weights in sweeps:
+                y[rows] -= weights * y[k]
+            y /= pivots
             return np.fft.irfftn(y, s=periodic, axes=axes).ravel()
 
         return inverse
