@@ -139,7 +139,7 @@ def test_companion_and_flow_matrix_are_their_formulas_bit_for_bit(build, monkeyp
     jac = prob.jacobian(u)
     seen = []
 
-    def kept_solve(matrix, rhs, averaged=None):
+    def kept_solve(matrix, rhs, averaged=False):
         seen.append(matrix)
         return np.zeros_like(rhs), 0
 
