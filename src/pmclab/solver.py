@@ -544,15 +544,14 @@ class _Problem:
         left = not self.grid.closed
         A = self._operator(matrix, inverse, left)
         target = inverse(rhs) if left else rhs
-        scale = np.linalg.norm(target)
         x, residual = None, 1.0
         for _ in range(cycles):
             x, info = gmres(A, target, x0=x, rtol=_LINEAR_RTOL, atol=0.0, restart=restart,
                             maxiter=1)
             if info == 0:
                 break
-            last, residual = residual, np.linalg.norm(target - A @ x) / scale
-            if residual * residual > _LINEAR_RTOL * last:
+            last, residual = residual, np.linalg.norm(target - A @ x) / np.linalg.norm(target)
+            if not residual * residual <= _LINEAR_RTOL * last:  # NaN stops it too
                 break
         return (x if left else inverse(x)), info
 
