@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -594,19 +595,20 @@ def dump_field_csv(f: ScalarField, path) -> None:
 
     Columns are ``i,j[,k],x1,x2[,x3],value``; the coordinate columns carry
     the grid's native chart (radius and angle on disks).  Values use
-    shortest round-trip decimal formatting.
+    shortest round-trip decimal formatting.  A node's coordinates are its
+    axes' entries, so each axis's index cells (``str``) and coordinate
+    cells (``repr``) are formatted once, and only the value per node.
     """
     grid = f.grid
     idx_names = ["i", "j", "k"][: grid.ndim]
     coord_names = ["x1", "x2", "x3"][: grid.ndim]
-    index = np.indices(grid.shape)
-    columns = grid.meshes() + (f.values,)
+    index = [[f"{n}," for n in range(size)] for size in grid.shape]
+    coord = [[f"{x!r}," for x in axis.tolist()] for axis in grid.axes]
+    # the cells of the axes after the first, in the node order of np.ndindex
+    rest = list(zip(map("".join, product(*index[1:])), map("".join, product(*coord[1:]))))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(idx_names + coord_names + ["value"]) + "\n")
-        # whole columns of one slab along the first axis at a time, in the
-        # node order of np.ndindex: tolist gives Python ints and floats, whose
-        # str and repr are the cells, and a slab keeps few strings alive
-        for i in range(grid.shape[0]):
-            cells = [map(str, a[i].ravel().tolist()) for a in index]
-            cells += [map(repr, a[i].ravel().tolist()) for a in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        # one slab along the first axis at a time keeps few strings alive
+        for i, (lead, x) in enumerate(zip(index[0], coord[0])):
+            fh.write("".join([f"{lead}{j}{x}{y}{v!r}\n"
+                              for (j, y), v in zip(rest, f.values[i].ravel().tolist())]))

@@ -96,7 +96,8 @@ _STEP_CAP_FACTOR = 20.0
 # factor kept from an earlier matrix gets one cycle of this length; the
 # preconditioners built from the solved matrix itself get restarts up to
 # _MAX_LINEAR iterations: the inverse of its averaged stencil while one more
-# cycle at the last one's rate would finish, and then a fresh factor.
+# cycle at the last one's rate would finish, and then a fresh factor while
+# each cycle lowers the residual.
 _KRYLOV_RESTART = 20
 
 
@@ -482,31 +483,35 @@ class _Problem:
         """Solve ``matrix @ x = rhs`` on the kept preconditioner; returns ``(x, info)``.
 
         GMRES runs on ``matrix`` to a relative residual of ``_LINEAR_RTOL``
-        in restart cycles of ``_KRYLOV_RESTART``.  An LU factor kept from
-        an earlier matrix gets one cycle.  While no factor is kept and the
-        caller asks for it (``averaged``), the inverse of the averaged
-        stencil of ``matrix`` runs first (:meth:`_averaged_gmres`).  When
-        the one tried falls short, the factor of ``matrix``, kept from then
-        on, gets restarts up to ``_MAX_LINEAR`` iterations.  ``info`` is
-        the last GMRES run's own (0 when converged).  A singular matrix
-        gives ``x`` of NaN.
+        in restart cycles of ``_KRYLOV_RESTART`` (:meth:`_cycled_gmres`).
+        An LU factor kept from an earlier matrix gets one cycle.  While no
+        factor is kept and the caller asks for it (``averaged``), the
+        inverse of the averaged stencil of ``matrix`` runs first, restarted
+        while one more cycle at the last one's rate would finish.  When the
+        one tried falls short, the factor of ``matrix``, kept from then on,
+        gets restarts up to ``_MAX_LINEAR`` iterations while each cycle
+        lowers the true relative residual: rounding can leave
+        ``_LINEAR_RTOL`` out of its reach, and the first cycle that gains
+        nothing ends the run short.  ``info`` is the last GMRES run's own
+        (0 when converged).  A singular matrix gives ``x`` of NaN.
         """
         restart = min(_KRYLOV_RESTART, _MAX_LINEAR)
         cycles = -(-_MAX_LINEAR // restart)
         if self.lu is not None:
-            x, info = self._gmres(matrix, rhs, self.lu.solve, restart, 1)
+            x, info = self._cycled_gmres(matrix, rhs, self.lu.solve, False, restart, 1)
             if info == 0:
                 return x, info
             self.lu = None  # dropped before its successor is built, not beside it
         elif averaged and (inverse := self._averaged_inverse(matrix.data)) is not None:
-            x, info = self._averaged_gmres(matrix, rhs, inverse, restart, cycles)
+            x, info = self._cycled_gmres(matrix, rhs, inverse, not self.grid.closed, restart,
+                                         cycles, finish=True)
             if info == 0:
                 return x, info
         self.lu = _factor(matrix)
         self.factorizations += 1
         if self.lu is None:
             return np.full(self.n_dof, np.nan), 0
-        return self._gmres(matrix, rhs, self.lu.solve, restart, cycles)
+        return self._cycled_gmres(matrix, rhs, self.lu.solve, False, restart, cycles)
 
     def _operator(self, matrix, inverse, left: bool) -> LinearOperator:
         """``matrix`` preconditioned by ``inverse``, counting each action of ``matrix``."""
@@ -518,40 +523,34 @@ class _Problem:
         matvec = (lambda z: inverse(act(z))) if left else (lambda z: act(inverse(z)))
         return LinearOperator(matrix.shape, matvec=matvec, dtype=float)
 
-    def _gmres(self, matrix, rhs: np.ndarray, precondition, restart: int,
-               cycles: int) -> tuple[np.ndarray, int]:
-        """GMRES right-preconditioned by ``precondition``, in at most ``cycles`` restart cycles."""
-        A = self._operator(matrix, precondition, left=False)
-        z, info = gmres(A, rhs, rtol=_LINEAR_RTOL, atol=0.0, restart=restart, maxiter=cycles)
-        return precondition(z), info
+    def _cycled_gmres(self, matrix, rhs: np.ndarray, inverse, left: bool, restart: int,
+                      cycles: int, finish: bool = False) -> tuple[np.ndarray, int]:
+        """GMRES preconditioned by ``inverse``, restarted while a cycle gains enough.
 
-    def _averaged_gmres(self, matrix, rhs: np.ndarray, inverse, restart: int,
-                        cycles: int) -> tuple[np.ndarray, int]:
-        """GMRES on the averaged stencil's ``inverse``, restarted while a cycle can finish.
-
-        On a disk ``inverse`` stands in for the exact factor that made
-        each step exact, and the residual of ``matrix`` alone can leave an
-        error in ``x`` of ``_LINEAR_RTOL`` times the matrix's condition
-        number; so ``inverse`` is applied on the left, and GMRES measures
-        the residual after it, which bounds that error by the condition of
-        ``inverse @ matrix``.  On a closed fiber it is applied on the
-        right, and GMRES measures the residual of ``matrix``.  A cycle that
-        falls short is followed by another, up to ``cycles``, only while
-        one more at its rate would finish: its relative residual squared
-        must be at most ``_LINEAR_RTOL`` times the previous cycle's (1 at
-        the start).  A slow or stalled run is left to a factor.
+        On a disk the averaged stencil's ``inverse`` stands in for the
+        exact factor that made each step exact, and the residual of
+        ``matrix`` alone can leave an error in ``x`` of ``_LINEAR_RTOL``
+        times the matrix's condition number; so there it is applied on the
+        left (``left``), and GMRES measures the residual after it, which
+        bounds that error by the condition of ``inverse @ matrix``.  Applied
+        on the right, GMRES measures the residual of ``matrix``.  A cycle
+        that falls short is followed by another, up to ``cycles``, only
+        while its true relative residual is below the previous cycle's (1
+        at the start), or, when ``finish``, while one more at its rate would
+        finish: its square must be at most ``_LINEAR_RTOL`` times the
+        previous cycle's, so a slow or stalled run is left to a factor.
         """
-        left = not self.grid.closed
         A = self._operator(matrix, inverse, left)
         target = inverse(rhs) if left else rhs
         x, residual = None, 1.0
-        for _ in range(cycles):
+        for cycle in range(cycles):
             x, info = gmres(A, target, x0=x, rtol=_LINEAR_RTOL, atol=0.0, restart=restart,
                             maxiter=1)
-            if info == 0:
+            if info == 0 or cycle == cycles - 1:
                 break
             last, residual = residual, np.linalg.norm(target - A @ x) / np.linalg.norm(target)
-            if not residual * residual <= _LINEAR_RTOL * last:  # NaN stops it too
+            gains = residual * residual <= _LINEAR_RTOL * last if finish else residual < last
+            if not gains:  # NaN stops it too
                 break
         return (x if left else inverse(x)), info
 

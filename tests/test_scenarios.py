@@ -8,6 +8,7 @@ checks or an outcome that contradicts the declared expectation.
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from pmclab.scenarios import (
     run_scenario,
     run_verification_suite,
 )
+from test_geometry import _dump_field_csv_per_node
 
 _TOO_DEEP = {
     "parentheses": "(" * 5000 + "1" + ")" * 5000,
@@ -628,6 +630,18 @@ def test_a_kept_factor_that_fails_its_cycle_is_rebuilt(monkeypatch):
     assert kept.report.factorizations == 1
 
 
+def test_a_fresh_factor_stops_when_a_cycle_does_not_lower_the_residual():
+    # the averaged inverse misses the second step, and rounding keeps the
+    # factor's run above _LINEAR_RTOL: it stops after the first restart cycle
+    # that does not lower the true residual, not after _MAX_LINEAR
+    # iterations, and the step is refused as before
+    report = run_scenario(parse_config(_disk_cfg(initial="2+2**2+2", metric="flat")))
+    solve = report.to_json_dict()["solve"]
+    assert (solve["verdict"], solve["iterations"], solve["factorizations"]) == ("max_iter", 1, 1)
+    assert report.exit_code() == 3
+    assert solve["krylov_iterations"] < solver._MAX_LINEAR // 10
+
+
 @pytest.mark.parametrize("method,factors", [({}, [3, 2]), ({"method": "flow", "t_max": 40.0}, [5])],
                          ids=["newton", "flow"])
 def test_a_disk_step_the_averaged_inverse_cannot_carry_builds_a_factor(monkeypatch, method,
@@ -856,6 +870,29 @@ def test_dump_fields_writes_height_and_residual_csv(tmp_path):
     assert height[0] == "i,j,x1,x2,value"
     assert len(height) == 1 + 8 * 8
     assert len(residual) == 1 + 8 * 8
+
+
+@pytest.mark.parametrize("fiber,boundary,metric", [
+    # three newton steps leave interior residuals near 1e-12 and exact zeros
+    ({"kind": "disk", "dims": [16, 32], "R": 0.875}, "0.3*sin(4*theta)", "hyperbolic"),
+    # the flat start is solved, so the rim keeps the data's signed zeros
+    ({"kind": "disk", "dims": [8, 16], "R": 0.5}, "-0*cos(theta)", "flat"),
+], ids=["solved", "signed_zeros"])
+def test_dumped_fields_match_the_per_node_writer(monkeypatch, tmp_path, fiber, boundary, metric):
+    dumped = {}
+
+    def record(f, path):
+        dumped[os.path.basename(path)] = f
+        geometry.dump_field_csv(f, path)
+
+    monkeypatch.setattr(scenarios, "dump_field_csv", record)
+    text = _disk_cfg(fiber=fiber, boundary=boundary, metric=metric)
+    report = run_scenario(parse_config(text), dump_dir=str(tmp_path / "run"))
+    assert report.to_json_dict()["solve"]["verdict"] == "converged"
+    assert sorted(dumped) == ["height.csv", "residual.csv"]
+    for name, f in dumped.items():
+        _dump_field_csv_per_node(f, tmp_path / name)
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_failed_check_on_an_unsolved_state_reports_and_exits_4():
