@@ -7,13 +7,12 @@ Two drivers share one residual:
   matrices of the grid.  Its stencil never changes: each problem builds
   one map from the product's node coefficients onto one fixed sparse
   pattern, and each step computes the coefficients and applies the map.
-  Each step is solved by GMRES.  On a disk it is preconditioned by the
-  exact inverse of the Jacobian's averaged stencil: averaged over the
-  angle, the entries give one band matrix in the radius per angular
-  mode, inverted by an FFT in angle and a banded elimination in radius,
-  so no factor is built while that carries the step.  GMRES measures
-  that run's residual after the inverse, which bounds the step's error,
-  and leaves a step it would carry only slowly to a factor.  On closed
+  Each step is solved by GMRES, preconditioned on the left.  On a disk
+  the preconditioner is the exact inverse of the Jacobian's averaged
+  stencil: averaged over the angle, the entries give one band matrix in
+  the radius per angular mode, inverted by an FFT in angle and a banded
+  elimination in radius, so no factor is built while that carries the
+  step; a step it would carry only slowly is left to a factor.  On closed
   fibers the equation only sees the centered differences of ``u``, so
   the constants and the fields alternating in sign along each even axis
   span a known null space; the step comes from a companion in which one
@@ -78,10 +77,10 @@ _STAGNATION_LIMIT = 10
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-6
 # GMRES on Newton's companion or the flow's I - dt J stops at this relative
-# residual (measured after the preconditioner when that is the inverse of the
-# matrix's averaged stencil), within this many iterations in all: one or two
-# with the factor of its own matrix, a handful with one kept from an earlier
-# step or trial or with the averaged stencil's inverse.
+# residual, measured after the preconditioner, within this many iterations in
+# all (see _Problem._cycled_gmres): one or two with the factor of its own
+# matrix, a handful with one kept from an earlier step or trial or with the
+# averaged stencil's inverse.
 _LINEAR_RTOL = 1e-8
 _MAX_LINEAR = 2000
 # The flow's step control: a step is at most t_max / _FLOW_MIN_STEPS, and a
@@ -92,12 +91,7 @@ _FLOW_MAX_TRIALS = 64
 # singular and a Krylov step can come back astronomically long; capping
 # its sup norm keeps failing iterates inspectable instead of overflowing.
 _STEP_CAP_FACTOR = 20.0
-# A short restart keeps the Krylov basis small beside the preconditioner.  A
-# factor kept from an earlier matrix gets one cycle of this length; the
-# preconditioners built from the solved matrix itself get restarts up to
-# _MAX_LINEAR iterations: the inverse of its averaged stencil while one more
-# cycle at the last one's rate would finish, and then a fresh factor while
-# each cycle lowers the residual.
+# A short restart keeps the Krylov basis small beside the preconditioner.
 _KRYLOV_RESTART = 20
 
 
@@ -138,8 +132,8 @@ class SolveReport:
     a disk, build none while the averaged stencil's inverse carries each
     solve.  ``krylov_iterations`` counts the
     actions of the solved matrix (Newton's companion or the flow's
-    ``I - dt J``) that GMRES took, those of failed cycles and of the
-    residual checks between them too.
+    ``I - dt J``) that GMRES took, each followed by the preconditioner,
+    those of failed cycles and of the residual checks between them too.
     """
 
     verdict: Verdict
@@ -315,9 +309,10 @@ class _Problem:
         """
         k = self.kernel
         d = self.grid.ndim
-        asm = self._assembly
         coeffs = np.empty((d + (k.dh is not None), d) + self.grid.shape)
         with np.errstate(over="ignore", invalid="ignore"):
+            # a first build multiplies difference weights, which a tiny grid overflows
+            asm = self._assembly
             _, gu, _, W = k.tilt(u_arr)
             flux = k.sqrt_det * k.h / W
             bend = k.h2 / W**2
@@ -482,66 +477,66 @@ class _Problem:
                    averaged: bool = False) -> tuple[np.ndarray, int]:
         """Solve ``matrix @ x = rhs`` on the kept preconditioner; returns ``(x, info)``.
 
-        GMRES runs on ``matrix`` to a relative residual of ``_LINEAR_RTOL``
-        in restart cycles of ``_KRYLOV_RESTART`` (:meth:`_cycled_gmres`).
-        An LU factor kept from an earlier matrix gets one cycle.  While no
+        An LU factor kept from an earlier matrix is tried first.  While no
         factor is kept and the caller asks for it (``averaged``), the
-        inverse of the averaged stencil of ``matrix`` runs first, restarted
-        while one more cycle at the last one's rate would finish.  When the
-        one tried falls short, the factor of ``matrix``, kept from then on,
-        gets restarts up to ``_MAX_LINEAR`` iterations while each cycle
-        lowers the true relative residual: rounding can leave
-        ``_LINEAR_RTOL`` out of its reach, and the first cycle that gains
-        nothing ends the run short.  ``info`` is the last GMRES run's own
-        (0 when converged).  A singular matrix gives ``x`` of NaN.
+        inverse of the averaged stencil of ``matrix`` is tried instead.
+        When the one tried falls short, the factor of ``matrix`` is built
+        and kept from then on.  Each runs :meth:`_cycled_gmres` under its
+        own stop rule.  ``info`` is the last GMRES run's own (0 when
+        converged).  A singular matrix gives ``x`` of NaN.
         """
-        restart = min(_KRYLOV_RESTART, _MAX_LINEAR)
-        cycles = -(-_MAX_LINEAR // restart)
         if self.lu is not None:
-            x, info = self._cycled_gmres(matrix, rhs, self.lu.solve, False, restart, 1)
+            x, info = self._cycled_gmres(matrix, rhs, self.lu.solve, cycles=1)
             if info == 0:
                 return x, info
             self.lu = None  # dropped before its successor is built, not beside it
         elif averaged and (inverse := self._averaged_inverse(matrix.data)) is not None:
-            x, info = self._cycled_gmres(matrix, rhs, inverse, not self.grid.closed, restart,
-                                         cycles, finish=True)
+            x, info = self._cycled_gmres(matrix, rhs, inverse, finish=True)
             if info == 0:
                 return x, info
         self.lu = _factor(matrix)
         self.factorizations += 1
         if self.lu is None:
             return np.full(self.n_dof, np.nan), 0
-        return self._cycled_gmres(matrix, rhs, self.lu.solve, False, restart, cycles)
+        return self._cycled_gmres(matrix, rhs, self.lu.solve)
 
-    def _operator(self, matrix, inverse, left: bool) -> LinearOperator:
-        """``matrix`` preconditioned by ``inverse``, counting each action of ``matrix``."""
+    def _cycled_gmres(self, matrix, rhs: np.ndarray, inverse, cycles: int | None = None,
+                      finish: bool = False) -> tuple[np.ndarray, int]:
+        """GMRES on ``inverse @ matrix``, restarted while a cycle gains enough.
 
-        def act(z):
-            self.krylov_iterations += 1
-            return matrix @ z
+        The preconditioner is applied on the left, so GMRES measures the
+        residual after ``inverse``, which bounds the error in ``x`` by the
+        condition of ``inverse @ matrix`` and not that of ``matrix``: an
+        averaged stencil's inverse that met the residual of ``matrix``
+        alone could leave a disk step wrong by far more than
+        ``_LINEAR_RTOL``.  It runs to a relative residual of
+        ``_LINEAR_RTOL`` in restart cycles of ``_KRYLOV_RESTART``
+        iterations, at most ``cycles`` of them (``_MAX_LINEAR`` iterations
+        by default).  A cycle that falls short is followed by another only
+        while it gains by one of two rules:
 
-        matvec = (lambda z: inverse(act(z))) if left else (lambda z: act(inverse(z)))
-        return LinearOperator(matrix.shape, matvec=matvec, dtype=float)
+        * by default, its true relative residual is below the previous
+          cycle's (1 at the start).  Rounding can leave ``_LINEAR_RTOL``
+          out of a fresh factor's reach, and the first cycle that gains
+          nothing ends its run short;
+        * with ``finish`` (the averaged stencil's inverse), one more cycle
+          at its rate would finish: its square is at most ``_LINEAR_RTOL``
+          times the previous cycle's, so a slow or stalled run is left to
+          a factor.
 
-    def _cycled_gmres(self, matrix, rhs: np.ndarray, inverse, left: bool, restart: int,
-                      cycles: int, finish: bool = False) -> tuple[np.ndarray, int]:
-        """GMRES preconditioned by ``inverse``, restarted while a cycle gains enough.
-
-        On a disk the averaged stencil's ``inverse`` stands in for the
-        exact factor that made each step exact, and the residual of
-        ``matrix`` alone can leave an error in ``x`` of ``_LINEAR_RTOL``
-        times the matrix's condition number; so there it is applied on the
-        left (``left``), and GMRES measures the residual after it, which
-        bounds that error by the condition of ``inverse @ matrix``.  Applied
-        on the right, GMRES measures the residual of ``matrix``.  A cycle
-        that falls short is followed by another, up to ``cycles``, only
-        while its true relative residual is below the previous cycle's (1
-        at the start), or, when ``finish``, while one more at its rate would
-        finish: its square must be at most ``_LINEAR_RTOL`` times the
-        previous cycle's, so a slow or stalled run is left to a factor.
+        A factor kept from an earlier matrix gets one cycle (``cycles=1``).
+        Each action of ``matrix`` counts in ``krylov_iterations``.
         """
-        A = self._operator(matrix, inverse, left)
-        target = inverse(rhs) if left else rhs
+        restart = min(_KRYLOV_RESTART, _MAX_LINEAR)
+        if cycles is None:
+            cycles = -(-_MAX_LINEAR // restart)
+
+        def matvec(z):
+            self.krylov_iterations += 1
+            return inverse(matrix @ z)
+
+        A = LinearOperator(matrix.shape, matvec=matvec, dtype=float)
+        target = inverse(rhs)
         x, residual = None, 1.0
         for cycle in range(cycles):
             x, info = gmres(A, target, x0=x, rtol=_LINEAR_RTOL, atol=0.0, restart=restart,
@@ -552,7 +547,7 @@ class _Problem:
             gains = residual * residual <= _LINEAR_RTOL * last if finish else residual < last
             if not gains:  # NaN stops it too
                 break
-        return (x if left else inverse(x)), info
+        return x, info
 
 
 def _products(left: csc_matrix, right: csr_matrix):

@@ -151,7 +151,9 @@ class ResidualKernel:
         self.fiber = wp.fiber
         self.dimension = d
         self.h = wp.warping.values
-        self.h2 = self.h**2
+        # a huge warping squares to inf, which a solve reports as diverged
+        with np.errstate(over="ignore"):
+            self.h2 = self.h**2
         dh = coordinate_partials(wp.warping)
         # a constant warping has partials exactly zero, hence no drift term
         self.dh = [np.ascontiguousarray(dh[..., i]) for i in range(d)] if dh.any() else None

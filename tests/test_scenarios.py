@@ -1037,6 +1037,23 @@ def test_cli_overflowed_tilt_ends_diverged_without_a_warning(tmp_path, capsys, m
     assert _strict_report(captured.out)["solve"]["verdict"] == "diverged"
 
 
+@pytest.mark.parametrize("method", ["newton", "flow"])
+@pytest.mark.parametrize("overrides", [
+    # the Jacobian map multiplies difference weights 1/(2 dx) past the float range
+    {"fiber": {"kind": "torus", "dims": [8, 8], "extents": [1e-160, 1e-160]}},
+    # the residual kernel squares the warping past the float range
+    {"warping": "1e200*(2+cos(x1))"},
+], ids=["tiny_torus", "huge_warping"])
+def test_cli_overflowed_set_up_ends_diverged_without_a_warning(tmp_path, capsys, overrides,
+                                                               method):
+    config = tmp_path / "run.json"
+    config.write_text(_cfg(initial="sin(x1)", solver={"method": method}, **overrides))
+    assert main(["solve", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _strict_report(captured.out)["solve"]["verdict"] == "diverged"
+
+
 def test_non_finite_initial_formula_is_rejected_at_parse_by_name(tmp_path, capsys):
     with pytest.raises(ValidationError, match=r"initial evaluates to a non-finite value"):
         parse_config(_cfg(initial="ln(x1)"))

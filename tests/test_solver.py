@@ -323,6 +323,9 @@ def test_newton_step_solves_consistent_systems_in_the_gauge(index):
     assert np.abs(jac @ delta + rhs).max() <= 1e-8 * np.abs(rhs).max(), name
     if prob.grid.closed:
         assert abs(delta.mean()) <= 1e-12 * np.abs(delta).max()
+        # the step is the solution free of the null modes
+        np.testing.assert_allclose(delta, -solver.remove_null_modes(prob.grid, w), rtol=0.0,
+                                   atol=1e-8 * np.abs(w).max())
     else:
         # no null space on the disk: the step is the unique solution
         np.testing.assert_allclose(delta, -w, rtol=0.0, atol=1e-8 * np.abs(w).max())
@@ -339,7 +342,8 @@ def test_a_later_newton_step_reuses_the_kept_factor(index, monkeypatch):
     assert prob.factorizations == 1
     # the next Jacobian, a little way along: GMRES carries it on the old factor
     jac = prob.jacobian(1.001 * u)
-    rhs = jac @ np.random.default_rng(9).standard_normal(prob.n_dof)
+    w = np.random.default_rng(9).standard_normal(prob.n_dof)
+    rhs = jac @ w
     before = prob.krylov_iterations
     delta, info = prob.linear_step(jac, rhs)
     assert info == 0
@@ -350,6 +354,8 @@ def test_a_later_newton_step_reuses_the_kept_factor(index, monkeypatch):
     assert np.abs(jac @ delta + rhs).max() <= 1e-8 * np.abs(rhs).max(), name
     if prob.grid.closed:
         assert abs(delta.mean()) <= 1e-12 * np.abs(delta).max()
+        np.testing.assert_allclose(delta, -solver.remove_null_modes(prob.grid, w), rtol=0.0,
+                                   atol=1e-8 * np.abs(w).max())
 
 
 def test_gauge_projection_removes_the_mean():
