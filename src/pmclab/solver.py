@@ -4,9 +4,10 @@ Two drivers share one residual:
 
 * :func:`newton_solve` is damped Newton on the exact sparse Jacobian of
   the discrete residual, the chain-rule product of the difference
-  matrices of the grid.  Its stencil never changes: each problem builds
-  one map from the product's node coefficients onto one fixed sparse
-  pattern, and each step computes the coefficients and applies the map.
+  matrices of the grid.  Its stencil never changes: one map from the
+  product's node coefficients onto one fixed sparse pattern is built
+  once per process for each grid and metric, and kept for every problem
+  on them; each step computes the coefficients and applies the map.
   Each step is solved by GMRES, preconditioned on the left.  On a disk
   the preconditioner is the exact inverse of the Jacobian's averaged
   stencil: averaged over the angle, the entries give one band matrix in
@@ -45,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -93,6 +94,9 @@ _FLOW_MAX_TRIALS = 64
 _STEP_CAP_FACTOR = 20.0
 # A short restart keeps the Krylov basis small beside the preconditioner.
 _KRYLOV_RESTART = 20
+# The Jacobian maps kept for reuse (see _build_assembly): a disk ladder's
+# levels and the grids of a few more problems.
+_ASSEMBLY_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -185,10 +189,14 @@ def remove_null_modes(grid: FiberGrid, delta: np.ndarray) -> np.ndarray:
 
 
 class _Assembly(NamedTuple):
-    """One problem's Jacobian pattern, and the map of node coefficients onto its ``data``.
+    """A Jacobian pattern, the map of node coefficients onto its ``data``, and its keys.
 
     ``diagonal`` and ``pinned`` are the pattern positions of the diagonal
-    and of the entries in a pinned row or column.
+    and of the entries in a pinned row or column, and ``cell`` holds the
+    unknowns of the cell that pins the null space (see
+    :meth:`_Problem._pinned`).  ``keys`` and ``shape`` place each entry in
+    the averaged stencil (see :func:`_stencil_of`).  Every problem on one
+    grid and metric shares one, so its arrays are read-only.
     """
 
     coeff_map: csc_matrix
@@ -196,14 +204,134 @@ class _Assembly(NamedTuple):
     indptr: np.ndarray
     diagonal: np.ndarray
     pinned: np.ndarray
+    cell: np.ndarray
+    keys: np.ndarray
+    shape: tuple[int, ...]
+
+
+def _shared_assembly(kernel: ResidualKernel) -> _Assembly:
+    """The Jacobian map of ``kernel``'s grid and metric, from :func:`_build_assembly`'s cache."""
+    grid = kernel.fiber
+    # a tiny metric or grid multiplies its weights out of range; the
+    # Jacobians built on such a map are not finite, so the solve ends diverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_s = 1.0 / kernel.sqrt_det[grid.interior_mask]
+        return _build_assembly(grid, inv_s.tobytes(), kernel.dh is not None)
+
+
+@lru_cache(maxsize=_ASSEMBLY_CACHE_SIZE)
+def _build_assembly(grid: FiberGrid, inv_s: bytes, varying: bool) -> _Assembly:
+    """The Jacobian's pattern, the map onto it and their keys, keyed on exactly what they read.
+
+    That is the grid, the bytes of ``1/s`` at the unknowns and whether the
+    warping varies (see :func:`_coefficient_map`), so problems on equal
+    grids and metrics share one cached entry.  The map is built in a
+    function of its own so that its temporaries are freed before the keys
+    are made: held together, they would raise a fine grid's peak memory.
+    """
+    coeff_map, indices, indptr = _coefficient_map(grid, np.frombuffer(inv_s), varying)
+    mask = grid.interior_mask.ravel()
+    n = indptr.size - 1
+    row_of = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+    # the cell at the origin: two nodes along even axes, one along odd ones
+    cell = np.zeros(grid.shape, dtype=bool)
+    if grid.closed:
+        cell[tuple(slice(0, 2 - k % 2) for k in grid.shape)] = True
+    cell = np.flatnonzero(cell.ravel()[mask])
+    pinned = np.zeros(n, dtype=bool)
+    pinned[cell] = True
+    asm = _Assembly(coeff_map, indices, indptr, np.flatnonzero(row_of == indices),
+                    np.flatnonzero(pinned[row_of] | pinned[indices]), cell,
+                    *_stencil_of(grid, row_of, indices))
+    for array in (coeff_map.data, coeff_map.indices, coeff_map.indptr, asm.indices, asm.indptr,
+                  asm.diagonal, asm.pinned, asm.cell, asm.keys):
+        array.setflags(write=False)
+    return asm
+
+
+def _coefficient_map(grid: FiberGrid, inv_s: np.ndarray,
+                     varying: bool) -> tuple[csc_matrix, np.ndarray, np.ndarray]:
+    """The map of node coefficients onto the Jacobian's pattern, and the pattern's indices.
+
+    :meth:`_Problem.jacobian` writes ``J`` as
+    ``sum_b L_b diag(x_b) R_b`` over blocks ``b`` of node coefficients
+    ``x_b``: ``m_ac`` with ``L = diag(1/s) D_a`` and ``R = D_c`` for every
+    ``a, c``, then, for a varying warping, ``e_c`` with ``L`` the
+    restriction to the unknowns and ``R = D_c``.  ``L_b`` keeps the
+    unknown rows and ``R_b`` the unknown columns.  So entry ``(i, j)`` is
+    ``sum_b sum_k L_b[i, k] R_b[k, j] x_b[k]``, and the map holds each
+    product ``L_b[i, k] R_b[k, j]`` at row ``(i, j)`` and column
+    ``(b, k)``.  The pattern is the union of those entries and the
+    diagonal, with sorted rows.
+    """
+    mask = grid.interior_mask.ravel()
+    unknown = np.flatnonzero(mask)
+    n, nodes = unknown.size, mask.size
+    lefts, rights = [], []
+    for axis in range(grid.ndim):
+        partial = partial_matrix(grid, axis)
+        lefts.append(partial[unknown].multiply(inv_s[:, None]).tocsc())
+        rights.append(partial[:, unknown])
+    if varying:
+        lefts.append(csc_matrix((np.ones(n), (np.arange(n), unknown)), shape=(n, nodes)))
+    diagonal = csr_matrix((np.ones(n, dtype=bool), np.arange(n), np.arange(n + 1)),
+                          shape=(n, n))
+    pattern = (sum(m.astype(bool) for m in lefts)
+               @ sum(m.astype(bool) for m in rights) + diagonal).tocsr()
+    pattern.sort_indices()
+    indptr, indices = pattern.indptr, pattern.indices
+    # entry (i, j) of this matrix is the position of (i, j) in the pattern
+    lookup = csr_matrix((np.arange(indices.size, dtype=float), indices, indptr), shape=(n, n))
+    # the map is stored by columns: each block's products come grouped by k,
+    # written into arrays sized up front so that no second copy is made
+    blocks = [(left, right) for left in lefts for right in rights]
+    ends = np.concatenate(([0], np.cumsum(np.concatenate(
+        [np.diff(left.indptr) * np.diff(right.indptr) for left, right in blocks]))))
+    values = np.empty(ends[-1])
+    positions = np.empty(ends[-1], dtype=indices.dtype)
+    for b, (left, right) in enumerate(blocks):
+        span = slice(ends[b * nodes], ends[(b + 1) * nodes])
+        i, j, value = _products(left, right)
+        values[span] = value
+        positions[span] = np.asarray(lookup[i, j]).ravel()
+    coeff_map = csc_matrix((values, positions, ends), shape=(indices.size, len(ends) - 1))
+    return coeff_map, indices, indptr
+
+
+def _stencil_of(grid: FiberGrid, row_of: np.ndarray,
+                indices: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Each pattern entry's place in the averaged stencil, and the stencil's shape.
+
+    ``row_of`` and ``indices`` are the row and column of each entry.
+
+    The shape is ``(rings, 2 b + 1, *periodic)``.  Along each periodic
+    axis an entry is placed by its offset ``(j - i) mod n``.  A disk's
+    unknowns are every ring but the pinned rim, and its entries are
+    also placed by the ring of their row and by their radial offset,
+    which lies in ``-b..b`` with ``b`` = 2: the across-center pair
+    joins ring 0 to rings 0 and 1 half a turn away, inside the band.
+    A torus is one ring with ``b`` = 0.
+    """
+    periodic = grid.periodic_axes
+    dims = tuple(n if p else n - 1 for n, p in zip(grid.shape, periodic))
+    rows = np.unravel_index(row_of, dims)
+    step = np.subtract(np.unravel_index(indices, dims), rows)
+    wrapped = [o % n for o, n, p in zip(step, dims, periodic) if p]
+    ring, radial, rings, band = 0, 0, 1, 0
+    if not grid.closed:
+        ring, radial, rings = rows[0], step[0], dims[0]
+        band = int(np.abs(radial).max())
+    shape = (rings, 2 * band + 1, *(n for n, p in zip(dims, periodic) if p))
+    return np.ravel_multi_index((ring, radial + band, *wrapped), shape), shape
 
 
 class _Problem:
     """Packing, guarded residual evaluation, the Jacobian's assembly map, and the kept factor.
 
-    The assembly map (:meth:`_assembly`) is built on the first Jacobian
-    and serves every later one; the kept factor and its counts serve the
-    linear solves (:meth:`kept_solve`).
+    The assembly map (:meth:`_assembly`) is read on the first Jacobian
+    from a process-wide cache (:func:`_build_assembly`), which builds it
+    once for each grid and metric, and serves every later one; the kept
+    factor and its counts serve the linear solves (:meth:`kept_solve`).
     """
 
     def __init__(self, wp: WarpedProduct, target: ScalarField):
@@ -237,55 +365,8 @@ class _Problem:
 
     @cached_property
     def _assembly(self) -> _Assembly:
-        """The Jacobian's pattern and the map onto it, built on first use.
-
-        :meth:`jacobian` writes ``J`` as ``sum_b L_b diag(x_b) R_b`` over
-        blocks ``b`` of node coefficients ``x_b``: ``m_ac`` with
-        ``L = diag(1/s) D_a`` and ``R = D_c`` for every ``a, c``, then, for
-        a varying warping, ``e_c`` with ``L`` the restriction to the
-        unknowns and ``R = D_c``.  ``L_b`` keeps the unknown rows and
-        ``R_b`` the unknown columns.  So entry ``(i, j)`` is
-        ``sum_b sum_k L_b[i, k] R_b[k, j] x_b[k]``, and the map holds each
-        product ``L_b[i, k] R_b[k, j]`` at row ``(i, j)`` and column
-        ``(b, k)``.  The pattern is the union of those entries and the
-        diagonal, with sorted rows.
-        """
-        unknown = np.flatnonzero(self.mask)
-        n, nodes = self.n_dof, self.mask.size
-        inv_s = 1.0 / self.kernel.sqrt_det.ravel()[unknown]
-        lefts, rights = [], []
-        for axis in range(self.grid.ndim):
-            partial = partial_matrix(self.grid, axis)
-            lefts.append(partial[unknown].multiply(inv_s[:, None]).tocsc())
-            rights.append(partial[:, unknown])
-        if self.kernel.dh is not None:
-            lefts.append(csc_matrix((np.ones(n), (np.arange(n), unknown)), shape=(n, nodes)))
-        diagonal = csr_matrix((np.ones(n, dtype=bool), np.arange(n), np.arange(n + 1)),
-                              shape=(n, n))
-        pattern = (sum(m.astype(bool) for m in lefts)
-                   @ sum(m.astype(bool) for m in rights) + diagonal).tocsr()
-        pattern.sort_indices()
-        indptr, indices = pattern.indptr, pattern.indices
-        # entry (i, j) of this matrix is the position of (i, j) in the pattern
-        lookup = csr_matrix((np.arange(indices.size, dtype=float), indices, indptr), shape=(n, n))
-        # the map is stored by columns: each block's products come grouped by k,
-        # written into arrays sized up front so that no second copy is made
-        blocks = [(left, right) for left in lefts for right in rights]
-        ends = np.concatenate(([0], np.cumsum(np.concatenate(
-            [np.diff(left.indptr) * np.diff(right.indptr) for left, right in blocks]))))
-        values = np.empty(ends[-1])
-        positions = np.empty(ends[-1], dtype=indices.dtype)
-        for b, (left, right) in enumerate(blocks):
-            span = slice(ends[b * nodes], ends[(b + 1) * nodes])
-            i, j, value = _products(left, right)
-            values[span] = value
-            positions[span] = np.asarray(lookup[i, j]).ravel()
-        coeff_map = csc_matrix((values, positions, ends), shape=(indices.size, len(ends) - 1))
-        row_of = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
-        pinned = np.zeros(n, dtype=bool)
-        pinned[self._pinned] = True
-        return _Assembly(coeff_map, indices, indptr, np.flatnonzero(row_of == indices),
-                         np.flatnonzero(pinned[row_of] | pinned[indices]))
+        """The Jacobian map of this problem's grid and metric, shared by every problem on them."""
+        return _shared_assembly(self.kernel)
 
     def _on_pattern(self, data: np.ndarray) -> csr_matrix:
         """A matrix over the unknowns with ``data`` on the shared pattern."""
@@ -304,15 +385,13 @@ class _Problem:
         ``e_c = sum_a dh_a (sigma^{ac} / W - h^2 g^a g^c / W^3)``.  Only
         the unknown rows and columns are kept.  The stencil never changes,
         so only the coefficients are computed here; the map of
-        :meth:`_assembly` carries them onto the entries of one pattern,
-        which every Jacobian of the problem shares.
+        :func:`_build_assembly` carries them onto the entries of one
+        pattern, which every Jacobian on the same grid and metric shares.
         """
         k = self.kernel
         d = self.grid.ndim
         coeffs = np.empty((d + (k.dh is not None), d) + self.grid.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            # a first build multiplies difference weights, which a tiny grid overflows
-            asm = self._assembly
             _, gu, _, W = k.tilt(u_arr)
             flux = k.sqrt_det * k.h / W
             bend = k.h2 / W**2
@@ -324,10 +403,10 @@ class _Problem:
                 for c in range(d):
                     np.divide(sum(k.dh[a] * k.inv[a][c] for a in range(d)) - pull * gu[c], W,
                               out=coeffs[d, c])
-            data = asm.coeff_map @ coeffs.ravel()
+            data = self._assembly.coeff_map @ coeffs.ravel()
         return self._on_pattern(data) if np.isfinite(data).all() else None
 
-    @cached_property
+    @property
     def _pinned(self) -> np.ndarray:
         """Unknowns of the grid cell that pins the Jacobian's null space.
 
@@ -337,11 +416,7 @@ class _Problem:
         ones) determine them, so pinning those nodes leaves a nonsingular
         matrix.  Disks have no null space and pin nothing.
         """
-        if not self.grid.closed:
-            return np.empty(0, dtype=int)
-        cell = np.zeros(self.grid.shape, dtype=bool)
-        cell[tuple(slice(0, 2 - n % 2) for n in self.grid.shape)] = True
-        return np.flatnonzero(self.pack(cell))
+        return self._assembly.cell
 
     def linear_step(self, jac: csr_matrix, f_dof: np.ndarray) -> tuple[np.ndarray, int]:
         """Solve ``jac @ delta = -f`` with the pinned companion; returns ``(delta, info)``.
@@ -392,29 +467,10 @@ class _Problem:
         delta += (s @ (rhs - matrix @ delta)) / (s @ (matrix @ np.ones(self.n_dof)))
         return delta
 
-    @cached_property
+    @property
     def _stencil(self) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Each pattern entry's place in the averaged stencil, and the stencil's shape.
-
-        The shape is ``(rings, 2 b + 1, *periodic)``.  Along each periodic
-        axis an entry is placed by its offset ``(j - i) mod n``.  A disk's
-        unknowns are every ring but the pinned rim, and its entries are
-        also placed by the ring of their row and by their radial offset,
-        which lies in ``-b..b`` with ``b`` = 2: the across-center pair
-        joins ring 0 to rings 0 and 1 half a turn away, inside the band.
-        A torus is one ring with ``b`` = 0.
-        """
-        asm, periodic = self._assembly, self.grid.periodic_axes
-        dims = tuple(n if p else n - 1 for n, p in zip(self.grid.shape, periodic))
-        rows = np.unravel_index(np.repeat(np.arange(self.n_dof), np.diff(asm.indptr)), dims)
-        step = np.subtract(np.unravel_index(asm.indices, dims), rows)
-        wrapped = [o % n for o, n, p in zip(step, dims, periodic) if p]
-        ring, radial, rings, band = 0, 0, 1, 0
-        if not self.grid.closed:
-            ring, radial, rings = rows[0], step[0], dims[0]
-            band = int(np.abs(radial).max())
-        shape = (rings, 2 * band + 1, *(n for n, p in zip(dims, periodic) if p))
-        return np.ravel_multi_index((ring, radial + band, *wrapped), shape), shape
+        """The averaged-stencil keys and shape of the shared map (see :func:`_stencil_of`)."""
+        return self._assembly.keys, self._assembly.shape
 
     def _averaged_inverse(self, data: np.ndarray):
         """The exact inverse of the averaged stencil of ``data`` on the pattern, or None.

@@ -358,6 +358,75 @@ def test_a_later_newton_step_reuses_the_kept_factor(index, monkeypatch):
                                    atol=1e-8 * np.abs(w).max())
 
 
+def _flat_torus_problem(n, warping=1.0, scale=None):
+    """A problem on a freshly built ``n x n`` torus, optionally conformally scaled."""
+    grid, metric = build_torus((n, n))
+    if scale is not None:
+        metric = conformal_scale(metric, ScalarField(grid, scale))
+    wp = WarpedProduct(grid, metric, ScalarField(grid, warping + np.zeros(grid.shape)))
+    return _Problem(wp, ScalarField.constant(grid, 0.0))
+
+
+def test_problems_on_equal_grids_and_metrics_share_one_assembly():
+    first, second = _flat_torus_problem(16), _flat_torus_problem(16)
+    assert first.grid is not second.grid
+    assert first._assembly is second._assembly
+    # so does a disk on two equal hyperbolic metrics
+    disks = [_Problem(WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0)),
+                      ScalarField.constant(grid, 0.0))
+             for grid, metric in (build_hyperbolic_disk(8, 16, 0.875) for _ in range(2))]
+    assert disks[0]._assembly is disks[1]._assembly
+
+
+def test_another_conformal_scale_or_a_varying_warping_gets_another_assembly():
+    flat = _flat_torus_problem(16)
+    x1, x2 = flat.grid.meshes()
+    scaled = _flat_torus_problem(16, scale=1.0 + 0.3 * np.sin(x1) * np.cos(x2))
+    varying = _flat_torus_problem(16, warping=1.0 + 0.3 * np.cos(x1))
+    entries = {id(prob._assembly) for prob in (flat, scaled, varying)}
+    assert len(entries) == 3
+    # the drift blocks of a varying warping lengthen the map
+    assert varying._assembly.coeff_map.shape[1] > flat._assembly.coeff_map.shape[1]
+    np.testing.assert_array_equal(scaled._assembly.indptr, flat._assembly.indptr)
+    assert not np.array_equal(scaled._assembly.coeff_map.data, flat._assembly.coeff_map.data)
+
+
+@pytest.mark.parametrize("index", range(2), ids=["fix_mean", "disk"])
+def test_a_jacobian_from_a_warm_map_equals_one_from_a_fresh_build(index):
+    name, warm, u = _assembly_problems()[index]
+    assert warm._assembly is not None
+    from_cache = _assembly_problems()[index][1]
+    assert from_cache._assembly is warm._assembly, name
+    solver._build_assembly.cache_clear()
+    fresh = _assembly_problems()[index][1]
+    assert fresh._assembly is not warm._assembly, name
+    jac, jac_fresh = from_cache.jacobian(u), fresh.jacobian(u)
+    for part in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(jac, part), getattr(jac_fresh, part))
+    np.testing.assert_array_equal(fresh._stencil[0], warm._stencil[0])
+    np.testing.assert_array_equal(fresh._pinned, warm._pinned)
+
+
+def test_the_cache_never_holds_more_maps_than_its_bound():
+    bound = solver._ASSEMBLY_CACHE_SIZE
+    solver._build_assembly.cache_clear()
+    for n in range(8, 8 + bound + 3):
+        assert _flat_torus_problem(n)._assembly is not None
+        assert solver._build_assembly.cache_info().currsize == min(n - 7, bound)
+
+
+def test_a_shared_pattern_cannot_be_edited_in_place():
+    prob = _flat_torus_problem(16)
+    jac = prob.jacobian(np.zeros(prob.grid.shape))
+    for array in (jac.indices, jac.indptr, prob._pinned, prob._stencil[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    asm = prob._assembly
+    arrays = (asm.coeff_map.data, asm.coeff_map.indices, asm.coeff_map.indptr, asm.indices,
+              asm.indptr, asm.diagonal, asm.pinned, asm.cell, asm.keys)
+    assert not any(array.flags.writeable for array in arrays)
+
+
 def test_gauge_projection_removes_the_mean():
     wp, zero = _torus_problem()
     prob = _Problem(wp, zero)
