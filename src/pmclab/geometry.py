@@ -76,7 +76,7 @@ class FiberGrid:
         ``i`` at ``i * extent / n``; disks use cell-centered radii
         ``r_i = (i + 1/2) * R / n_r`` and angles ``theta_j = j * 2pi / n_theta``.
     dims:
-        Nodes per axis, each at least 8.
+        Nodes per axis, each a whole number of at least 8.
     extents:
         Coordinate extent per axis.  For disks this is ``(R, 2pi)``.
 
@@ -90,7 +90,10 @@ class FiberGrid:
     extents: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        dims = tuple(int(n) for n in self.dims)
+        if dims != tuple(self.dims):
+            raise ConstructionError(f"node counts must be whole numbers, got {self.dims}")
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "extents", tuple(float(e) for e in self.extents))
         expected = {GridKind.torus2d: 2, GridKind.disk_polar: 2, GridKind.torus3d_lifted: 3}
         if len(self.dims) != expected[self.kind]:
@@ -361,7 +364,7 @@ def build_torus(dims, extents=None) -> tuple[FiberGrid, MetricField]:
 
     A conformally flat torus is ``conformal_scale`` of the returned metric.
     """
-    dims = tuple(int(n) for n in dims)
+    dims = tuple(dims)
     if len(dims) not in (2, 3):
         raise ConstructionError(f"torus grids have 2 or 3 axes, got {len(dims)}")
     kind = GridKind.torus2d if len(dims) == 2 else GridKind.torus3d_lifted
@@ -373,8 +376,7 @@ def build_torus(dims, extents=None) -> tuple[FiberGrid, MetricField]:
 
 def build_polar_disk(n_r: int, n_theta: int, radius: float) -> tuple[FiberGrid, MetricField]:
     """Build a polar disk grid with cell-centered radii, a pinned outer ring and its flat metric."""
-    grid = FiberGrid(GridKind.disk_polar, (int(n_r), int(n_theta)),
-                     (float(radius), 2.0 * math.pi))
+    grid = FiberGrid(GridKind.disk_polar, (n_r, n_theta), (float(radius), 2.0 * math.pi))
     return grid, _flat_metric(grid)
 
 

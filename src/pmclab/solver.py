@@ -6,8 +6,9 @@ Two drivers share one residual:
   the discrete residual, the chain-rule product of the difference
   matrices of the grid.  Its stencil never changes: one map from the
   product's node coefficients onto one fixed sparse pattern is built
-  once per process for each grid and metric, and kept for every problem
-  on them; each step computes the coefficients and applies the map.
+  once per process for each grid, and kept for every problem on it;
+  each step computes the coefficients, applies the map and scales each
+  row by the metric's ``1/sqrt_det``.
   Each step is solved by GMRES, preconditioned on the left.  On a disk
   the preconditioner is the exact inverse of the Jacobian's averaged
   stencil: averaged over the angle, the entries give one band matrix in
@@ -44,6 +45,7 @@ the unknown vector and every update leaves it untouched.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -112,10 +114,13 @@ class SolveOptions:
     max_newton: int = 50
 
     def __post_init__(self):
-        if not 0.0 < self.tol_abs < math.inf:
-            raise ConstructionError("tol_abs must be positive and finite")
-        if not 1 <= self.max_newton < math.inf:
-            raise ConstructionError("max_newton must be finite and at least 1")
+        if (isinstance(self.tol_abs, bool) or not isinstance(self.tol_abs, numbers.Real)
+                or not 0.0 < self.tol_abs < math.inf):
+            raise ConstructionError(f"tol_abs must be positive and finite, got {self.tol_abs!r}")
+        if (isinstance(self.max_newton, bool) or not isinstance(self.max_newton, numbers.Integral)
+                or self.max_newton < 1):
+            raise ConstructionError(f"max_newton must be an integer, at least 1, got "
+                                    f"{self.max_newton!r}")
 
 
 @dataclass
@@ -173,7 +178,7 @@ def remove_null_modes(grid: FiberGrid, delta: np.ndarray) -> np.ndarray:
     """Strip from node values (flat or of grid shape) the part the residual cannot see.
 
     On a closed fiber that is the Jacobian's null space (see
-    :meth:`_Problem._pinned`): the fields constant on each class of nodes
+    :class:`_Assembly`): the fields constant on each class of nodes
     that share their index parity along the even axes.  Subtracting each
     class mean removes it and leaves a mean-free result, in the shape of
     ``delta``.  A disk has no null space, so ``delta`` is returned as it is.
@@ -193,10 +198,14 @@ class _Assembly(NamedTuple):
 
     ``diagonal`` and ``pinned`` are the pattern positions of the diagonal
     and of the entries in a pinned row or column, and ``cell`` holds the
-    unknowns of the cell that pins the null space (see
-    :meth:`_Problem._pinned`).  ``keys`` and ``shape`` place each entry in
-    the averaged stencil (see :func:`_stencil_of`).  Every problem on one
-    grid and metric shares one, so its arrays are read-only.
+    unknowns of the cell that pins the null space.  On a closed fiber
+    centered differences annihilate the constants and the fields
+    alternating in sign along each even axis.  Their values on the cell
+    at the origin (two nodes along even axes, one along odd ones)
+    determine them, so pinning those nodes leaves a nonsingular matrix.
+    Disks have no null space and pin nothing.  ``keys`` and ``shape``
+    place each entry in the averaged stencil (see :func:`_stencil_of`).
+    Every problem on one grid shares one, so its arrays are read-only.
     """
 
     coeff_map: csc_matrix
@@ -209,27 +218,20 @@ class _Assembly(NamedTuple):
     shape: tuple[int, ...]
 
 
-def _shared_assembly(kernel: ResidualKernel) -> _Assembly:
-    """The Jacobian map of ``kernel``'s grid and metric, from :func:`_build_assembly`'s cache."""
-    grid = kernel.fiber
-    # a tiny metric or grid multiplies its weights out of range; the
-    # Jacobians built on such a map are not finite, so the solve ends diverged
-    with np.errstate(over="ignore", invalid="ignore"):
-        inv_s = 1.0 / kernel.sqrt_det[grid.interior_mask]
-        return _build_assembly(grid, inv_s.tobytes(), kernel.dh is not None)
-
-
 @lru_cache(maxsize=_ASSEMBLY_CACHE_SIZE)
-def _build_assembly(grid: FiberGrid, inv_s: bytes, varying: bool) -> _Assembly:
+def _build_assembly(grid: FiberGrid, varying: bool) -> _Assembly:
     """The Jacobian's pattern, the map onto it and their keys, keyed on exactly what they read.
 
-    That is the grid, the bytes of ``1/s`` at the unknowns and whether the
-    warping varies (see :func:`_coefficient_map`), so problems on equal
-    grids and metrics share one cached entry.  The map is built in a
-    function of its own so that its temporaries are freed before the keys
-    are made: held together, they would raise a fine grid's peak memory.
+    That is the grid and whether the warping varies (see
+    :func:`_coefficient_map`), so problems on equal grids share one cached
+    entry, whatever their metrics.  The map is built in a function of its
+    own so that its temporaries are freed before the keys are made: held
+    together, they would raise a fine grid's peak memory.
     """
-    coeff_map, indices, indptr = _coefficient_map(grid, np.frombuffer(inv_s), varying)
+    # a tiny grid spacing multiplies its weights out of range; the Jacobians
+    # built on such a map are not finite, so the solve ends diverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff_map, indices, indptr = _coefficient_map(grid, varying)
     mask = grid.interior_mask.ravel()
     n = indptr.size - 1
     row_of = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
@@ -249,14 +251,13 @@ def _build_assembly(grid: FiberGrid, inv_s: bytes, varying: bool) -> _Assembly:
     return asm
 
 
-def _coefficient_map(grid: FiberGrid, inv_s: np.ndarray,
-                     varying: bool) -> tuple[csc_matrix, np.ndarray, np.ndarray]:
+def _coefficient_map(grid: FiberGrid, varying: bool) -> tuple[csc_matrix, np.ndarray, np.ndarray]:
     """The map of node coefficients onto the Jacobian's pattern, and the pattern's indices.
 
-    :meth:`_Problem.jacobian` writes ``J`` as
+    :meth:`_Problem.jacobian` writes ``s J`` as
     ``sum_b L_b diag(x_b) R_b`` over blocks ``b`` of node coefficients
-    ``x_b``: ``m_ac`` with ``L = diag(1/s) D_a`` and ``R = D_c`` for every
-    ``a, c``, then, for a varying warping, ``e_c`` with ``L`` the
+    ``x_b``: ``m_ac`` with ``L = D_a`` and ``R = D_c`` for every
+    ``a, c``, then, for a varying warping, ``s e_c`` with ``L`` the
     restriction to the unknowns and ``R = D_c``.  ``L_b`` keeps the
     unknown rows and ``R_b`` the unknown columns.  So entry ``(i, j)`` is
     ``sum_b sum_k L_b[i, k] R_b[k, j] x_b[k]``, and the map holds each
@@ -270,7 +271,7 @@ def _coefficient_map(grid: FiberGrid, inv_s: np.ndarray,
     lefts, rights = [], []
     for axis in range(grid.ndim):
         partial = partial_matrix(grid, axis)
-        lefts.append(partial[unknown].multiply(inv_s[:, None]).tocsc())
+        lefts.append(partial[unknown].tocsc())
         rights.append(partial[:, unknown])
     if varying:
         lefts.append(csc_matrix((np.ones(n), (np.arange(n), unknown)), shape=(n, nodes)))
@@ -302,7 +303,8 @@ def _stencil_of(grid: FiberGrid, row_of: np.ndarray,
                 indices: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """Each pattern entry's place in the averaged stencil, and the stencil's shape.
 
-    ``row_of`` and ``indices`` are the row and column of each entry.
+    ``row_of`` and ``indices`` are the row and column of each entry, and
+    the keys take the dtype of ``indices``.
 
     The shape is ``(rings, 2 b + 1, *periodic)``.  Along each periodic
     axis an entry is placed by its offset ``(j - i) mod n``.  A disk's
@@ -322,7 +324,8 @@ def _stencil_of(grid: FiberGrid, row_of: np.ndarray,
         ring, radial, rings = rows[0], step[0], dims[0]
         band = int(np.abs(radial).max())
     shape = (rings, 2 * band + 1, *(n for n, p in zip(dims, periodic) if p))
-    return np.ravel_multi_index((ring, radial + band, *wrapped), shape), shape
+    keys = np.ravel_multi_index((ring, radial + band, *wrapped), shape)
+    return keys.astype(indices.dtype), shape
 
 
 class _Problem:
@@ -330,7 +333,7 @@ class _Problem:
 
     The assembly map (:meth:`_assembly`) is read on the first Jacobian
     from a process-wide cache (:func:`_build_assembly`), which builds it
-    once for each grid and metric, and serves every later one; the kept
+    once for each grid, and serves every later one; the kept
     factor and its counts serve the linear solves (:meth:`kept_solve`).
     """
 
@@ -365,8 +368,8 @@ class _Problem:
 
     @cached_property
     def _assembly(self) -> _Assembly:
-        """The Jacobian map of this problem's grid and metric, shared by every problem on them."""
-        return _shared_assembly(self.kernel)
+        """The Jacobian map of this problem's grid, shared by every problem on it."""
+        return _build_assembly(self.grid, self.kernel.dh is not None)
 
     def _on_pattern(self, data: np.ndarray) -> csr_matrix:
         """A matrix over the unknowns with ``data`` on the shared pattern."""
@@ -384,11 +387,12 @@ class _Problem:
         ``sum_c diag(e_c) D_c`` for the drift of a varying warping, with
         ``e_c = sum_a dh_a (sigma^{ac} / W - h^2 g^a g^c / W^3)``.  Only
         the unknown rows and columns are kept.  The stencil never changes,
-        so only the coefficients are computed here; the map of
-        :func:`_build_assembly` carries them onto the entries of one
-        pattern, which every Jacobian on the same grid and metric shares.
+        so only the coefficients ``m_ac`` and ``s e_c`` are computed here;
+        the map of :func:`_build_assembly` carries them onto the entries of
+        ``s J`` on one pattern, which every Jacobian on the same grid
+        shares, and one scale of each row by ``1/s`` gives ``J``.
         """
-        k = self.kernel
+        k, asm = self.kernel, self._assembly
         d = self.grid.ndim
         coeffs = np.empty((d + (k.dh is not None), d) + self.grid.shape)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -403,20 +407,10 @@ class _Problem:
                 for c in range(d):
                     np.divide(sum(k.dh[a] * k.inv[a][c] for a in range(d)) - pull * gu[c], W,
                               out=coeffs[d, c])
-            data = self._assembly.coeff_map @ coeffs.ravel()
+                coeffs[d] *= k.sqrt_det
+            data = asm.coeff_map @ coeffs.ravel()
+            data *= np.repeat(1.0 / self.pack(k.sqrt_det), np.diff(asm.indptr))
         return self._on_pattern(data) if np.isfinite(data).all() else None
-
-    @property
-    def _pinned(self) -> np.ndarray:
-        """Unknowns of the grid cell that pins the Jacobian's null space.
-
-        On a closed fiber centered differences annihilate the constants and
-        the fields alternating in sign along each even axis.  Their values
-        on the cell at the origin (two nodes along even axes, one along odd
-        ones) determine them, so pinning those nodes leaves a nonsingular
-        matrix.  Disks have no null space and pin nothing.
-        """
-        return self._assembly.cell
 
     def linear_step(self, jac: csr_matrix, f_dof: np.ndarray) -> tuple[np.ndarray, int]:
         """Solve ``jac @ delta = -f`` with the pinned companion; returns ``(delta, info)``.
@@ -429,14 +423,14 @@ class _Problem:
         the companion is ``jac`` itself, and the solve may try the inverse
         of its averaged stencil first.
         """
-        if not self._pinned.size:
+        asm = self._assembly
+        if not asm.cell.size:
             return self.kept_solve(jac, -f_dof, averaged=True)
         free = np.ones(self.n_dof)
-        free[self._pinned] = 0.0
-        asm = self._assembly
+        free[asm.cell] = 0.0
         data = jac.data.copy()
         data[asm.pinned] = 0.0
-        data[asm.diagonal[self._pinned]] = 1.0
+        data[asm.diagonal[asm.cell]] = 1.0
         return self.kept_solve(self._on_pattern(data), -free * f_dof)
 
     def flow_step(self, jac: csr_matrix, dt: float, f_dof: np.ndarray) -> np.ndarray:
@@ -467,16 +461,11 @@ class _Problem:
         delta += (s @ (rhs - matrix @ delta)) / (s @ (matrix @ np.ones(self.n_dof)))
         return delta
 
-    @property
-    def _stencil(self) -> tuple[np.ndarray, tuple[int, ...]]:
-        """The averaged-stencil keys and shape of the shared map (see :func:`_stencil_of`)."""
-        return self._assembly.keys, self._assembly.shape
-
     def _averaged_inverse(self, data: np.ndarray):
         """The exact inverse of the averaged stencil of ``data`` on the pattern, or None.
 
         Averaging each entry over the periodic axes, placed as in
-        :meth:`_stencil`, gives weights ``w[r, o]`` on ring ``r`` and
+        :func:`_stencil_of`, gives weights ``w[r, o]`` on ring ``r`` and
         offset ``o``, and an operator
         ``x[r] -> sum_o w[r, o] x[r + o_ring][. + o_periodic]`` that
         commutes with every periodic shift.  So each Fourier mode along
@@ -487,7 +476,7 @@ class _Problem:
         FFTs and a division.  A pivot that is zero or not finite gives
         None.
         """
-        keys, shape = self._stencil
+        keys, shape = self._assembly.keys, self._assembly.shape
         rings, width, *periodic = shape
         band = width // 2
         stencil = np.bincount(keys, weights=data, minlength=math.prod(shape)) / math.prod(periodic)

@@ -2,16 +2,17 @@
 
 ``_Problem.jacobian`` assembles ``J`` from the difference matrices of
 :func:`pmclab.geometry.partial_matrix` by the chain rule, through a map
-from node coefficients onto one sparse pattern per problem.  The matrices
-must be the stencils the residual applies, and ``J v`` must be the limit
-of centered differences of the residual: their gap shrinks at second
-order in the step, on every row kind (drift, off-diagonal metric, the
-third axis, the disk's axis ring and the ring next to its rim).  The map
-must give the chain-rule product of the sparse matrices themselves, kept
-here as the oracle, and the matrices that Newton and the flow solve must
-be the ones their formulas name.  The averaged-stencil preconditioner
-must be the exact inverse of a circulant matrix on a torus pattern and of
-an angle-invariant matrix on a disk pattern.
+from node coefficients onto one sparse pattern per grid and a scale of
+each row by ``1/sqrt_det``.  The matrices must be the stencils the
+residual applies, and ``J v`` must be the limit of centered differences
+of the residual: their gap shrinks at second order in the step, on every
+row kind (drift, off-diagonal metric, the third axis, the disk's axis
+ring and the ring next to its rim).  The map must give the chain-rule
+product of the sparse matrices themselves, kept here as the oracle, and
+the matrices that Newton and the flow solve must be the ones their
+formulas name.  The averaged-stencil preconditioner must be the exact
+inverse of a circulant matrix on a torus pattern and of an
+angle-invariant matrix on a disk pattern.
 """
 
 import os
@@ -35,7 +36,7 @@ from pmclab import (
     newton_solve,
 )
 from pmclab.geometry import partial_into, partial_matrix
-from pmclab.solver import _factor, _Problem
+from pmclab.solver import _build_assembly, _factor, _Problem
 
 _EPS = (1e-3, 1e-4, 1e-5)
 
@@ -132,6 +133,22 @@ def test_jacobian_matches_the_chain_rule_product(build):
     assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
+def test_a_hyperbolic_disk_on_a_flat_disk_map_is_the_chain_rule_product():
+    # the map carries no metric: a flat polar disk warms it, and the
+    # hyperbolic disk on an equal grid reads it and scales its rows
+    _build_assembly.cache_clear()
+    grid, metric = build_polar_disk(16, 32, 0.875)
+    flat = _Problem(WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0)),
+                    ScalarField.constant(grid, 0.0))
+    warm = flat._assembly
+    prob, u, _ = _hyperbolic_disk()
+    assert prob.grid == grid
+    assert prob._assembly is warm
+    expected = _chain_rule_jacobian(prob, u).toarray()
+    got = prob.jacobian(u).toarray()
+    assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
 @pytest.mark.parametrize("build", [_drift_torus, _hyperbolic_disk],
                          ids=["drift_torus", "hyperbolic_disk"])
 def test_companion_and_flow_matrix_are_their_formulas_bit_for_bit(build, monkeypatch):
@@ -146,7 +163,7 @@ def test_companion_and_flow_matrix_are_their_formulas_bit_for_bit(build, monkeyp
     monkeypatch.setattr(prob, "kept_solve", kept_solve)
     prob.linear_step(jac, np.ones(prob.n_dof))
     free = np.ones(prob.n_dof)
-    free[prob._pinned] = 0.0
+    free[prob._assembly.cell] = 0.0
     companion = diags(free) @ jac @ diags(free) + diags(1.0 - free)
     np.testing.assert_array_equal(seen[0].toarray(), companion.toarray())
     dt = 0.0375
@@ -164,7 +181,7 @@ def test_fourier_inverse_undoes_a_circulant_matrix_on_the_pattern(build):
     rng = np.random.default_rng(11)
     stencil = 0.02 * rng.standard_normal(prob.n_dof)
     stencil[0] = 1.0
-    data = stencil[prob._stencil[0]]
+    data = stencil[prob._assembly.keys]
     x = rng.standard_normal(prob.n_dof)
     got = prob._averaged_inverse(data)(prob._on_pattern(data) @ x)
     assert np.abs(got - x).max() <= 1e-13 * np.abs(x).max()
@@ -204,7 +221,7 @@ def test_kept_factor_has_the_fill_of_the_chain_rule_product():
     assert (jac.data == 0.0).any()
     prob.linear_step(jac, np.ones(prob.n_dof))
     free = np.ones(prob.n_dof)
-    free[prob._pinned] = 0.0
+    free[prob._assembly.cell] = 0.0
     old = _chain_rule_jacobian(prob, zero)
     expected = _factor(diags(free) @ old @ diags(free) + diags(1.0 - free))
     assert prob.lu.L.nnz + prob.lu.U.nnz == expected.L.nnz + expected.U.nnz

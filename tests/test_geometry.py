@@ -72,6 +72,25 @@ def test_dims_floor_is_enforced():
         build_torus((4, 64))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_torus((8.7, 9.2)),
+    lambda: build_torus((8, 8, 8.5)),
+    lambda: build_polar_disk(8.9, 16, 1.0),
+    lambda: FiberGrid(GridKind.disk_polar, (8, 16.5), (1.0, 2.0 * math.pi)),
+], ids=["torus", "torus3d", "disk", "grid"])
+def test_a_fractional_node_count_is_rejected_not_truncated(build):
+    with pytest.raises(ConstructionError, match="whole numbers"):
+        build()
+
+
+def test_whole_node_counts_of_any_numeric_type_are_accepted():
+    assert build_torus((np.int64(8), np.int32(10)))[0].dims == (8, 10)
+    assert build_torus((8.0, 9.0, 10.0))[0].dims == (8, 9, 10)
+    grid, _ = build_polar_disk(np.int64(8), 16.0, 1.0)
+    assert grid.dims == (8, 16)
+    assert all(type(n) is int for n in grid.dims)
+
+
 def test_require_same_rejects_other_grid():
     a, _ = build_torus((16, 16))
     b, _ = build_torus((16, 32))

@@ -558,6 +558,24 @@ def test_report_is_deterministic_up_to_wall_time(text):
     assert parse_config(echo).echo_json() == parse_config(text).echo_json()
 
 
+def test_a_flat_torus_after_a_scaled_one_reports_as_it_does_cold():
+    # both metrics on one grid read one Jacobian map: the scaled run warms it,
+    # and the flat run that follows must not see that run's metric
+    flat = _cfg(fiber={"kind": "torus", "dims": [16, 16]}, warping="1+0.3*cos(x1)",
+                initial="0.3*sin(x1)+0.1*cos(x2)")
+    scaled = json.loads(flat)
+    scaled["metric"] = "1+0.3*sin(x1)*cos(x2)"
+    solver._build_assembly.cache_clear()
+    cold = run_scenario(parse_config(flat))
+    solver._build_assembly.cache_clear()
+    run_scenario(parse_config(json.dumps(scaled)))
+    hits = solver._build_assembly.cache_info().hits
+    warm = run_scenario(parse_config(flat))
+    assert solver._build_assembly.cache_info().hits > hits
+    assert cold.solve.verdict == "converged"
+    assert _without_wall_time(warm) == _without_wall_time(cold)
+
+
 @pytest.mark.parametrize("name,solver,counts", [
     # 14 accepted steps and 6 rejected trials with no factor: the inverse of
     # each trial matrix's averaged stencil carries it, on the disk as on the

@@ -75,6 +75,11 @@ def test_option_defaults_are_the_documented_contract():
     {"max_newton": math.inf},
     {"max_newton": -math.inf},
     {"max_newton": 0.5},
+    {"max_newton": 2.5},
+    {"max_newton": True},
+    {"max_newton": "3"},
+    {"tol_abs": "1e-3"},
+    {"tol_abs": None},
 ])
 def test_option_validation(bad):
     with pytest.raises((ConstructionError, ValueError)):
@@ -378,17 +383,16 @@ def test_problems_on_equal_grids_and_metrics_share_one_assembly():
     assert disks[0]._assembly is disks[1]._assembly
 
 
-def test_another_conformal_scale_or_a_varying_warping_gets_another_assembly():
+def test_a_conformal_scale_shares_the_map_and_a_varying_warping_gets_a_longer_one():
     flat = _flat_torus_problem(16)
     x1, x2 = flat.grid.meshes()
     scaled = _flat_torus_problem(16, scale=1.0 + 0.3 * np.sin(x1) * np.cos(x2))
     varying = _flat_torus_problem(16, warping=1.0 + 0.3 * np.cos(x1))
-    entries = {id(prob._assembly) for prob in (flat, scaled, varying)}
-    assert len(entries) == 3
+    # the metric enters through the node coefficients and a row scale only
+    assert scaled._assembly is flat._assembly
+    assert varying._assembly is not flat._assembly
     # the drift blocks of a varying warping lengthen the map
     assert varying._assembly.coeff_map.shape[1] > flat._assembly.coeff_map.shape[1]
-    np.testing.assert_array_equal(scaled._assembly.indptr, flat._assembly.indptr)
-    assert not np.array_equal(scaled._assembly.coeff_map.data, flat._assembly.coeff_map.data)
 
 
 @pytest.mark.parametrize("index", range(2), ids=["fix_mean", "disk"])
@@ -403,8 +407,8 @@ def test_a_jacobian_from_a_warm_map_equals_one_from_a_fresh_build(index):
     jac, jac_fresh = from_cache.jacobian(u), fresh.jacobian(u)
     for part in ("data", "indices", "indptr"):
         np.testing.assert_array_equal(getattr(jac, part), getattr(jac_fresh, part))
-    np.testing.assert_array_equal(fresh._stencil[0], warm._stencil[0])
-    np.testing.assert_array_equal(fresh._pinned, warm._pinned)
+    np.testing.assert_array_equal(fresh._assembly.keys, warm._assembly.keys)
+    np.testing.assert_array_equal(fresh._assembly.cell, warm._assembly.cell)
 
 
 def test_the_cache_never_holds_more_maps_than_its_bound():
@@ -418,13 +422,21 @@ def test_the_cache_never_holds_more_maps_than_its_bound():
 def test_a_shared_pattern_cannot_be_edited_in_place():
     prob = _flat_torus_problem(16)
     jac = prob.jacobian(np.zeros(prob.grid.shape))
-    for array in (jac.indices, jac.indptr, prob._pinned, prob._stencil[0]):
+    asm = prob._assembly
+    for array in (jac.indices, jac.indptr, asm.cell, asm.keys):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
-    asm = prob._assembly
     arrays = (asm.coeff_map.data, asm.coeff_map.indices, asm.coeff_map.indptr, asm.indices,
               asm.indptr, asm.diagonal, asm.pinned, asm.cell, asm.keys)
     assert not any(array.flags.writeable for array in arrays)
+
+
+@pytest.mark.parametrize("index", range(2), ids=["fix_mean", "disk"])
+def test_stencil_keys_take_the_pattern_index_dtype(index):
+    asm = _assembly_problems()[index][1]._assembly
+    assert asm.indices.dtype == np.int32
+    assert asm.keys.dtype == asm.indices.dtype
+    assert asm.keys.max() < np.prod(asm.shape)
 
 
 def test_gauge_projection_removes_the_mean():
