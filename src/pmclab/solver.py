@@ -12,9 +12,10 @@ Two drivers share one residual:
   Each step is solved by GMRES, preconditioned on the left.  On a disk
   the preconditioner is the exact inverse of the Jacobian's averaged
   stencil: averaged over the angle, the entries give one band matrix in
-  the radius per angular mode, inverted by an FFT in angle and a banded
-  elimination in radius, so no factor is built while that carries the
-  step; a step it would carry only slowly is left to a factor.  On closed
+  the radius per angular mode, inverted by an FFT in angle and one
+  LAPACK banded LU with row swaps over all modes at once, so no sparse
+  factor is built while that carries the step; a step it would carry
+  only slowly is left to a factor.  On closed
   fibers the equation only sees the centered differences of ``u``, so
   the constants and the fields alternating in sign along each even axis
   span a known null space; the step comes from a companion in which one
@@ -31,9 +32,9 @@ Two drivers share one residual:
   (Rosenbrock-Euler) steps on the same Jacobian, with at most 16 steps
   to ``t_max`` and the residual judging each one.  Each step is solved
   by the same GMRES as Newton's, on every fiber preconditioned by the
-  exact inverse of the averaged stencil of ``I - dt J`` (two FFTs on a
-  torus), so a flow builds no factor while that carries each step; a
-  step it misses takes the kept-factor path.  Each step is then
+  exact inverse of the averaged stencil of ``I - dt J`` (two FFTs and a
+  division on a torus), so a flow builds no factor while that carries
+  each step; a step it misses takes the kept-factor path.  Each step is then
   corrected along the constants so that on obstructed problems the mean
   height drifts at the rate fixed by mass balance, which the report
   records.
@@ -52,6 +53,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
@@ -470,50 +472,46 @@ class _Problem:
         ``x[r] -> sum_o w[r, o] x[r + o_ring][. + o_periodic]`` that
         commutes with every periodic shift.  So each Fourier mode along
         the periodic axes is mapped to itself, through a band matrix in
-        the ring index whose entries are ``conj(rfftn(w))``.  Pivot-free
-        elimination of those bands runs over all modes at once, ring by
-        ring.  On a torus the band is one entry, and the inverse is two
-        FFTs and a division.  A pivot that is zero or not finite gives
-        None.
+        the ring index whose entries are ``conj(rfftn(w))``.  On a disk
+        those bands, laid out mode after mode, make one block-diagonal band
+        matrix, factored once by LAPACK's banded LU with row swaps
+        (``zgbtrf``) and applied between two FFTs by one banded solve
+        (``zgbtrs``).  On a torus the band is one entry, and the inverse
+        is two FFTs and a division.  A singular or non-finite factor, or a
+        zero or non-finite entry on a torus, gives None.
         """
         keys, shape = self._assembly.keys, self._assembly.shape
         rings, width, *periodic = shape
         band = width // 2
         stencil = np.bincount(keys, weights=data, minlength=math.prod(shape)) / math.prod(periodic)
         bands = np.conj(np.fft.rfftn(stencil.reshape(shape), axes=tuple(range(2, len(shape)))))
-        # ring r is row b + r, between b zero rows on either side; the row of
-        # ring k + s holds column k at b - s and columns k + 1..k + b from b - s + 1
-        lu = np.zeros((rings + 2 * band, *bands.shape[1:]), dtype=complex)
-        lu[band:band + rings] = bands
-        s = np.arange(1, band + 1)
-        below, right = (s, band - s), (s[:, None], band - s[:, None] + s)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for k in range(band, band + rings - 1):
-                rows = lu[k:k + band + 1]
-                rows[below] /= rows[0, band]
-                rows[right] -= rows[below][:, None] * rows[0, band + 1:]
-        ring = np.arange(rings)[:, None]
-        pivots = lu[band:band + rings, band]
-        if not (np.isfinite(lu).all() and pivots.all()):
-            return None
-        # ring k's multiples of the b rings below it, and its entries in the b
-        # rings above over its pivot, so the back sweep divides once at its end
-        lower = lu[band + ring + s, band - s]
-        above = lu[ring + s - 1, 2 * band + 1 - s] / pivots[:, None]
+        modes = bands.shape[2:]
         axes = tuple(range(1, len(shape) - 1))
-
-        # each step of the forward then the back sweep: a ring, the rows it
-        # updates and their weights, sliced once here rather than per call
-        sweeps = ([(k, slice(k + 1, k + band + 1), lower[k, :rings - 1 - k])
-                   for k in range(rings - 1)]
-                  + [(k, slice(max(k - band, 0), k), above[k, max(band - k, 0):])
-                     for k in range(rings - 1, 0, -1)])
+        if band:
+            # LAPACK band storage of kl = ku = b: A[i, j] at row 2 b + i - j of
+            # column j; the columns take the rings of mode 0, then of mode 1, ...
+            bands = bands.reshape(rings, width, -1)
+            ab = np.zeros((3 * band + 1, rings, bands.shape[2]), dtype=complex, order="F")
+            for o in range(-band, band + 1):
+                ring = slice(max(o, 0), rings + min(o, 0))
+                ab[2 * band - o, ring] = bands[ring.start - o:ring.stop - o, o + band]
+            lu, pivots, info = zgbtrf(ab.reshape(3 * band + 1, -1, order="F"), band, band,
+                                      overwrite_ab=True)
+            if info or not np.isfinite(lu).all():
+                return None
+        else:
+            diagonal = bands[:, 0]
+            if not (np.isfinite(diagonal).all() and diagonal.all()):
+                return None
 
         def inverse(z):
             y = np.fft.rfftn(z.reshape(rings, *periodic), axes=axes)
-            for k, rows, weights in sweeps:
-                y[rows] -= weights * y[k]
-            y /= pivots
+            if band:
+                y, _ = zgbtrs(lu, band, band, y.reshape(rings, -1).T.reshape(-1, 1), pivots,
+                              overwrite_b=True)
+                y = y.reshape(-1, rings).T.reshape(rings, *modes)
+            else:
+                y /= diagonal
             return np.fft.irfftn(y, s=periodic, axes=axes).ravel()
 
         return inverse

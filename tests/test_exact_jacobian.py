@@ -12,12 +12,15 @@ product of the sparse matrices themselves, kept here as the oracle, and
 the matrices that Newton and the flow solve must be the ones their
 formulas name.  The averaged-stencil preconditioner must be the exact
 inverse of a circulant matrix on a torus pattern and of an
-angle-invariant matrix on a disk pattern.
+angle-invariant matrix on a disk pattern, of a random ring-varying disk
+stencil too, with row swaps where a ring's diagonal vanishes; a singular
+or non-finite stencil gives None without a warning.
 """
 
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +202,60 @@ def test_averaged_inverse_undoes_a_theta_invariant_disk_matrix():
     x = np.random.default_rng(12).standard_normal(prob.n_dof)
     got = prob._averaged_inverse(jac.data)(jac @ x)
     assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
+
+
+def _disk_stencil_problem(dims, seed):
+    # a random stencil on a disk pattern, not symmetric, with a dominant
+    # diagonal that differs from ring to ring
+    grid, metric = build_hyperbolic_disk(*dims, 0.875)
+    prob = _Problem(WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0)),
+                    ScalarField.constant(grid, 0.0))
+    rng = np.random.default_rng(seed)
+    rings, width, _ = prob._assembly.shape
+    stencil = 0.02 * rng.standard_normal(prob._assembly.shape)
+    stencil[:, width // 2, 0] = 1.0 + rng.random(rings)
+    return prob, stencil, rng
+
+
+@pytest.mark.parametrize("dims", [(16, 32), (64, 128)], ids=["16x32", "64x128"])
+def test_averaged_inverse_undoes_a_ring_varying_disk_stencil(dims):
+    # entries that depend on their ring and their radial and angular
+    # offsets alone make a matrix that is its own averaged stencil: a
+    # different band matrix for every angular mode, which the averaged
+    # inverse must undo to rounding
+    prob, stencil, rng = _disk_stencil_problem(dims, 13)
+    data = stencil.ravel()[prob._assembly.keys]
+    x = rng.standard_normal(prob.n_dof)
+    got = prob._averaged_inverse(data)(prob._on_pattern(data) @ x)
+    assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
+
+
+def test_averaged_inverse_swaps_rows_where_a_ring_diagonal_vanishes():
+    # ring 0 has no diagonal weight at any angular offset, so every mode's
+    # band matrix has a zero first pivot; coupled to ring 1 both ways it
+    # stays nonsingular, and a row swap inverts it to rounding
+    prob, stencil, rng = _disk_stencil_problem((16, 32), 14)
+    band = prob._assembly.shape[1] // 2
+    stencil[0, band] = 0.0
+    stencil[0, band + 1, 0] = stencil[1, band - 1, 0] = 1.0
+    data = stencil.ravel()[prob._assembly.keys]
+    n_theta = prob.grid.shape[1]
+    assert not data[prob._assembly.diagonal[:n_theta]].any()
+    x = rng.standard_normal(prob.n_dof)
+    got = prob._averaged_inverse(data)(prob._on_pattern(data) @ x)
+    assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("build", [_hyperbolic_disk, _drift_torus],
+                         ids=["hyperbolic_disk", "drift_torus"])
+def test_a_singular_or_non_finite_averaged_stencil_gives_none(build):
+    prob, u, _ = build()
+    data = prob.jacobian(u).data
+    data[data.size // 2] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert prob._averaged_inverse(np.zeros_like(data)) is None
+        assert prob._averaged_inverse(data) is None
 
 
 def test_jacobians_of_one_problem_share_one_pattern():
