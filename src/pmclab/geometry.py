@@ -277,6 +277,14 @@ class MetricField:
     adjugate over it (exactly symmetric, since the adjugate of a symmetric
     matrix is).  Positive definiteness is Sylvester's criterion: every
     leading principal minor is positive.
+
+    Every check runs on the component views ``mat[..., i, j]``, with no
+    reduction over a node's ``(d, d)`` block: finiteness of the input;
+    the asymmetry ``|m_ij - m_ji|``, which is measured against the node's
+    largest entry only when some node is asymmetric at all; the
+    symmetrization ``0.5 (m_ij + m_ji)``, whose sum may overflow for
+    entries beyond half the float range; the minors; and finiteness of
+    each inverse component as it is written.
     """
 
     __slots__ = ("grid", "mat", "sqrt_det", "inv")
@@ -290,29 +298,36 @@ class MetricField:
             )
         if not np.isfinite(mat).all():
             raise ConstructionError("metric contains non-finite values")
-        # each node's asymmetry against that node's own largest entry
+        # each node's asymmetry against that node's own largest entry; exactly
+        # symmetric input, as every metric built here is, skips the scale
         skew = np.maximum.reduce([np.abs(mat[..., i, j] - mat[..., j, i])
                                   for i in range(d) for j in range(i + 1, d)])
-        lopsided = skew > 1e-12 * (1.0 + np.abs(mat).max(axis=(-2, -1)))
-        if lopsided.any():
-            node = tuple(int(i) for i in np.argwhere(lopsided)[0])
-            raise ConstructionError(
-                f"metric is not symmetric at node {node} (asymmetry {skew[node]:.3e})")
-        mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
+        if skew.any():
+            lopsided = skew > 1e-12 * (1.0 + np.abs(mat).max(axis=(-2, -1)))
+            if lopsided.any():
+                node = tuple(int(i) for i in np.argwhere(lopsided)[0])
+                raise ConstructionError(
+                    f"metric is not symmetric at node {node} (asymmetry {skew[node]:.3e})")
+        sym = np.empty_like(mat)
+        for i in range(d):
+            for j in range(i, d):
+                sym[..., i, j] = sym[..., j, i] = 0.5 * (mat[..., i, j] + mat[..., j, i])
+        mat = sym
         # products of large or small entries may leave the float range;
         # the check below names the node
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             cofactors, minors = _cofactors(mat)
             det = minors[-1]
+            # a minor that overflowed to nan fails its comparison as well; a
+            # subnormal det has lost its relative precision
+            good = (det >= _NORMAL_MIN) & (det < np.inf)
+            for minor in minors[:-1]:
+                good &= minor > 0.0
             inv = np.empty_like(mat)
             for (i, j), c in cofactors.items():
                 np.divide(c, det, out=inv[..., i, j])
+                good &= np.isfinite(inv[..., i, j])
                 inv[..., j, i] = inv[..., i, j]
-            # a minor that overflowed to nan fails its comparison as well; a
-            # subnormal det has lost its relative precision
-            good = np.logical_and.reduce([minor > 0.0 for minor in minors[:-1]]
-                                         + [det >= _NORMAL_MIN, det < np.inf,
-                                            np.isfinite(inv).all(axis=(-2, -1))])
         if not good.all():
             node = tuple(int(i) for i in np.argwhere(~good)[0])
             raise ConstructionError(f"metric {_node_failure(mat[node])} at node {node}")

@@ -218,11 +218,15 @@ class GraphState:
     :class:`ResidualKernel`.  It keeps the kernel and the tilt: the
     partials ``du`` and the gradient ``gu`` (lists per axis),
     ``grad_sq = |grad u|^2`` and ``W``.  Every graph diagnostic and check
-    below reads these instead of evaluating the tilt again.
+    below reads these instead of evaluating the tilt again.  The induced
+    metric is built on first use and kept as well: ``graph_mat``, its
+    read-only node matrices, and ``graph_metric``, the validated
+    :class:`MetricField` of them; both are None until then, and a build
+    that raised keeps nothing.
     """
 
     __slots__ = ("warped", "height", "target", "kernel", "residual",
-                 "du", "gu", "grad_sq", "W", "grad_sup")
+                 "du", "gu", "grad_sq", "W", "grad_sup", "graph_mat", "graph_metric")
 
     def __init__(self, warped: WarpedProduct, height: ScalarField,
                  target: ScalarField) -> None:
@@ -236,6 +240,8 @@ class GraphState:
         self.target = target
         self.residual = ScalarField(warped.fiber, values)
         self.grad_sup = float(np.sqrt(self.grad_sq.max()))
+        self.graph_mat = None
+        self.graph_metric = None
 
     def interior_residual_sup(self) -> float:
         mask = self.warped.fiber.interior_mask
@@ -266,15 +272,32 @@ def unit_normal(state: GraphState) -> tuple[VectorField, ScalarField, ScalarFiel
 
 
 def _graph_metric_mat(state: GraphState) -> np.ndarray:
-    """The node matrices ``sigma_ij + h^2 (d_i u)(d_j u)``, a rank-one update of sigma."""
-    du = np.stack(state.du, axis=-1)
-    h2 = state.kernel.h2
-    return state.warped.metric.mat + h2[..., None, None] * (du[..., :, None] * du[..., None, :])
+    """The node matrices ``sigma_ij + h^2 (d_i u)(d_j u)``, a rank-one update of sigma.
+
+    Built once per state, component by component, and kept read-only in
+    ``state.graph_mat``.  sigma is exactly symmetric, so the update is too.
+    """
+    if state.graph_mat is None:
+        du, h2, sigma = state.du, state.kernel.h2, state.warped.metric.mat
+        mat = np.empty_like(sigma)
+        for i in range(len(du)):
+            for j in range(i, len(du)):
+                mat[..., i, j] = mat[..., j, i] = sigma[..., i, j] + h2 * (du[i] * du[j])
+        mat.setflags(write=False)
+        state.graph_mat = mat
+    return state.graph_mat
 
 
 def induced_metric(state: GraphState) -> MetricField:
-    """Graph metric ``sigma_ij + h^2 (d_i u)(d_j u)`` on the fiber chart."""
-    return MetricField(state.warped.fiber, _graph_metric_mat(state))
+    """Graph metric ``sigma_ij + h^2 (d_i u)(d_j u)`` on the fiber chart.
+
+    Validated by :class:`MetricField` once per state and kept in
+    ``state.graph_metric``; a node that fails raises
+    :class:`ConstructionError` on every call, since nothing is kept.
+    """
+    if state.graph_metric is None:
+        state.graph_metric = MetricField(state.warped.fiber, _graph_metric_mat(state))
+    return state.graph_metric
 
 
 def quasi_isometry_constants(state: GraphState) -> tuple[float, float]:
@@ -295,11 +318,12 @@ def quasi_isometry_constants(state: GraphState) -> tuple[float, float]:
         l21 = sigma[..., 1, 0] / l11
         l22 = np.sqrt(sigma[..., 1, 1] - l21 * l21)
         # T = L^-1 A by forward substitution, then C = L^-1 T^T, lower triangle
-        t0 = prime[..., 0, :] / l11[..., None]
-        t1 = (prime[..., 1, :] - l21[..., None] * t0) / l22[..., None]
-        c11 = t0[..., 0] / l11
-        c12 = (t0[..., 1] - l21 * c11) / l22
-        c22 = (t1[..., 1] - l21 * t1[..., 0] / l11) / l22
+        t00, t01 = prime[..., 0, 0] / l11, prime[..., 0, 1] / l11
+        t10 = (prime[..., 1, 0] - l21 * t00) / l22
+        t11 = (prime[..., 1, 1] - l21 * t01) / l22
+        c11 = t00 / l11
+        c12 = (t01 - l21 * c11) / l22
+        c22 = (t11 - l21 * t10 / l11) / l22
         centre, radius = 0.5 * (c11 + c22), np.hypot(0.5 * (c11 - c22), c12)
         return float((centre - radius).min()), float((centre + radius).max())
     L = np.linalg.cholesky(sigma)

@@ -2,7 +2,9 @@
 
 ``MetricField`` computes ``sqrt_det`` and ``inv`` from cofactors and
 decides positive definiteness by Sylvester's criterion.  The references
-here are batched ``np.linalg`` calls, kept in the tests only.
+here are batched ``np.linalg`` calls, kept in the tests only, and the
+whole-array validation that the per-component one replaced, which must
+agree with it bit for bit.
 """
 
 import re
@@ -10,7 +12,14 @@ import re
 import numpy as np
 import pytest
 
-from pmclab import ConstructionError, MetricField, build_torus
+from pmclab import (
+    ConstructionError,
+    MetricField,
+    build_polar_disk,
+    build_torus,
+    hyperbolic_conformal_factor,
+)
+from pmclab.geometry import _NORMAL_MIN, _cofactors, _node_failure
 
 _GRIDS = {2: (16, 16), 3: (8, 8, 8)}
 
@@ -128,3 +137,84 @@ def test_asymmetry_is_measured_against_its_own_node():
     with pytest.raises(ConstructionError,
                        match=re.escape("metric is not symmetric at node (5, 9)")):
         MetricField(grid, mats)
+
+
+def _whole_array_metric(grid, mat):
+    """``MetricField``'s validation as whole-array reductions over the ``(d, d)`` axes.
+
+    Returns ``(mat, sqrt_det, inv)``, or the ``ConstructionError`` message
+    for the first bad node.
+    """
+    d = grid.ndim
+    mat = np.asarray(mat, dtype=np.float64)
+    if not np.isfinite(mat).all():
+        return "metric contains non-finite values"
+    skew = np.maximum.reduce([np.abs(mat[..., i, j] - mat[..., j, i])
+                              for i in range(d) for j in range(i + 1, d)])
+    lopsided = skew > 1e-12 * (1.0 + np.abs(mat).max(axis=(-2, -1)))
+    if lopsided.any():
+        node = tuple(int(i) for i in np.argwhere(lopsided)[0])
+        return f"metric is not symmetric at node {node} (asymmetry {skew[node]:.3e})"
+    mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        cofactors, minors = _cofactors(mat)
+        det = minors[-1]
+        inv = np.empty_like(mat)
+        for (i, j), c in cofactors.items():
+            np.divide(c, det, out=inv[..., i, j])
+            inv[..., j, i] = inv[..., i, j]
+        good = np.logical_and.reduce([minor > 0.0 for minor in minors[:-1]]
+                                     + [det >= _NORMAL_MIN, det < np.inf,
+                                        np.isfinite(inv).all(axis=(-2, -1))])
+    if not good.all():
+        node = tuple(int(i) for i in np.argwhere(~good)[0])
+        return f"metric {_node_failure(mat[node])} at node {node}"
+    return mat, np.sqrt(det), inv
+
+
+def _assert_bitwise_as_whole_array(grid, mats):
+    met = MetricField(grid, mats)
+    expected = _whole_array_metric(grid, mats)
+    for got, ref in zip((met.mat, met.sqrt_det, met.inv), expected):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    return met
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("scale", [1.0, 1e100, 1e-100])
+def test_random_fields_match_the_whole_array_form_bit_for_bit(d, scale):
+    grid, _ = build_torus(_GRIDS[d])
+    _assert_bitwise_as_whole_array(grid, scale * _random_spd(grid.shape, seed=60 + d))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_input_asymmetric_at_1e_14_is_symmetrized_bit_for_bit(d):
+    grid, _ = build_torus(_GRIDS[d])
+    mats = _random_spd(grid.shape, seed=70 + d)
+    mats[..., 0, 1] *= 1.0 + 1e-14
+    mats[..., d - 1, 0] *= 1.0 - 1e-14
+    met = _assert_bitwise_as_whole_array(grid, mats)
+    assert not np.array_equal(met.mat, mats)
+    np.testing.assert_array_equal(met.mat, np.swapaxes(met.mat, -1, -2))
+
+
+def test_polar_disks_match_the_whole_array_form_bit_for_bit():
+    grid, flat = build_polar_disk(32, 64, 0.875)
+    hyperbolic = hyperbolic_conformal_factor(grid).values[..., None, None] * flat.mat
+    for mats in (np.array(flat.mat), hyperbolic):
+        _assert_bitwise_as_whole_array(grid, mats)
+
+
+def test_symmetrizing_entries_above_half_the_float_max_overflows_as_before():
+    # unsymmetrized this node passes (det 1.2e8, inverse finite); 1.2e308 + 1.2e308 does not
+    grid, _ = build_torus(_GRIDS[2])
+    mats = np.tile(np.eye(2), grid.shape + (1, 1))
+    mats[2, 5] = np.diag([1.2e308, 1e-300])
+    mats[6, 1] = 1e-160 * np.eye(2)  # fails too, but later in node order
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        expected = _whole_array_metric(grid, mats)
+    assert expected == "metric determinant or inverse is out of floating-point range at node (2, 5)"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ConstructionError, match=f"^{re.escape(expected)}$"):
+            MetricField(grid, mats)

@@ -31,6 +31,7 @@ from pmclab import (
     quasi_isometry_constants,
     unit_normal,
 )
+from pmclab import scenarios, warped
 from pmclab.geometry import circle_lift_laplacian
 
 from explicit_lift import lift_to_circle
@@ -233,6 +234,97 @@ def test_closed_form_quasi_isometry_spectrum_matches_eigvalsh(build):
     assert got[0] < got[1]
     for value, reference in zip(got, expected):
         assert abs(value - reference) <= 4 * np.spacing(reference), (value, reference)
+
+
+class _CountedMetric(MetricField):
+    """A MetricField that records each build and can be told to fail the first ones."""
+
+    __slots__ = ()
+    builds = []
+    failures = 0
+
+    def __init__(self, grid, mat):
+        type(self).builds.append(grid)
+        if len(type(self).builds) <= type(self).failures:
+            raise ConstructionError("a planted failure")
+        super().__init__(grid, mat)
+
+
+@pytest.fixture
+def counted_metric(monkeypatch):
+    monkeypatch.setattr(_CountedMetric, "builds", [])
+    monkeypatch.setattr(_CountedMetric, "failures", 0)
+    monkeypatch.setattr(warped, "MetricField", _CountedMetric)
+    return _CountedMetric
+
+
+def test_one_state_builds_its_induced_metric_once_for_all_checks(counted_metric):
+    config = scenarios.builtin_config("uniqueness_torus")
+    state, report = newton_solve(config.warped, config.target,
+                                 ScalarField(config.grid, config.initial_values()),
+                                 config.solver_opts)
+    assert report.verdict.value == "converged"
+    assert len(config.checks) == 4
+    results = {name: scenarios._run_check(name, state, config) for name in config.checks}
+    assert len(counted_metric.builds) == 1
+    assert state.graph_metric is induced_metric(state)
+    assert not state.graph_mat.flags.writeable
+    for name in config.checks:
+        fresh = GraphState(state.warped, state.height, state.target)
+        assert scenarios._run_check(name, fresh, config) == results[name], name
+    assert all(r["pass"] for r in results.values()), results
+
+
+def test_an_induced_metric_build_that_raised_is_retried(counted_metric):
+    state = _conformal_torus_state()
+    counted_metric.failures = 1
+    with pytest.raises(ConstructionError, match="a planted failure"):
+        induced_metric(state)
+    assert state.graph_metric is None
+    prime = induced_metric(state)
+    assert len(counted_metric.builds) == 2
+    assert induced_metric(state) is prime and len(counted_metric.builds) == 2
+    reference = MetricField(state.warped.fiber, state.graph_mat)
+    for got, expected in zip((prime.mat, prime.sqrt_det, prime.inv),
+                             (reference.mat, reference.sqrt_det, reference.inv)):
+        assert got.tobytes() == expected.tobytes()
+
+
+def _lifted_torus_state():
+    grid, metric = build_torus((12, 12, 12))
+    x1, x2, x3 = grid.meshes()
+    metric = conformal_scale(metric, ScalarField(grid, 1.0 + 0.3 * np.sin(x1) * np.cos(x3)))
+    wp = WarpedProduct(grid, metric, ScalarField(grid, 1.0 + 0.2 * np.cos(x2)))
+    u = ScalarField(grid, 0.3 * np.sin(x1) + 0.1 * np.cos(x2 + x3))
+    return GraphState(wp, u, ScalarField.constant(grid, 0.0))
+
+
+@pytest.mark.parametrize("build", [_conformal_torus_state, _sheared_torus_state,
+                                   _hyperbolic_disk_state, _lifted_torus_state],
+                         ids=["conformal_torus", "sheared_torus", "hyperbolic_disk",
+                              "lifted_torus"])
+def test_per_component_graph_metric_and_reduction_match_the_broadcast_forms(build):
+    # the whole-array forms that the per-component ones replaced, bit for bit
+    state = build()
+    du = np.stack(state.du, axis=-1)
+    prime = state.warped.metric.mat + state.kernel.h2[..., None, None] * (
+        du[..., :, None] * du[..., None, :])
+    assert warped._graph_metric_mat(state).tobytes() == prime.tobytes()
+    if state.warped.fiber.ndim == 3:
+        return  # 3-D fibers reduce by np.linalg, unchanged
+    sigma = state.warped.metric.mat
+    l11 = np.sqrt(sigma[..., 0, 0])
+    l21 = sigma[..., 1, 0] / l11
+    l22 = np.sqrt(sigma[..., 1, 1] - l21 * l21)
+    t0 = prime[..., 0, :] / l11[..., None]
+    t1 = (prime[..., 1, :] - l21[..., None] * t0) / l22[..., None]
+    c11 = t0[..., 0] / l11
+    c12 = (t0[..., 1] - l21 * c11) / l22
+    c22 = (t1[..., 1] - l21 * t1[..., 0] / l11) / l22
+    centre, radius = 0.5 * (c11 + c22), np.hypot(0.5 * (c11 - c22), c12)
+    expected = float((centre - radius).min()), float((centre + radius).max())
+    assert quasi_isometry_constants(GraphState(state.warped, state.height,
+                                               state.target)) == expected
 
 
 # ---------------------------------------------------------------------------
