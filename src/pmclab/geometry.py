@@ -252,16 +252,23 @@ _NORMAL_MIN = np.finfo(np.float64).tiny
 
 
 def _node_failure(node: NDArray[np.float64]) -> str:
-    """Why one node matrix failed the check of :class:`MetricField`.
+    """Why one input node matrix failed the check of :class:`MetricField`.
 
     Sylvester's criterion again, on the node congruent to it by a diagonal
-    of powers of two that brings its diagonal entries near 1 in magnitude.
-    A congruence keeps the sign of every minor, so a positive definite
-    node whose determinant or inverse left the float range is told apart
-    from one that is not positive definite.
+    of powers of two that brings its diagonal entries into ``[0.5, 2)`` in
+    magnitude, symmetrized after the scaling so that no sum overflows.  A
+    congruence keeps the sign of every minor, so a positive definite node
+    whose determinant or inverse left the float range is told apart from
+    one that is not.  A positive definite node's scaled entries all lie
+    below 2 in magnitude, and then no minor can be NaN.
     """
     scale = np.ldexp(1.0, [-(math.frexp(float(a))[1] // 2) for a in np.diagonal(node)])
-    _, minors = _cofactors(scale[:, None] * node * scale[None, :])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        scaled = scale[:, None] * node * scale[None, :]
+        congruent = 0.5 * scaled + 0.5 * scaled.T
+        if not (np.abs(congruent) < 2.0).all():
+            return "is not positive definite"
+        _, minors = _cofactors(congruent)
     if min(minors) > 0.0:
         return "determinant or inverse is out of floating-point range"
     return "is not positive definite"
@@ -312,7 +319,7 @@ class MetricField:
         for i in range(d):
             for j in range(i, d):
                 sym[..., i, j] = sym[..., j, i] = 0.5 * (mat[..., i, j] + mat[..., j, i])
-        mat = sym
+        given, mat = mat, sym
         # products of large or small entries may leave the float range;
         # the check below names the node
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
@@ -330,7 +337,7 @@ class MetricField:
                 inv[..., j, i] = inv[..., i, j]
         if not good.all():
             node = tuple(int(i) for i in np.argwhere(~good)[0])
-            raise ConstructionError(f"metric {_node_failure(mat[node])} at node {node}")
+            raise ConstructionError(f"metric {_node_failure(given[node])} at node {node}")
         sqrt_det = np.sqrt(det)
         for arr in (mat, sqrt_det, inv):
             arr.setflags(write=False)

@@ -337,6 +337,8 @@ def parse_config(text: str) -> ScenarioConfig:
     except json.JSONDecodeError as e:
         raise ValidationError(f"config is not valid JSON: {e.msg} "
                               f"(line {e.lineno}, column {e.colno})") from e
+    except RecursionError as e:  # the decoder recurses once per bracket
+        raise ValidationError("config nests too deeply to be read as JSON") from e
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
     _reject_unknown(raw, ("fiber", "metric", "warping", "H_target", "initial",

@@ -14,15 +14,16 @@ Two drivers share one residual:
   stencil: averaged over the angle, the entries give one band matrix in
   the radius per angular mode, inverted by an FFT in angle and one
   LAPACK banded LU with row swaps over all modes at once, so no sparse
-  factor is built while that carries the step; a step it would carry
-  only slowly is left to a factor.  On closed
-  fibers the equation only sees the centered differences of ``u``, so
-  the constants and the fields alternating in sign along each even axis
-  span a known null space; the step comes from a companion in which one
-  grid cell pins those modes, preconditioned by a sparse LU factor kept
-  across steps (the factor of an earlier companion first, a new factor
-  only when that fails), and is then made free of them, hence
-  mean-free.  The companion, like the flow's ``I - dt J``, is an edit
+  factor is built while that carries the step; a step it leaves unsolved
+  is left to a factor.  Every GMRES run stops by the one rule stated in
+  :meth:`_Problem._cycled_gmres`.  On closed fibers the equation only
+  sees the centered differences of ``u``, so the constants and the
+  fields alternating in sign along each even axis span a known null
+  space; the step comes from a companion in which one grid cell pins
+  those modes, preconditioned by a sparse LU factor kept across steps
+  (the factor of an earlier companion first, a new factor only when
+  that fails), and is then made free of them, hence mean-free.  The
+  companion, like the flow's ``I - dt J``, is an edit
   of the Jacobian's entries on the same pattern.
   Non-existence is declared before iterating when the warping is
   constant and the compatibility integral cannot vanish, and
@@ -34,10 +35,10 @@ Two drivers share one residual:
   by the same GMRES as Newton's, on every fiber preconditioned by the
   exact inverse of the averaged stencil of ``I - dt J`` (two FFTs and a
   division on a torus), so a flow builds no factor while that carries
-  each step; a step it misses takes the kept-factor path.  Each step is then
-  corrected along the constants so that on obstructed problems the mean
-  height drifts at the rate fixed by mass balance, which the report
-  records.
+  each step; a step it leaves unsolved takes the kept-factor path.  Each
+  step is then corrected along the constants so that on obstructed
+  problems the mean height drifts at the rate fixed by mass balance,
+  which the report records.
 
 Dirichlet grids keep their pinned ring as data: packing strips it from
 the unknown vector and every update leaves it untouched.
@@ -81,11 +82,9 @@ _STAGNATION_LIMIT = 10
 # shortest step it tries before a step counts as stagnated.
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-6
-# GMRES on Newton's companion or the flow's I - dt J stops at this relative
+# GMRES on Newton's companion or the flow's I - dt J aims at this relative
 # residual, measured after the preconditioner, within this many iterations in
-# all (see _Problem._cycled_gmres): one or two with the factor of its own
-# matrix, a handful with one kept from an earlier step or trial or with the
-# averaged stencil's inverse.
+# all; _Problem._cycled_gmres states when a run stops short of it.
 _LINEAR_RTOL = 1e-8
 _MAX_LINEAR = 2000
 # The flow's step control: a step is at most t_max / _FLOW_MIN_STEPS, and a
@@ -144,7 +143,8 @@ class SolveReport:
     solve.  ``krylov_iterations`` counts the
     actions of the solved matrix (Newton's companion or the flow's
     ``I - dt J``) that GMRES took, each followed by the preconditioner,
-    those of failed cycles and of the residual checks between them too.
+    those of failed cycles and of the residual checks between them too
+    (see :meth:`_Problem._cycled_gmres` for when a run restarts).
     """
 
     verdict: Verdict
@@ -524,28 +524,25 @@ class _Problem:
         factor is kept and the caller asks for it (``averaged``), the
         inverse of the averaged stencil of ``matrix`` is tried instead.
         When the one tried falls short, the factor of ``matrix`` is built
-        and kept from then on.  Each runs :meth:`_cycled_gmres` under its
-        own stop rule.  ``info`` is the last GMRES run's own (0 when
-        converged).  A singular matrix gives ``x`` of NaN.
+        and kept from then on.  Each is one run of :meth:`_cycled_gmres`,
+        under its one stop rule.  ``info`` is the last GMRES run's own (0
+        when converged).  A singular matrix gives ``x`` of NaN.
         """
-        if self.lu is not None:
-            x, info = self._cycled_gmres(matrix, rhs, self.lu.solve, cycles=1)
+        inverse = self.lu.solve if self.lu is not None else (
+            self._averaged_inverse(matrix.data) if averaged else None)
+        if inverse is not None:
+            x, info = self._cycled_gmres(matrix, rhs, inverse)
             if info == 0:
                 return x, info
             self.lu = None  # dropped before its successor is built, not beside it
-        elif averaged and (inverse := self._averaged_inverse(matrix.data)) is not None:
-            x, info = self._cycled_gmres(matrix, rhs, inverse, finish=True)
-            if info == 0:
-                return x, info
         self.lu = _factor(matrix)
         self.factorizations += 1
         if self.lu is None:
             return np.full(self.n_dof, np.nan), 0
         return self._cycled_gmres(matrix, rhs, self.lu.solve)
 
-    def _cycled_gmres(self, matrix, rhs: np.ndarray, inverse, cycles: int | None = None,
-                      finish: bool = False) -> tuple[np.ndarray, int]:
-        """GMRES on ``inverse @ matrix``, restarted while a cycle gains enough.
+    def _cycled_gmres(self, matrix, rhs: np.ndarray, inverse) -> tuple[np.ndarray, int]:
+        """GMRES on ``inverse @ matrix``, restarted while one more cycle could finish.
 
         The preconditioner is applied on the left, so GMRES measures the
         residual after ``inverse``, which bounds the error in ``x`` by the
@@ -554,25 +551,18 @@ class _Problem:
         alone could leave a disk step wrong by far more than
         ``_LINEAR_RTOL``.  It runs to a relative residual of
         ``_LINEAR_RTOL`` in restart cycles of ``_KRYLOV_RESTART``
-        iterations, at most ``cycles`` of them (``_MAX_LINEAR`` iterations
-        by default).  A cycle that falls short is followed by another only
-        while it gains by one of two rules:
-
-        * by default, its true relative residual is below the previous
-          cycle's (1 at the start).  Rounding can leave ``_LINEAR_RTOL``
-          out of a fresh factor's reach, and the first cycle that gains
-          nothing ends its run short;
-        * with ``finish`` (the averaged stencil's inverse), one more cycle
-          at its rate would finish: its square is at most ``_LINEAR_RTOL``
-          times the previous cycle's, so a slow or stalled run is left to
-          a factor.
-
-        A factor kept from an earlier matrix gets one cycle (``cycles=1``).
-        Each action of ``matrix`` counts in ``krylov_iterations``.
+        iterations, ``_MAX_LINEAR`` in all.  This is the one stop rule of
+        every run, whatever ``inverse`` is: a cycle that falls short is
+        followed by another only if one more at its rate would finish,
+        that is, if the square of its relative residual is at most
+        ``_LINEAR_RTOL`` times the previous cycle's (1 before the first).
+        So a slow or stalled run, and one that rounding keeps above
+        ``_LINEAR_RTOL``, ends short, and the caller builds a factor or
+        refuses the step.  Each action of ``matrix`` counts in
+        ``krylov_iterations``.
         """
         restart = min(_KRYLOV_RESTART, _MAX_LINEAR)
-        if cycles is None:
-            cycles = -(-_MAX_LINEAR // restart)
+        cycles = -(-_MAX_LINEAR // restart)
 
         def matvec(z):
             self.krylov_iterations += 1
@@ -587,8 +577,7 @@ class _Problem:
             if info == 0 or cycle == cycles - 1:
                 break
             last, residual = residual, np.linalg.norm(target - A @ x) / np.linalg.norm(target)
-            gains = residual * residual <= _LINEAR_RTOL * last if finish else residual < last
-            if not gains:  # NaN stops it too
+            if not residual * residual <= _LINEAR_RTOL * last:  # NaN stops it too
                 break
         return x, info
 
@@ -654,7 +643,8 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
     pinned companion (see :meth:`_Problem.linear_step`): on a disk,
     preconditioned by the inverse of the Jacobian's averaged stencil; on
     a closed fiber, by the LU factor of an earlier step's companion while
-    one restart cycle suffices and by its own otherwise.
+    GMRES on it converges (see :meth:`_Problem._cycled_gmres`), by its own
+    otherwise.
     :func:`remove_null_modes` then makes the step mean-free on closed
     fibers.  Damping is Armijo backtracking on
     half the squared residual norm.  Verdicts: ``converged`` (sup residual
@@ -767,8 +757,8 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
     unknowns, with the exact Jacobian ``J`` of :meth:`_Problem.jacobian`,
     solved by :meth:`_Problem.flow_step` by GMRES: while no factor is
     kept, on the inverse of the averaged stencil of ``I - dt J``, which
-    builds no factor; else in one cycle on the LU factor kept from an
-    earlier trial.  A step is at most
+    builds no factor; else on the LU factor kept from an earlier trial
+    (see :meth:`_Problem._cycled_gmres`).  A step is at most
     ``t_max / 16`` and the last one ends the run at ``t_max``.  The
     residual judges each trial: along the exact flow ``F`` solves a linear
     parabolic equation and its sup cannot rise, so a trial that raises it

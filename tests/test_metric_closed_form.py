@@ -8,6 +8,7 @@ agree with it bit for bit.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -155,7 +156,7 @@ def _whole_array_metric(grid, mat):
     if lopsided.any():
         node = tuple(int(i) for i in np.argwhere(lopsided)[0])
         return f"metric is not symmetric at node {node} (asymmetry {skew[node]:.3e})"
-    mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
+    given, mat = mat, 0.5 * (mat + np.swapaxes(mat, -1, -2))
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         cofactors, minors = _cofactors(mat)
         det = minors[-1]
@@ -168,7 +169,7 @@ def _whole_array_metric(grid, mat):
                                         np.isfinite(inv).all(axis=(-2, -1))])
     if not good.all():
         node = tuple(int(i) for i in np.argwhere(~good)[0])
-        return f"metric {_node_failure(mat[node])} at node {node}"
+        return f"metric {_node_failure(given[node])} at node {node}"
     return mat, np.sqrt(det), inv
 
 
@@ -218,3 +219,28 @@ def test_symmetrizing_entries_above_half_the_float_max_overflows_as_before():
     with pytest.warns(RuntimeWarning, match="overflow"):
         with pytest.raises(ConstructionError, match=f"^{re.escape(expected)}$"):
             MetricField(grid, mats)
+
+
+@pytest.mark.parametrize("node, verdict", [
+    ([[1.5e308, 1e308], [1e308, 1.5e308]], "determinant or inverse is out of floating-point range"),
+    ([[1.5e308, -1e308], [-1e308, 1.5e308]], "determinant or inverse is out of floating-point range"),
+    ([[1.0, 1e308], [1e308, 1.0]], "is not positive definite"),
+], ids=["positive", "positive_twin", "indefinite"])
+def test_a_node_whose_symmetrization_overflows_is_judged_without_nan(node, verdict):
+    # symmetrized, the first two nodes are all inf, whose minors are NaN; the
+    # congruent node is scaled before it is symmetrized, so none is
+    node = np.array(node)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _node_failure(node) == verdict
+    grid, _ = build_torus(_GRIDS[2])
+    mats = np.tile(np.eye(2), grid.shape + (1, 1))
+    mats[3, 4] = node
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConstructionError,
+                           match=f"^metric {re.escape(verdict)} at node \\(3, 4\\)$"):
+            MetricField(grid, mats)
+    # the symmetrization's own overflow, and nothing else
+    messages = [str(w.message) for w in caught]
+    assert messages and all("overflow" in m for m in messages), messages

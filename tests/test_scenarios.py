@@ -658,10 +658,10 @@ def test_a_kept_factor_that_fails_its_cycle_is_rebuilt(monkeypatch):
     assert kept.report.factorizations == 1
 
 
-def test_a_fresh_factor_stops_when_a_cycle_does_not_lower_the_residual():
+def test_a_fresh_factor_that_rounding_holds_short_stops_early():
     # the averaged inverse misses the second step, and rounding keeps the
     # factor's run above _LINEAR_RTOL: it stops after the first restart cycle
-    # that does not lower the true residual, not after _MAX_LINEAR
+    # from which one more could not finish, not after _MAX_LINEAR
     # iterations, and the step is refused as before
     report = run_scenario(parse_config(_disk_cfg(initial="2+2**2+2", metric="flat")))
     solve = report.to_json_dict()["solve"]
@@ -992,6 +992,19 @@ def test_cli_deeply_nested_formula_exits_2(tmp_path, capsys):
     config.write_text(_cfg(H_target=_TOO_DEEP["parentheses"]))
     assert main(["solve", str(config)]) == 2
     assert "nests deeper than" in capsys.readouterr().err
+
+
+def test_cli_config_nested_past_the_recursion_limit_exits_2(tmp_path, capsys):
+    # the JSON decoder recurses once per bracket: a config nested deeper
+    # than the interpreter's stack is a validation problem, not a crash
+    config = tmp_path / "deep.json"
+    config.write_text("[" * 100000 + "]" * 100000)
+    assert main(["solve", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid config: config nests too deeply to be read as JSON\n"
+    with pytest.raises(ValidationError, match="nests too deeply"):
+        parse_config('{"fiber": ' + "[" * 100000 + "]" * 100000 + "}")
 
 
 def test_cli_refinement_over_the_node_budget_exits_2(tmp_path, capsys):

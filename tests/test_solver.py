@@ -363,6 +363,28 @@ def test_a_later_newton_step_reuses_the_kept_factor(index, monkeypatch):
                                    atol=1e-8 * np.abs(w).max())
 
 
+def test_a_kept_factor_that_finishes_in_a_later_cycle_is_kept(monkeypatch):
+    # one stop rule for every GMRES run: with two-iteration cycles the kept
+    # factor of an earlier companion misses the tolerance in its first cycle
+    # but gains fast enough that one more could finish, so its run goes on
+    # and no new factor is built
+    _, prob, u = _assembly_problems()[0]
+    prob.linear_step(prob.jacobian(u), prob.pack(prob.residual_full(u)))
+    assert prob.factorizations == 1
+    monkeypatch.setattr(solver, "_KRYLOV_RESTART", 2)
+    jac = prob.jacobian(1.01 * u)
+    w = np.random.default_rng(9).standard_normal(prob.n_dof)
+    rhs = jac @ w
+    before = prob.krylov_iterations
+    delta, info = prob.linear_step(jac, rhs)
+    assert info == 0
+    assert prob.factorizations == 1
+    # one two-iteration cycle takes at most 3 matvecs with its final residual
+    assert prob.krylov_iterations - before > 3
+    delta = solver.remove_null_modes(prob.grid, delta)
+    assert np.abs(jac @ delta + rhs).max() <= 1e-8 * np.abs(rhs).max()
+
+
 def _flat_torus_problem(n, warping=1.0, scale=None):
     """A problem on a freshly built ``n x n`` torus, optionally conformally scaled."""
     grid, metric = build_torus((n, n))
@@ -527,11 +549,14 @@ def test_every_flow_step_moves_the_weighted_mean_by_dt_mean_f(monkeypatch, dims,
         assert moved == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
-def test_a_flow_whose_kept_factor_fails_its_cycle_refactors(monkeypatch):
+def test_a_flow_whose_kept_factor_cannot_finish_refactors(monkeypatch):
     # without the averaged stencil's inverse trials build factors and later
-    # ones keep them; one Krylov iteration cannot carry I - dt J on the factor
-    # of an earlier trial, so every trial refactors; the tolerance stops the
-    # run before the Jacobian settles to where one iteration would carry it
+    # ones keep them.  With one-iteration cycles a kept factor's run on
+    # I - dt J mostly falls short, and then the factor is dropped and the
+    # trial's own is built, which carries it: every run that falls short
+    # is on a kept factor and is followed at once by a new factor, and no
+    # factor is built otherwise.  The tolerance stops the run before the
+    # Jacobian settles to where one iteration would carry every trial.
     grid, metric = build_hyperbolic_disk(16, 32, 0.875)
     wp = WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0))
     u0 = np.zeros(grid.shape)
@@ -540,10 +565,35 @@ def test_a_flow_whose_kept_factor_fails_its_cycle_refactors(monkeypatch):
     monkeypatch.setattr(_Problem, "_averaged_inverse", lambda self, data: None)
     _, kept = flow_solve(*args, t_max=40.0)
     monkeypatch.setattr(solver, "_KRYLOV_RESTART", 1)
+    events = []
+    factor, cycled = solver._factor, _Problem._cycled_gmres
+
+    def recording_factor(matrix):
+        events.append("factor")
+        return factor(matrix)
+
+    def recording_gmres(self, matrix, rhs, inverse):
+        x, info = cycled(self, matrix, rhs, inverse)
+        events.append(info)
+        return x, info
+
+    monkeypatch.setattr(solver, "_factor", recording_factor)
+    monkeypatch.setattr(_Problem, "_cycled_gmres", recording_gmres)
     steps = _recording_flow_steps(monkeypatch)
     _, rebuilt = flow_solve(*args, t_max=40.0)
-    # some trials are rejected, and each trial has a factor of its own
-    assert rebuilt.factorizations == len(steps) > rebuilt.iterations > 1
+    # some trials are rejected, and every trial's linear solve converged
+    assert len(steps) > rebuilt.iterations > 1
+    assert all(np.isfinite(delta).all() for *_, delta in steps)
+    # each trial runs its kept factor; one that falls short is replaced at
+    # once, and the new factor's run converges
+    # the first trial has no factor to keep
+    assert events[:2] == ["factor", 0]
+    trials = events[2:]
+    shortfalls = [k for k, event in enumerate(trials) if event not in ("factor", 0)]
+    assert shortfalls
+    assert all(trials[k + 1:k + 3] == ["factor", 0] for k in shortfalls)
+    assert rebuilt.factorizations == events.count("factor") == 1 + len(shortfalls)
+    assert len(trials) == len(steps) - 1 + 2 * len(shortfalls)
     assert kept.factorizations < rebuilt.factorizations
     assert rebuilt.verdict == kept.verdict == "converged"
     assert rebuilt.iterations == kept.iterations
