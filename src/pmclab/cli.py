@@ -1,17 +1,18 @@
 """Command-line front end.
 
 Subcommands: ``solve`` runs a JSON config file, ``scenario`` runs one or
-more bundled scenarios by name, one after another, ``verify`` runs the
-identity/refinement battery.  Reports are emitted as JSON (stdout or
-``--out``).  Exit codes: 0 when the outcome matched the scenario's
-expectation and every check passed, 2 for validation problems (a config
-file that cannot be read as UTF-8, a config or formulas nested too
-deeply, a torus kind that contradicts its dims, a negative ``--refine``
-or ``--seed``, grids or refinements over the node budget, an unknown
-option), 3 when the solver diverged or ran out of iterations, 4 for
-failed checks or a verdict that contradicts the expectation.  Reports are strict JSON:
-non-finite numbers are written as the strings ``"inf"``, ``"-inf"`` and
-``"nan"``.  No environment variables are consulted.
+more bundled scenarios by name, one after another, every name read before
+the first runs, ``verify`` runs the identity/refinement battery.  Reports
+are emitted as JSON (stdout or ``--out``).  Exit codes: 0 when the
+outcome matched the scenario's expectation and every check passed, 2 for
+validation problems (a config file that cannot be read as UTF-8, a config
+or formulas nested too deeply, a torus kind that contradicts its dims, a
+negative ``--refine`` or ``--seed``, grids or refinements over the node
+budget, an unknown option, a report or field dump that cannot be
+written), 3 when the solver diverged or ran out of iterations, 4 for
+failed checks or a verdict that contradicts the expectation.  Reports are
+strict JSON: non-finite numbers are written as the strings ``"inf"``,
+``"-inf"`` and ``"nan"``.  No environment variables are consulted.
 """
 
 from __future__ import annotations
@@ -92,47 +93,47 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
-    if args.command == "solve":
+    if args.command == "verify":
+        payload = run_verification_suite()
+        failing = [entry["suite"] for entry in payload if not entry["pass"]]
+        code = 4 if failing else 0
+    else:
+        if args.command == "solve":
+            try:
+                with open(args.config, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as e:
+                print(f"cannot read config: {e}", file=sys.stderr)
+                return 2
+        kind = "config" if args.command == "solve" else "scenario"
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as e:
-            print(f"cannot read config: {e}", file=sys.stderr)
-            return 2
-        try:
-            report = run_scenario(parse_config(text), dump_dir=args.dump_fields,
-                                  refine=args.refine, seed_override=args.seed)
+            # every config is read before the first one runs
+            runs = ([(None, parse_config(text))] if args.command == "solve"
+                    else [(name, builtin_config(name)) for name in args.names])
+            reports = []
+            for name, config in runs:
+                dump = (os.path.join(args.dump_fields, name)
+                        if args.dump_fields is not None and len(runs) > 1 else args.dump_fields)
+                reports.append(run_scenario(config, scenario_name=name, dump_dir=dump,
+                                            refine=args.refine, seed_override=args.seed))
         except _CONFIG_ERRORS as e:
-            print(f"invalid config: {e}", file=sys.stderr)
+            print(f"invalid {kind}: {e}", file=sys.stderr)
             return 2
-        _emit(report.to_json_dict(), args.out)
-        return report.exit_code()
-
-    if args.command == "scenario":
-        reports = []
-        try:
-            for name in args.names:
-                dump = args.dump_fields
-                if dump is not None and len(args.names) > 1:
-                    dump = os.path.join(dump, name)
-                reports.append(run_scenario(builtin_config(name), scenario_name=name,
-                                            dump_dir=dump, refine=args.refine,
-                                            seed_override=args.seed))
-        except _CONFIG_ERRORS as e:
-            print(f"invalid scenario: {e}", file=sys.stderr)
+        except OSError as e:
+            print(f"cannot write fields: {e}", file=sys.stderr)
             return 2
         payload = reports[0].to_json_dict() if len(reports) == 1 \
             else [r.to_json_dict() for r in reports]
-        _emit(payload, args.out)
-        return max(r.exit_code() for r in reports)
+        failing, code = [], max(r.exit_code() for r in reports)
 
-    suite = run_verification_suite()
-    _emit(suite, args.out)
-    failing = [entry["suite"] for entry in suite if not entry["pass"]]
+    try:
+        _emit(payload, args.out)
+    except OSError as e:
+        print(f"cannot write report: {e}", file=sys.stderr)
+        return 2
     if failing:
         print(f"verification failed: {', '.join(failing)}", file=sys.stderr)
-        return 4
-    return 0
+    return code
 
 
 def run() -> None:

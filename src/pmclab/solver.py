@@ -79,7 +79,8 @@ class Verdict(str, Enum):
 _MACHINE_EPS = float(np.finfo(np.float64).eps)
 _STAGNATION_LIMIT = 10
 # Newton's line search: the Armijo sufficient-decrease constant, and the
-# shortest step it tries before a step counts as stagnated.
+# length below which it tries no shorter step (newton_solve says when a step
+# counts as stagnated).
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-6
 # GMRES on Newton's companion or the flow's I - dt J aims at this relative
@@ -335,12 +336,15 @@ class _Problem:
 
     The assembly map (:meth:`_assembly`) is read on the first Jacobian
     from a process-wide cache (:func:`_build_assembly`), which builds it
-    once for each grid, and serves every later one; the kept
-    factor and its counts serve the linear solves (:meth:`kept_solve`).
+    once for each grid, and serves every later one; the kept factor
+    serves the linear solves (:meth:`kept_solve`), which count in
+    ``factorizations`` and ``krylov_iterations``.  :func:`_exit` reads
+    the product ``wp``, the ``target`` and both counts.
     """
 
     def __init__(self, wp: WarpedProduct, target: ScalarField):
         wp.fiber.require_same(target.grid, "target curvature")
+        self.wp = wp
         self.kernel = ResidualKernel(wp)
         self.target = target
         self.grid = wp.fiber
@@ -359,6 +363,19 @@ class _Problem:
                 return mean_curvature_residual(self.kernel, u, self.target).values
         except ConstructionError:
             return None
+
+    def start(self, u0: ScalarField) -> tuple[np.ndarray, np.ndarray | None, list[float]]:
+        """A copy of the initial height, its packed residual, and the history they open.
+
+        The residual is None and the history ``[inf]`` when the height or
+        its residual is not finite: the solve ends ``diverged`` there.
+        """
+        u = u0.values.copy()
+        res = self.residual_full(u)
+        if res is None:
+            return u, None, [math.inf]
+        f_dof = self.pack(res)
+        return u, f_dof, [float(np.abs(f_dof).max())]
 
     def pack(self, full: np.ndarray) -> np.ndarray:
         return full.ravel()[self.mask]
@@ -609,12 +626,13 @@ def _factor(matrix):
         return None
 
 
-def _exit(wp: WarpedProduct, u_arr: np.ndarray, target: ScalarField, verdict: Verdict,
-          history: list[float] | None, iterations: int = 0, drift: float = 0.0,
-          factorizations: int = 0, krylov_iterations: int = 0,
+def _exit(prob: _Problem, u_arr: np.ndarray, verdict: Verdict, history: list[float] | None,
+          iterations: int = 0, drift: float = 0.0,
           witness: float | None = None) -> tuple[GraphState | None, SolveReport]:
-    """The final state and report of a solve that ends at height ``u_arr``.
+    """The final state and report of a solve of ``prob`` that ends at height ``u_arr``.
 
+    The product and the target of the state, and the report's
+    ``factorizations`` and ``krylov_iterations``, are read from ``prob``.
     A finite height can still overflow its derived fields (a near-max
     float spike does).  Divergence must be reported, not raised, so when
     the height or its residual is not finite the state is None and the
@@ -624,14 +642,14 @@ def _exit(wp: WarpedProduct, u_arr: np.ndarray, target: ScalarField, verdict: Ve
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            state = GraphState(wp, ScalarField(wp.fiber, u_arr), target)
+            state = GraphState(prob.wp, ScalarField(prob.grid, u_arr), prob.target)
             osc, gsup = float(u_arr.max() - u_arr.min()), state.grad_sup
     except ConstructionError:
         state, osc, gsup = None, math.inf, math.inf
     if history is None:
         history = [math.inf if state is None else state.interior_residual_sup()]
-    return state, SolveReport(verdict, iterations, history, osc, drift, gsup, factorizations,
-                              krylov_iterations, witness)
+    return state, SolveReport(verdict, iterations, history, osc, drift, gsup,
+                              prob.factorizations, prob.krylov_iterations, witness)
 
 
 def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField,
@@ -646,106 +664,85 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
     GMRES on it converges (see :meth:`_Problem._cycled_gmres`), by its own
     otherwise.
     :func:`remove_null_modes` then makes the step mean-free on closed
-    fibers.  Damping is Armijo backtracking on
-    half the squared residual norm.  Verdicts: ``converged`` (sup residual
-    at or below ``tol_abs``), ``obstructed`` (declared from the
-    compatibility witness before iterating, or after ten consecutive steps
-    stuck at the minimum step length), ``diverged`` (non-finite iterate,
-    tilt, Jacobian entry or step, or a singular factor), ``max_iter``
-    otherwise, which includes a linear solve that does not converge: its
-    step is not taken.  On divergence the returned state holds the last
-    representable iterate; if none is, the state is None and the
-    diagnostics read infinite.
+    fibers.  Damping is Armijo backtracking on half the squared residual
+    norm, the merit: the step length halves from 1 until a trial meets
+    the sufficient decrease.  A step is *stagnated* when no trial meets it
+    down to the shortest, ``2**-19`` (the last length not below
+    ``_MIN_STEP``); that shortest trial is still taken when it lowers the
+    merit, and the height stays where it was otherwise.  Verdicts:
+    ``converged`` (sup residual at or below ``tol_abs``), ``obstructed``
+    (declared from the compatibility witness before iterating, or after
+    ``_STAGNATION_LIMIT`` consecutive stagnated steps), ``diverged``
+    (non-finite iterate, tilt, Jacobian entry or step, or a singular
+    factor), ``max_iter`` otherwise, which includes a linear solve that
+    does not converge: its step is not taken.  The witness decides only
+    a constant warping; the stagnation verdict serves a varying one, and
+    its report carries no ``obstruction_witness``.  On divergence the
+    returned state holds the last representable iterate; if none is, the
+    state is None and the diagnostics read infinite.
     """
     wp.fiber.require_same(u0.grid, "initial height")
     prob = _Problem(wp, target_curvature)
-
     witness = obstruction_witness(wp, target_curvature)
     if witness is not None:
-        return _exit(wp, u0.values, target_curvature, Verdict.obstructed, None,
-                     witness=witness)
-
-    u = u0.values.copy()
-    res = prob.residual_full(u)
-    if res is None:
-        return _exit(wp, u, target_curvature, Verdict.diverged, [math.inf])
-    f_dof = prob.pack(res)
-    history = [float(np.abs(f_dof).max())]
-
+        return _exit(prob, u0.values, Verdict.obstructed, None, witness=witness)
+    u, f_dof, history = prob.start(u0)
+    if f_dof is None:
+        return _exit(prob, u, Verdict.diverged, history)
     verdict = Verdict.max_iter
-    iterations = 0
     stagnation = 0
 
-    if history[0] <= opts.tol_abs:
+    for _ in range(opts.max_newton):
+        if history[-1] <= opts.tol_abs or stagnation >= _STAGNATION_LIMIT:
+            break
+        jac = prob.jacobian(u)
+        if jac is None:
+            verdict = Verdict.diverged
+            break
+        delta, info = prob.linear_step(jac, f_dof)
+        if not np.isfinite(delta).all():
+            verdict = Verdict.diverged
+            break
+        if info != 0:
+            # an unconverged linear solve gives no Newton step to take
+            verdict = Verdict.max_iter
+            break
+        delta = remove_null_modes(prob.grid, delta)
+        cap = _STEP_CAP_FACTOR * (1.0 + float(np.abs(u).max()))
+        delta_sup = float(np.abs(delta).max())
+        if delta_sup > cap:
+            delta *= cap / delta_sup
+
+        slope = float(f_dof @ (jac @ delta))
+        if slope >= 0.0:
+            delta = -delta
+            slope = -slope
+        merit = 0.5 * float(f_dof @ f_dof)
+
+        step = 1.0
+        while step >= _MIN_STEP:
+            trial = u + step * prob.scatter(delta)
+            trial_res = prob.residual_full(trial)
+            if trial_res is None:
+                verdict = Verdict.diverged
+                break
+            trial_dof = prob.pack(trial_res)
+            trial_merit = 0.5 * float(trial_dof @ trial_dof)
+            armijo = trial_merit <= merit + _ARMIJO_C * step * slope
+            if armijo or (step * 0.5 < _MIN_STEP and trial_merit < merit):
+                u, f_dof = trial, trial_dof
+                break
+            step *= 0.5
+        if verdict is Verdict.diverged:
+            break
+        history.append(float(np.abs(f_dof).max()))
+        stagnation = 0 if armijo else stagnation + 1
+
+    if history[-1] <= opts.tol_abs:
         verdict = Verdict.converged
-    else:
-        for _ in range(opts.max_newton):
-            jac = prob.jacobian(u)
-            if jac is None:
-                verdict = Verdict.diverged
-                break
-            delta, info = prob.linear_step(jac, f_dof)
-            if not np.isfinite(delta).all():
-                verdict = Verdict.diverged
-                break
-            if info != 0:
-                # an unconverged linear solve gives no Newton step to take
-                verdict = Verdict.max_iter
-                break
-            delta = remove_null_modes(prob.grid, delta)
-            cap = _STEP_CAP_FACTOR * (1.0 + float(np.abs(u).max()))
-            delta_sup = float(np.abs(delta).max())
-            if delta_sup > cap:
-                delta *= cap / delta_sup
-            j_delta = jac @ delta
-
-            slope = float(f_dof @ j_delta)
-            if slope >= 0.0:
-                delta = -delta
-                slope = -slope
-            merit = 0.5 * float(f_dof @ f_dof)
-
-            step = 1.0
-            accepted = None
-            armijo_ok = False
-            while step >= _MIN_STEP:
-                trial = u + step * prob.scatter(delta)
-                trial_res = prob.residual_full(trial)
-                if trial_res is None:
-                    verdict = Verdict.diverged
-                    break
-                trial_dof = prob.pack(trial_res)
-                trial_merit = 0.5 * float(trial_dof @ trial_dof)
-                if trial_merit <= merit + _ARMIJO_C * step * slope:
-                    accepted = (trial, trial_dof)
-                    armijo_ok = True
-                    break
-                if step * 0.5 < _MIN_STEP and trial_merit < merit:
-                    accepted = (trial, trial_dof)
-                    break
-                step *= 0.5
-            if verdict is Verdict.diverged:
-                break
-
-            iterations += 1
-            if accepted is not None:
-                u, f_dof = accepted
-            history.append(float(np.abs(f_dof).max()))
-
-            if armijo_ok and step > _MIN_STEP:
-                stagnation = 0
-            else:
-                stagnation += 1
-
-            if history[-1] <= opts.tol_abs:
-                verdict = Verdict.converged
-                break
-            if stagnation >= _STAGNATION_LIMIT:
-                verdict = Verdict.obstructed
-                break
-
-    return _exit(wp, u, target_curvature, verdict, history, iterations,
-                 factorizations=prob.factorizations, krylov_iterations=prob.krylov_iterations)
+    elif stagnation >= _STAGNATION_LIMIT:
+        verdict = Verdict.obstructed
+    return _exit(prob, u, verdict, history, len(history) - 1)
 
 
 def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField,
@@ -787,12 +784,9 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
     def mean(u):
         return integrate(ScalarField(wp.fiber, u), wp.metric) / vol
 
-    u = u0.values.copy()
-    res = prob.residual_full(u)
-    if res is None:
-        return _exit(wp, u, target_curvature, Verdict.diverged, [math.inf])
-    f_dof = prob.pack(res)
-    history = [float(np.abs(f_dof).max())]
+    u, f_dof, history = prob.start(u0)
+    if f_dof is None:
+        return _exit(prob, u, Verdict.diverged, history)
     # times as fractions of t_max: halving and doubling keep them exact
     times, means = [0.0], [mean(u)]
     span = 1.0 / _FLOW_MIN_STEPS
@@ -832,8 +826,7 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
     if last >= 1:
         k0 = min(int(0.8 * last), last - 1)
         drift = -(means[last] - means[k0]) / ((times[last] - times[k0]) * t_max)
-    return _exit(wp, u, target_curvature, verdict, history, last, drift,
-                 factorizations=prob.factorizations, krylov_iterations=prob.krylov_iterations)
+    return _exit(prob, u, verdict, history, last, drift)
 
 
 def maximum_principle_check(state_a: GraphState, state_b: GraphState,

@@ -1138,6 +1138,47 @@ def test_cli_unknown_scenario_exits_2(capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
+def test_cli_every_scenario_name_is_read_before_any_runs(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: pytest.fail("a run started"))
+    out = tmp_path / "reports.json"
+    assert main(["scenario", "obstruction_torus", "nope", "--out", str(out)]) == 2
+    assert "invalid scenario: unknown scenario 'nope'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _one_line_refusal(capsys, prefix: str) -> None:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1, captured.err
+
+
+@pytest.mark.parametrize("command", [["solve"], ["scenario", "obstruction_torus"], ["verify"]],
+                         ids=["solve", "scenario", "verify"])
+def test_cli_a_report_path_that_cannot_be_written_exits_2(tmp_path, capsys, command):
+    if command == ["solve"]:
+        config = tmp_path / "run.json"
+        config.write_text(_cfg())
+        command = ["solve", str(config)]
+    assert main([*command, "--out", str(tmp_path / "absent" / "report.json")]) == 2
+    _one_line_refusal(capsys, "cannot write report: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["solve"], ["scenario", "obstruction_torus"], ["scenario", "obstruction_torus", "ricci_sign"]],
+    ids=["solve", "scenario", "scenarios"])
+def test_cli_fields_that_cannot_be_written_exit_2_and_write_no_report(tmp_path, capsys, command):
+    if command == ["solve"]:
+        config = tmp_path / "run.json"
+        config.write_text(_cfg())
+        command = ["solve", str(config)]
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = tmp_path / "report.json"
+    assert main([*command, "--dump-fields", str(taken), "--out", str(out)]) == 2
+    _one_line_refusal(capsys, "cannot write fields: ")
+    assert not out.exists()
+
+
 def test_cli_iteration_exhaustion_exits_3(tmp_path, capsys):
     config = tmp_path / "short.json"
     config.write_text(_cfg(**{
@@ -1160,6 +1201,33 @@ def test_cli_expectation_mismatch_exits_4(tmp_path):
     assert payload["expectation"] == {
         "expected": "converged", "observed": "obstructed", "matched": False,
     }
+
+
+def test_cli_a_varying_warping_obstructs_by_stagnation_without_a_witness(tmp_path, capsys):
+    # the warping varies, so the compatibility witness cannot decide; Newton
+    # stagnates at the shortest step on every level of the ladder and says
+    # obstructed behaviorally, with no witness in the report
+    config = tmp_path / "stalled.json"
+    config.write_text(_cfg(**{
+        "fiber": {"kind": "torus", "dims": [32, 32]},
+        "warping": "1+0.3*cos(x1)",
+        "H_target": "0.1",
+        "expect": "obstructed",
+        "checks": ["compatibility"],
+    }))
+    out = tmp_path / "report.json"
+    assert main(["solve", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    payload = json.loads(out.read_text())
+    coarse = [(level["dims"], level["verdict"], level["iterations"])
+              for level in payload["coarse_solves"]]
+    assert coarse == [([8, 8], "obstructed", 19), ([16, 16], "obstructed", 15)]
+    finest = payload["solve"]
+    assert (finest["verdict"], finest["iterations"]) == ("obstructed", 15)
+    assert finest["iterations"] >= solver._STAGNATION_LIMIT
+    assert "obstruction_witness" not in finest
+    assert payload["checks"]["compatibility"]["pass"] is True
+    assert payload["expectation"]["matched"] is True
 
 
 def test_cli_scenarios_with_field_dumps(tmp_path):
