@@ -1,18 +1,19 @@
 """Command-line front end.
 
 Subcommands: ``solve`` runs a JSON config file, ``scenario`` runs one or
-more bundled scenarios by name, one after another, every name read before
-the first runs, ``verify`` runs the identity/refinement battery.  Reports
-are emitted as JSON (stdout or ``--out``).  Exit codes: 0 when the
-outcome matched the scenario's expectation and every check passed, 2 for
-validation problems (a config file that cannot be read as UTF-8, a config
-or formulas nested too deeply, a torus kind that contradicts its dims, a
-negative ``--refine`` or ``--seed``, grids or refinements over the node
-budget, an unknown option, a report or field dump that cannot be
-written), 3 when the solver diverged or ran out of iterations, 4 for
-failed checks or a verdict that contradicts the expectation.  Reports are
-strict JSON: non-finite numbers are written as the strings ``"inf"``,
-``"-inf"`` and ``"nan"``.  No environment variables are consulted.
+more bundled scenarios by name, one after another, ``verify`` runs the
+identity/refinement battery.  Every name is read, every field dump
+directory made and the report path checked before the first run.  Reports
+are emitted as JSON (stdout or ``--out``).  Exit codes: 0 when the outcome
+matched the scenario's expectation and every check passed, 2 for validation
+problems (a config file that cannot be read as UTF-8, a config or formulas
+nested too deeply, a torus kind that contradicts its dims, a negative
+``--refine`` or ``--seed``, grids or refinements over the node budget, an
+unknown option, a report or field dump that cannot be written), 3 when the
+solver diverged or ran out of iterations, 4 for failed checks or a verdict
+that contradicts the expectation.  Reports are strict JSON: non-finite
+numbers are written as the strings ``"inf"``, ``"-inf"`` and ``"nan"``.  No
+environment variables are consulted.
 """
 
 from __future__ import annotations
@@ -87,41 +88,53 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = subs.add_parser("verify", help="run the identity verification battery")
     verify.add_argument("--out", metavar="REPORT.json")
+    verify.set_defaults(names=(), dump_fields=None)  # no scenario runs, no field dumps
     return parser
+
+
+def _refuse(message: str) -> int:
+    """Print the one-line ``message`` to stderr; the exit code 2 of a refused run."""
+    print(message, file=sys.stderr)
+    return 2
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+
+    if args.command == "solve":
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as e:
+            return _refuse(f"cannot read config: {e}")
+    kind = "config" if args.command == "solve" else "scenario"
+    try:
+        # every config is read, and every output path made or checked, before the first run
+        runs = ([(None, parse_config(text))] if args.command == "solve"
+                else [(name, builtin_config(name)) for name in args.names])
+        dumps = [os.path.join(args.dump_fields, name)
+                 if args.dump_fields is not None and len(runs) > 1 else args.dump_fields
+                 for name, _ in runs]
+        # a dump path taken by a file goes first, so that its refusal makes no directory
+        for dump in sorted(filter(None, dumps), key=os.path.isfile, reverse=True):
+            os.makedirs(dump, exist_ok=True)
+        out_dir = os.path.dirname(os.path.abspath(args.out or "."))
+        if args.out is not None and (os.path.isdir(args.out) or not os.path.isdir(out_dir)
+                                     or not os.access(out_dir, os.W_OK | os.X_OK)):
+            return _refuse(f"cannot write report: {args.out!r} is not a writable file path")
+        reports = [run_scenario(config, scenario_name=name, dump_dir=dump,
+                                refine=args.refine, seed_override=args.seed)
+                   for (name, config), dump in zip(runs, dumps)]
+    except _CONFIG_ERRORS as e:
+        return _refuse(f"invalid {kind}: {e}")
+    except OSError as e:
+        return _refuse(f"cannot write fields: {e}")
 
     if args.command == "verify":
         payload = run_verification_suite()
         failing = [entry["suite"] for entry in payload if not entry["pass"]]
         code = 4 if failing else 0
     else:
-        if args.command == "solve":
-            try:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except (OSError, UnicodeDecodeError) as e:
-                print(f"cannot read config: {e}", file=sys.stderr)
-                return 2
-        kind = "config" if args.command == "solve" else "scenario"
-        try:
-            # every config is read before the first one runs
-            runs = ([(None, parse_config(text))] if args.command == "solve"
-                    else [(name, builtin_config(name)) for name in args.names])
-            reports = []
-            for name, config in runs:
-                dump = (os.path.join(args.dump_fields, name)
-                        if args.dump_fields is not None and len(runs) > 1 else args.dump_fields)
-                reports.append(run_scenario(config, scenario_name=name, dump_dir=dump,
-                                            refine=args.refine, seed_override=args.seed))
-        except _CONFIG_ERRORS as e:
-            print(f"invalid {kind}: {e}", file=sys.stderr)
-            return 2
-        except OSError as e:
-            print(f"cannot write fields: {e}", file=sys.stderr)
-            return 2
         payload = reports[0].to_json_dict() if len(reports) == 1 \
             else [r.to_json_dict() for r in reports]
         failing, code = [], max(r.exit_code() for r in reports)
@@ -129,8 +142,7 @@ def main(argv=None) -> int:
     try:
         _emit(payload, args.out)
     except OSError as e:
-        print(f"cannot write report: {e}", file=sys.stderr)
-        return 2
+        return _refuse(f"cannot write report: {e}")
     if failing:
         print(f"verification failed: {', '.join(failing)}", file=sys.stderr)
     return code

@@ -17,6 +17,7 @@ the expression grammar; :func:`parse_random_spec` recognizes it whole.
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 import numpy as np
@@ -65,17 +66,35 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 _BINARY_BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30, "**": 30}
+# np.divide makes 0/0 nan, not ZeroDivisionError, on numbers too
+_BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": np.divide, "^": np.power, "**": np.power}
 _UNARY_BP = 25
-# Deepest nesting of subexpressions, and deepest syntax tree, a formula
-# may have.  Parsing and evaluation both recurse on it, so this keeps them
-# well inside Python's recursion limit.
+# Deepest nesting of subexpressions, and deepest chain of evaluators, a
+# formula may have.  Parsing and evaluation both recurse on it, so this
+# keeps them well inside Python's recursion limit.
 _MAX_DEPTH = 100
 
 
+def _constant(value: float):
+    return lambda env: value
+
+
+def _unary(fn, a):
+    return lambda env: fn(a(env))
+
+
+def _binary(fn, a, b):
+    return lambda env: fn(a(env), b(env))
+
+
 class _Parser:
+    """Parses to one closure per node, evaluating it on an environment; ``used`` names its reads."""
+
     def __init__(self, text: str, names: frozenset[str]):
         self.text = text
         self.names = names
+        self.used: set[str] = set()
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nesting = 0
@@ -107,7 +126,7 @@ class _Parser:
         return depth
 
     def expression(self, min_bp: int):
-        """Parse down to binding power ``min_bp``; returns the node and its tree depth."""
+        """Parse down to binding power ``min_bp``; returns the evaluator and its depth."""
         self.nesting = self.limit(self.nesting + 1, self.peek()[2])
         node, depth = self.prefix()
         while True:
@@ -120,18 +139,18 @@ class _Parser:
             self.advance()
             # right-associative power re-enters at one below its own level
             right, right_depth = self.expression(bp - 1 if value in ("^", "**") else bp)
-            op = "^" if value == "**" else value
-            node, depth = ("bin", op, node, right), self.limit(1 + max(depth, right_depth), at)
+            node = _binary(_BINARY_OPS[value], node, right)
+            depth = self.limit(1 + max(depth, right_depth), at)
         self.nesting -= 1
         return node, depth
 
     def prefix(self):
         kind, value, at = self.advance()
         if kind == "num":
-            return ("num", float(value)), 1
+            return _constant(float(value)), 1
         if kind == "op" and value == "-":
             node, depth = self.expression(_UNARY_BP)
-            return ("neg", node), self.limit(depth + 1, at)
+            return _unary(operator.neg, node), self.limit(depth + 1, at)
         if kind == "op" and value == "+":
             return self.expression(_UNARY_BP)
         if kind == "op" and value == "(":
@@ -143,11 +162,12 @@ class _Parser:
                 self.expect_op("(")
                 arg, depth = self.expression(0)
                 self.expect_op(")")
-                return ("call", value, arg), self.limit(depth + 1, at)
+                return _unary(_FUNCTIONS[value], arg), self.limit(depth + 1, at)
             if value in _CONSTANTS:
-                return ("num", _CONSTANTS[value]), 1
+                return _constant(_CONSTANTS[value]), 1
             if value in self.names:
-                return ("sym", value), 1
+                self.used.add(value)
+                return operator.itemgetter(value), 1
             raise FormulaError(f"unknown symbol {value!r} at position {at}")
         raise FormulaError(f"unexpected {value!r} at position {at}")
 
@@ -158,52 +178,15 @@ class Formula:
     def __init__(self, text: str, coordinates) -> None:
         self.text = text
         self.names = frozenset(coordinates)
-        self._ast = _Parser(text, self.names).parse()
+        parser = _Parser(text, self.names)
+        self._evaluate, self._used = parser.parse(), parser.used
 
     def evaluate(self, env: dict) -> np.ndarray | float:
-        missing = self.names_used() - set(env)
+        missing = self._used - set(env)
         if missing:
             raise FormulaError(f"no value supplied for {sorted(missing)}")
         with np.errstate(all="ignore"):
-            return self._eval(self._ast, env)
-
-    def names_used(self) -> set[str]:
-        out: set[str] = set()
-
-        def walk(node):
-            if node[0] == "sym":
-                out.add(node[1])
-            elif node[0] == "neg":
-                walk(node[1])
-            elif node[0] == "call":
-                walk(node[2])
-            elif node[0] == "bin":
-                walk(node[2])
-                walk(node[3])
-
-        walk(self._ast)
-        return out
-
-    def _eval(self, node, env):
-        tag = node[0]
-        if tag == "num":
-            return node[1]
-        if tag == "sym":
-            return env[node[1]]
-        if tag == "neg":
-            return -self._eval(node[1], env)
-        if tag == "call":
-            return _FUNCTIONS[node[1]](self._eval(node[2], env))
-        op, a, b = node[1], self._eval(node[2], env), self._eval(node[3], env)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return np.divide(a, b)  # 0/0 is nan, not ZeroDivisionError, on numbers too
-        return np.power(a, b)
+            return self._evaluate(env)
 
 
 def evaluate_formula(text: str, env: dict) -> np.ndarray | float:

@@ -423,7 +423,7 @@ def _check_tol_solve(opts: SolveOptions) -> float:
 def _quasi_isometry(state: GraphState) -> tuple[float, float, float, bool]:
     """Graph-metric eigenvalue range, its pinch ``1 + sup(h^2 |grad u|^2)``, and whether it holds."""
     lam_min, lam_max = quasi_isometry_constants(state)
-    bound = 1.0 + float((state.kernel.h2 * state.grad_sq).max())
+    bound = 1.0 + float((state.warped.h2 * state.grad_sq).max())
     return lam_min, lam_max, bound, lam_min >= 1.0 - 1e-12 and lam_max <= bound + 1e-10
 
 
@@ -622,7 +622,7 @@ def _observe(level: _Level) -> dict:
                 "checks": {name: {"precondition": "the solve left no representable height "
                                   "to check", "pass": False} for name in checks}}
     # the angle function h/W; the vertical normal 1/(h W) may overflow
-    angle = state.kernel.h / state.W
+    angle = state.warped.h / state.W
     return {"graph": {"theta_min": float(angle.min()), "theta_max": float(angle.max())},
             "checks": {name: _run_check(name, state, level.config) for name in checks}}
 

@@ -1,6 +1,6 @@
 """Solvers for the prescribed-curvature equation on a warped-product fiber.
 
-Two drivers share one residual:
+Two drivers share one residual, that of the product, prepared once per product:
 
 * :func:`newton_solve` is damped Newton on the exact sparse Jacobian of
   the discrete residual, the chain-rule product of the difference
@@ -62,7 +62,6 @@ from .geometry import ConstructionError, FiberGrid, ScalarField, integrate, part
 from .warped import (
     GraphState,
     PreconditionError,
-    ResidualKernel,
     WarpedProduct,
     mean_curvature_residual,
     obstruction_witness,
@@ -338,14 +337,14 @@ class _Problem:
     from a process-wide cache (:func:`_build_assembly`), which builds it
     once for each grid, and serves every later one; the kept factor
     serves the linear solves (:meth:`kept_solve`), which count in
-    ``factorizations`` and ``krylov_iterations``.  :func:`_exit` reads
-    the product ``wp``, the ``target`` and both counts.
+    ``factorizations`` and ``krylov_iterations``.  The residual and the
+    Jacobian read the arrays the product ``wp`` prepared, and :func:`_exit`
+    reads ``wp``, the ``target`` and both counts.
     """
 
     def __init__(self, wp: WarpedProduct, target: ScalarField):
         wp.fiber.require_same(target.grid, "target curvature")
         self.wp = wp
-        self.kernel = ResidualKernel(wp)
         self.target = target
         self.grid = wp.fiber
         self.mask = self.grid.interior_mask.ravel()
@@ -360,7 +359,7 @@ class _Problem:
             # the overflow this probe exists to catch would otherwise warn
             with np.errstate(over="ignore", invalid="ignore"):
                 u = ScalarField(self.grid, u_arr)
-                return mean_curvature_residual(self.kernel, u, self.target).values
+                return mean_curvature_residual(self.wp, u, self.target).values
         except ConstructionError:
             return None
 
@@ -388,7 +387,7 @@ class _Problem:
     @cached_property
     def _assembly(self) -> _Assembly:
         """The Jacobian map of this problem's grid, shared by every problem on it."""
-        return _build_assembly(self.grid, self.kernel.dh is not None)
+        return _build_assembly(self.grid, self.wp.dh is not None)
 
     def _on_pattern(self, data: np.ndarray) -> csr_matrix:
         """A matrix over the unknowns with ``data`` on the shared pattern."""
@@ -411,24 +410,24 @@ class _Problem:
         ``s J`` on one pattern, which every Jacobian on the same grid
         shares, and one scale of each row by ``1/s`` gives ``J``.
         """
-        k, asm = self.kernel, self._assembly
+        wp, asm = self.wp, self._assembly
         d = self.grid.ndim
-        coeffs = np.empty((d + (k.dh is not None), d) + self.grid.shape)
+        coeffs = np.empty((d + (wp.dh is not None), d) + self.grid.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            _, gu, _, W = k.tilt(u_arr)
-            flux = k.sqrt_det * k.h / W
-            bend = k.h2 / W**2
+            _, gu, _, W = wp.tilt(u_arr)
+            flux = wp.sqrt_det * wp.h / W
+            bend = wp.h2 / W**2
             for a in range(d):
                 for c in range(d):
-                    np.multiply(flux, k.inv[a][c] - bend * gu[a] * gu[c], out=coeffs[a, c])
-            if k.dh is not None:
-                pull = sum(k.dh[a] * gu[a] for a in range(d)) * bend
+                    np.multiply(flux, wp.inv[a][c] - bend * gu[a] * gu[c], out=coeffs[a, c])
+            if wp.dh is not None:
+                pull = sum(wp.dh[a] * gu[a] for a in range(d)) * bend
                 for c in range(d):
-                    np.divide(sum(k.dh[a] * k.inv[a][c] for a in range(d)) - pull * gu[c], W,
+                    np.divide(sum(wp.dh[a] * wp.inv[a][c] for a in range(d)) - pull * gu[c], W,
                               out=coeffs[d, c])
-                coeffs[d] *= k.sqrt_det
+                coeffs[d] *= wp.sqrt_det
             data = asm.coeff_map @ coeffs.ravel()
-            data *= np.repeat(1.0 / self.pack(k.sqrt_det), np.diff(asm.indptr))
+            data *= np.repeat(1.0 / self.pack(wp.sqrt_det), np.diff(asm.indptr))
         return self._on_pattern(data) if np.isfinite(data).all() else None
 
     def linear_step(self, jac: csr_matrix, f_dof: np.ndarray) -> tuple[np.ndarray, int]:
@@ -476,7 +475,7 @@ class _Problem:
         delta, info = self.kept_solve(matrix, rhs, averaged=True)
         if info != 0:
             return np.full(self.n_dof, np.nan)
-        s = self.pack(self.kernel.sqrt_det)
+        s = self.pack(self.wp.sqrt_det)
         delta += (s @ (rhs - matrix @ delta)) / (s @ (matrix @ np.ones(self.n_dof)))
         return delta
 

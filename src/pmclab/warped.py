@@ -7,7 +7,8 @@ with a positive warping ``h`` on ``P``; the product metric is
 
 * tilt factor ``W = sqrt(1 + h^2 |grad u|^2)``,
 * prescribed-curvature residual
-  ``div(h grad u / W) + sigma(grad h, grad u)/W - n H``,
+  ``div(h grad u / W) + sigma(grad h, grad u)/W - n H``, which every
+  driver and check evaluates by :meth:`WarpedProduct.residual`,
 * downward unit normal split into fiber part ``-(h/W) grad u`` and
   vertical component ``1/(h W)``; the angle function is ``h/W``,
 * induced graph metric ``sigma + h^2 du (x) du`` (a rank-one update),
@@ -51,9 +52,19 @@ class PreconditionError(ValueError):
 
 
 class WarpedProduct:
-    """A fiber grid, its metric, and a positive warping function."""
+    """A fiber grid, its metric and a positive warping, prepared once for the residual.
 
-    __slots__ = ("fiber", "metric", "warping", "h_inf", "h_sup")
+    The constructor keeps what every :meth:`residual` reads: ``h``,
+    ``h2``, the warping partials ``dh`` (one array per axis) and the
+    inverse metric ``inv`` as strided views ``metric.inv[..., i, j]``.
+    ``dh is None`` when the partials are exactly zero, so skipping the
+    drift term is bit-identical; that is not :attr:`warping_is_constant`,
+    the relative 1e-12 test that the compatibility witness, the Ricci
+    check and the superharmonic guard read.
+    """
+
+    __slots__ = ("fiber", "metric", "warping", "h_inf", "h_sup", "h", "h2", "dh", "inv",
+                 "sqrt_det")
 
     def __init__(self, fiber: FiberGrid, metric: MetricField, warping: ScalarField) -> None:
         metric.grid.require_same(fiber, "warped product")
@@ -69,6 +80,15 @@ class WarpedProduct:
         self.warping = warping
         self.h_inf = float(h.min())
         self.h_sup = float(h.max())
+        d = fiber.ndim
+        self.h = h
+        # a huge warping squares to inf, which a solve reports as diverged
+        with np.errstate(over="ignore"):
+            self.h2 = h**2
+        dh = coordinate_partials(warping)
+        self.dh = [np.ascontiguousarray(dh[..., i]) for i in range(d)] if dh.any() else None
+        self.inv = [[metric.inv[..., i, j] for j in range(d)] for i in range(d)]
+        self.sqrt_det = metric.sqrt_det
 
     @property
     def dimension(self) -> int:
@@ -78,6 +98,39 @@ class WarpedProduct:
     @property
     def warping_is_constant(self) -> bool:
         return (self.h_sup - self.h_inf) <= 1e-12 * self.h_sup
+
+    def tilt(self, u: np.ndarray):
+        """Partials ``d_i u``, gradient ``sigma^{ij} d_j u`` (lists per axis), |grad u|^2 and W."""
+        grid = self.fiber
+        du = [partial_into(u, grid, axis, np.empty(grid.shape)) for axis in range(grid.ndim)]
+        gu = [_contract(row, du) for row in self.inv]
+        grad_sq = np.maximum(_contract(du, gu), 0.0)
+        W = np.sqrt(1.0 + self.h2 * grad_sq)
+        return du, gu, grad_sq, W
+
+    def drift(self, gu, W) -> np.ndarray:
+        """The drift term ``sigma(grad h, grad u) / W``."""
+        if self.dh is None:
+            return np.zeros(self.fiber.shape)
+        return _contract(self.dh, gu) / W
+
+    def residual(self, u: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Residual node values for height and target node values, and the tilt of :meth:`tilt`.
+
+        Where ``W`` overflows, ``h/W`` flattens the flux to zero; those
+        nodes read NaN instead, so that no caller takes them for solved.
+        """
+        tilt = self.tilt(u)
+        _, gu, _, W = tilt
+        hw = self.h / W
+        flux = [self.sqrt_det * (hw * g) for g in gu]
+        out = flux_divergence(flux, self.fiber, self.sqrt_det)
+        if self.dh is not None:
+            out += self.drift(gu, W)
+        out -= self.dimension * target
+        if not np.isfinite(W.max()):
+            out[~np.isfinite(W)] = np.nan
+        return out, tilt
 
 
 def require_conformal_laplacian(fiber: FiberGrid) -> None:
@@ -132,108 +185,45 @@ def _contract(a, b):
     return sums[0] + sums[1]
 
 
-class ResidualKernel:
-    """The prescribed-curvature residual of one warped product, prepared once.
-
-    Holds ``h``, ``h^2``, the warping partials per axis and the inverse
-    metric as one contiguous array per component, so that each evaluation
-    is a fixed sequence of whole-array operations around the one
-    derivative stencil of :mod:`pmclab.geometry`, which differences the
-    height and each flux density alike.  A solve builds one and evaluates
-    it many times, and each :class:`GraphState` keeps the one it
-    evaluated; it is not stored on the :class:`WarpedProduct`.
-    """
-
-    __slots__ = ("fiber", "dimension", "h", "h2", "dh", "inv", "sqrt_det")
-
-    def __init__(self, wp: WarpedProduct) -> None:
-        d = wp.dimension
-        self.fiber = wp.fiber
-        self.dimension = d
-        self.h = wp.warping.values
-        # a huge warping squares to inf, which a solve reports as diverged
-        with np.errstate(over="ignore"):
-            self.h2 = self.h**2
-        dh = coordinate_partials(wp.warping)
-        # a constant warping has partials exactly zero, hence no drift term
-        self.dh = [np.ascontiguousarray(dh[..., i]) for i in range(d)] if dh.any() else None
-        inv = wp.metric.inv
-        self.inv = [[np.ascontiguousarray(inv[..., i, j]) for j in range(d)] for i in range(d)]
-        self.sqrt_det = wp.metric.sqrt_det
-
-    def tilt(self, u: np.ndarray):
-        """Partials ``d_i u``, gradient ``sigma^{ij} d_j u`` (lists per axis), |grad u|^2 and W."""
-        grid = self.fiber
-        du = [partial_into(u, grid, axis, np.empty(grid.shape)) for axis in range(grid.ndim)]
-        gu = [_contract(row, du) for row in self.inv]
-        grad_sq = np.maximum(_contract(du, gu), 0.0)
-        W = np.sqrt(1.0 + self.h2 * grad_sq)
-        return du, gu, grad_sq, W
-
-    def drift(self, gu, W) -> np.ndarray:
-        """The drift term ``sigma(grad h, grad u) / W``."""
-        if self.dh is None:
-            return np.zeros(self.fiber.shape)
-        return _contract(self.dh, gu) / W
-
-    def residual(self, u: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """Residual node values for height and target node values, and the tilt of :meth:`tilt`.
-
-        Where ``W`` overflows, ``h/W`` flattens the flux to zero; those
-        nodes read NaN instead, so that no caller takes them for solved.
-        """
-        tilt = self.tilt(u)
-        _, gu, _, W = tilt
-        hw = self.h / W
-        flux = [self.sqrt_det * (hw * g) for g in gu]
-        out = flux_divergence(flux, self.fiber, self.sqrt_det)
-        if self.dh is not None:
-            out += self.drift(gu, W)
-        out -= self.dimension * target
-        if not np.isfinite(W.max()):
-            out[~np.isfinite(W)] = np.nan
-        return out, tilt
-
-
-def mean_curvature_residual(wp: WarpedProduct | ResidualKernel, u: ScalarField,
+def mean_curvature_residual(wp: WarpedProduct, u: ScalarField,
                             target_curvature: ScalarField) -> ScalarField:
     """Residual of the prescribed-mean-curvature equation at every node.
 
     Zero (on the unknowns) means the graph of ``u`` has mean curvature
     ``target_curvature`` with respect to the downward normal.  Constant
     shifts of ``u`` leave the residual unchanged; on a disk the pinned
-    ring is evaluated too but is never an unknown.  Pass the product's
-    :class:`ResidualKernel` in place of ``wp`` to evaluate it repeatedly.
+    ring is evaluated too but is never an unknown.  The grids are checked
+    here, then :meth:`WarpedProduct.residual` evaluates on the arrays the
+    product prepared once.
     """
-    kernel = wp if isinstance(wp, ResidualKernel) else ResidualKernel(wp)
-    kernel.fiber.require_same(u.grid, "graph height")
-    kernel.fiber.require_same(target_curvature.grid, "target curvature")
-    return ScalarField(kernel.fiber, kernel.residual(u.values, target_curvature.values)[0])
+    wp.fiber.require_same(u.grid, "graph height")
+    wp.fiber.require_same(target_curvature.grid, "target curvature")
+    return ScalarField(wp.fiber, wp.residual(u.values, target_curvature.values)[0])
 
 
 class GraphState:
-    """A height and its target with the residual and tilt of one kernel evaluation.
+    """A height and its target with the residual and tilt of one evaluation.
 
-    The constructor checks the grids and evaluates one
-    :class:`ResidualKernel`.  It keeps the kernel and the tilt: the
-    partials ``du`` and the gradient ``gu`` (lists per axis),
+    The constructor checks the grids and evaluates the product's
+    :meth:`WarpedProduct.residual` once.  It keeps the tilt: the partials
+    ``du`` and the gradient ``gu`` (lists per axis),
     ``grad_sq = |grad u|^2`` and ``W``.  Every graph diagnostic and check
-    below reads these instead of evaluating the tilt again.  The induced
+    below reads these, and the product's prepared ``h`` and ``h2``,
+    instead of evaluating them again.  The induced
     metric is built on first use and kept as well: ``graph_mat``, its
     read-only node matrices, and ``graph_metric``, the validated
     :class:`MetricField` of them; both are None until then, and a build
     that raised keeps nothing.
     """
 
-    __slots__ = ("warped", "height", "target", "kernel", "residual",
+    __slots__ = ("warped", "height", "target", "residual",
                  "du", "gu", "grad_sq", "W", "grad_sup", "graph_mat", "graph_metric")
 
     def __init__(self, warped: WarpedProduct, height: ScalarField,
                  target: ScalarField) -> None:
         warped.fiber.require_same(height.grid, "graph height")
         warped.fiber.require_same(target.grid, "target curvature")
-        self.kernel = ResidualKernel(warped)
-        values, (self.du, self.gu, self.grad_sq, self.W) = self.kernel.residual(
+        values, (self.du, self.gu, self.grad_sq, self.W) = warped.residual(
             height.values, target.values)
         self.warped = warped
         self.height = height
@@ -264,7 +254,7 @@ def unit_normal(state: GraphState) -> tuple[VectorField, ScalarField, ScalarFiel
     component ``1/(h W)``, and the angle function ``h/W``.  The product
     metric makes these unit length: ``sigma(fp, fp) + h^2 vc^2 = 1``.
     """
-    fiber, h, W = state.warped.fiber, state.kernel.h, state.W
+    fiber, h, W = state.warped.fiber, state.warped.h, state.W
     fiber_part = VectorField(fiber, (-h / W)[..., None] * np.stack(state.gu, axis=-1))
     vertical = ScalarField(fiber, 1.0 / (h * W))
     angle = ScalarField(fiber, h / W)
@@ -278,7 +268,7 @@ def _graph_metric_mat(state: GraphState) -> np.ndarray:
     ``state.graph_mat``.  sigma is exactly symmetric, so the update is too.
     """
     if state.graph_mat is None:
-        du, h2, sigma = state.du, state.kernel.h2, state.warped.metric.mat
+        du, h2, sigma = state.du, state.warped.h2, state.warped.metric.mat
         mat = np.empty_like(sigma)
         for i in range(len(du)):
             for j in range(i, len(du)):
@@ -366,14 +356,14 @@ def check_height_identity(state: GraphState, tol_solve: float = 1e-8) -> ScalarF
     order as the grid refines.
     """
     state.require_solved(tol_solve, "height identity")
-    wp, h = state.warped, state.kernel.h
+    wp = state.warped
     prime = induced_metric(state)
-    dlog = coordinate_partials(ScalarField(wp.fiber, np.log(h)))
+    dlog = coordinate_partials(ScalarField(wp.fiber, np.log(wp.h)))
     cross = np.einsum("...ij,...i,...j->...", prime.inv, np.stack(state.du, axis=-1), dlog)
     lap = laplace_beltrami(state.height, prime).values
     # vertical component of the unit normal, NOT the angle function h/W:
     # the h^2 from g(d_r, d_r) cancels against the 1/h^2 in grad tau.
-    vertical = 1.0 / (h * state.W)
+    vertical = 1.0 / (wp.h * state.W)
     vals = lap + 2.0 * cross - wp.dimension * state.target.values * vertical
     return ScalarField(wp.fiber, vals)
 
@@ -425,7 +415,7 @@ def compatibility_integral(state: GraphState) -> float:
     """
     wp = state.warped
     require_compatibility(wp.fiber)
-    drift = state.kernel.drift(state.gu, state.W)
+    drift = wp.drift(state.gu, state.W)
     return integrate(ScalarField(wp.fiber, drift - wp.dimension * state.target.values), wp.metric)
 
 

@@ -110,7 +110,7 @@ _FIBERS = pytest.mark.parametrize(
 
 def _chain_rule_jacobian(prob, u):
     """The chain-rule product of sparse matrices: ``div @ bmat(m) @ grad`` plus the drift rows."""
-    k, grid, d = prob.kernel, prob.grid, prob.grid.ndim
+    k, grid, d = prob.wp, prob.grid, prob.grid.ndim
     partials = [partial_matrix(grid, axis) for axis in range(d)]
     div = (diags(1.0 / k.sqrt_det.ravel()) @ hstack(partials)).tocsr()[prob.mask]
     grad = vstack(partials, format="csc")[:, prob.mask].tocsr()

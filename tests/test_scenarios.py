@@ -103,6 +103,22 @@ def test_formula_stray_character_reports_position():
         Formula("x1 $ 2", ("x1",))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("sin(x1", r"^expected '\)' at position 6$"),
+    ("x1 x1", r"^unexpected 'x1' at position 3$"),
+    (")", r"^unexpected '\)' at position 0$"),
+], ids=["unclosed_call", "trailing_operand", "lone_close"])
+def test_formula_syntax_errors_report_their_position(text, message):
+    with pytest.raises(FormulaError, match=message):
+        Formula(text, ("x1",))
+
+
+def test_formula_unary_plus_leaves_its_operand():
+    x1 = np.linspace(-1.0, 1.0, 5)
+    assert np.array_equal(evaluate_formula("+x1", {"x1": x1}), x1)
+    assert np.array_equal(evaluate_formula("2*+x1^2", {"x1": x1}), 2.0 * x1**2)
+
+
 def test_formula_missing_environment_value():
     f = Formula("x1+x2", ("x1", "x2"))
     with pytest.raises(FormulaError, match="no value supplied"):
@@ -1154,13 +1170,23 @@ def _one_line_refusal(capsys, prefix: str) -> None:
 
 @pytest.mark.parametrize("command", [["solve"], ["scenario", "obstruction_torus"], ["verify"]],
                          ids=["solve", "scenario", "verify"])
-def test_cli_a_report_path_that_cannot_be_written_exits_2(tmp_path, capsys, command):
+def test_cli_a_report_path_that_cannot_be_written_exits_2(monkeypatch, tmp_path, capsys,
+                                                          command):
+    # refused before any solve: neither a scenario nor the battery runs
+    _forbid_runs(monkeypatch)
     if command == ["solve"]:
         config = tmp_path / "run.json"
         config.write_text(_cfg())
         command = ["solve", str(config)]
     assert main([*command, "--out", str(tmp_path / "absent" / "report.json")]) == 2
     _one_line_refusal(capsys, "cannot write report: ")
+    assert main([*command, "--out", str(tmp_path)]) == 2
+    _one_line_refusal(capsys, "cannot write report: ")
+
+
+def _forbid_runs(monkeypatch):
+    monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: pytest.fail("a run started"))
+    monkeypatch.setattr(cli, "run_verification_suite", lambda: pytest.fail("the battery started"))
 
 
 @pytest.mark.parametrize("command", [
@@ -1176,6 +1202,21 @@ def test_cli_fields_that_cannot_be_written_exit_2_and_write_no_report(tmp_path, 
     out = tmp_path / "report.json"
     assert main([*command, "--dump-fields", str(taken), "--out", str(out)]) == 2
     _one_line_refusal(capsys, "cannot write fields: ")
+    assert not out.exists()
+
+
+def test_cli_a_dump_taken_by_a_file_is_refused_before_any_run_and_makes_no_directory(
+        monkeypatch, tmp_path, capsys):
+    # the second name's dump is a file: the first name's directory is not made either
+    _forbid_runs(monkeypatch)
+    fields = tmp_path / "d"
+    fields.mkdir()
+    (fields / "ricci_sign").write_text("not a directory\n")
+    out = tmp_path / "r.json"
+    assert main(["scenario", "obstruction_torus", "ricci_sign",
+                 "--dump-fields", str(fields), "--out", str(out)]) == 2
+    _one_line_refusal(capsys, "cannot write fields: ")
+    assert not (fields / "obstruction_torus").exists()
     assert not out.exists()
 
 

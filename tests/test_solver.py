@@ -23,7 +23,7 @@ from pmclab import (
     newton_solve,
     volume,
 )
-from pmclab import solver
+from pmclab import solver, warped
 from pmclab.solver import _Problem
 
 from difference_action import jacobian_action
@@ -194,6 +194,52 @@ def test_iteration_budget_yields_max_iter():
     state, report = newton_solve(wp, zero, u0, SolveOptions(max_newton=1))
     assert report.verdict == "max_iter"
     assert report.iterations == 1
+
+
+def test_a_non_finite_trial_ends_newton_diverged_at_its_start(monkeypatch):
+    # the line search's first trial reads no finite residual: no step is
+    # taken, and the solve ends diverged at the start height
+    residual_full, calls = _Problem.residual_full, []
+
+    def lost_after_start(prob, u_arr):
+        calls.append(u_arr)
+        return residual_full(prob, u_arr) if len(calls) == 1 else None
+
+    monkeypatch.setattr(_Problem, "residual_full", lost_after_start)
+    wp, zero = _torus_problem()
+    u0 = _smooth_start(wp.fiber, 5)
+    state, report = newton_solve(wp, zero, u0, SolveOptions())
+    assert report.verdict == "diverged"
+    assert report.iterations == 0
+    assert len(report.residual_history) == 1
+    np.testing.assert_array_equal(state.height.values, u0.values)
+
+
+@pytest.mark.parametrize("solve", [newton_solve, flow_solve], ids=["newton", "flow"])
+@pytest.mark.parametrize("fiber", ["torus", "disk"])
+def test_no_solve_prepares_its_product_again(monkeypatch, solve, fiber):
+    # the product prepares the residual's arrays once, when it is built; the
+    # solve, its Jacobians and its final state only read them
+    if fiber == "torus":
+        wp, target = _torus_problem(16)
+        u0 = _smooth_start(wp.fiber, 5)
+    else:
+        grid, metric = build_hyperbolic_disk(16, 32, 0.875)
+        wp = WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0))
+        target = ScalarField.constant(grid, 0.0)
+        u0 = np.zeros(grid.shape)
+        u0[-1, :] = 0.5 * np.sin(3.0 * grid.axes[1])
+        u0 = ScalarField(grid, u0)
+
+    expected_state, expected = solve(wp, target, u0, SolveOptions())
+
+    def prepared_again(f):
+        raise AssertionError("a solve prepared its product again")
+
+    monkeypatch.setattr(warped, "coordinate_partials", prepared_again)
+    state, report = solve(wp, target, u0, SolveOptions())
+    assert report.to_json_dict() == expected.to_json_dict()
+    np.testing.assert_array_equal(state.height.values, expected_state.height.values)
 
 
 # ---------------------------------------------------------------------------

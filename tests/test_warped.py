@@ -307,7 +307,7 @@ def test_per_component_graph_metric_and_reduction_match_the_broadcast_forms(buil
     # the whole-array forms that the per-component ones replaced, bit for bit
     state = build()
     du = np.stack(state.du, axis=-1)
-    prime = state.warped.metric.mat + state.kernel.h2[..., None, None] * (
+    prime = state.warped.metric.mat + state.warped.h2[..., None, None] * (
         du[..., :, None] * du[..., None, :])
     assert warped._graph_metric_mat(state).tobytes() == prime.tobytes()
     if state.warped.fiber.ndim == 3:
