@@ -3,7 +3,8 @@
 Subcommands: ``solve`` runs a JSON config file, ``scenario`` runs one or
 more bundled scenarios by name, one after another, ``verify`` runs the
 identity/refinement battery.  Every name is read, every field dump
-directory made and the report path checked before the first run.  Reports
+directory made and the report path checked before the first run; a run
+refused for its report path removes the directories it made.  Reports
 are emitted as JSON (stdout or ``--out``).  Exit codes: 0 when the outcome
 matched the scenario's expectation and every check passed, 2 for validation
 problems (a config file that cannot be read as UTF-8, a config or formulas
@@ -92,6 +93,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_dirs(path: str) -> list[str]:
+    """Make the directory ``path`` and its missing parents; returns those it made."""
+    made, head = [], os.path.abspath(path)
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(path, exist_ok=True)
+    return made
+
+
 def _refuse(message: str) -> int:
     """Print the one-line ``message`` to stderr; the exit code 2 of a refused run."""
     print(message, file=sys.stderr)
@@ -116,11 +127,14 @@ def main(argv=None) -> int:
                  if args.dump_fields is not None and len(runs) > 1 else args.dump_fields
                  for name, _ in runs]
         # a dump path taken by a file goes first, so that its refusal makes no directory
-        for dump in sorted(filter(None, dumps), key=os.path.isfile, reverse=True):
-            os.makedirs(dump, exist_ok=True)
+        made = [path for dump in sorted(filter(None, dumps), key=os.path.isfile, reverse=True)
+                for path in _make_dirs(dump)]
+        # the dumps are made first: the report may be written into one of them
         out_dir = os.path.dirname(os.path.abspath(args.out or "."))
         if args.out is not None and (os.path.isdir(args.out) or not os.path.isdir(out_dir)
                                      or not os.access(out_dir, os.W_OK | os.X_OK)):
+            for path in sorted(made, key=len, reverse=True):  # a child before its parent
+                os.rmdir(path)
             return _refuse(f"cannot write report: {args.out!r} is not a writable file path")
         reports = [run_scenario(config, scenario_name=name, dump_dir=dump,
                                 refine=args.refine, seed_override=args.seed)

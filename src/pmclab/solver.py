@@ -4,11 +4,10 @@ Two drivers share one residual, that of the product, prepared once per product:
 
 * :func:`newton_solve` is damped Newton on the exact sparse Jacobian of
   the discrete residual, the chain-rule product of the difference
-  matrices of the grid.  Its stencil never changes: one map from the
-  product's node coefficients onto one fixed sparse pattern is built
-  once per process for each grid, and kept for every problem on it;
-  each step computes the coefficients, applies the map and scales each
-  row by the metric's ``1/sqrt_det``.
+  stencils of the grid.  Each entry is a sum of node coefficients read at
+  the stencil's offsets, with weights fixed on each ring: a problem
+  builds its pattern and weights once, and each step fills the rows of a
+  ring class by one matrix product and scales each row by ``1/sqrt_det``.
   Each step is solved by GMRES, preconditioned on the left.  On a disk
   the preconditioner is the exact inverse of the Jacobian's averaged
   stencil: averaged over the angle, the entries give one band matrix in
@@ -50,15 +49,16 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
+from itertools import combinations_with_replacement, product
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import zgbtrf, zgbtrs
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
-from .geometry import ConstructionError, FiberGrid, ScalarField, integrate, partial_matrix, volume
+from .geometry import ConstructionError, FiberGrid, ScalarField, integrate, volume
 from .warped import (
     GraphState,
     PreconditionError,
@@ -97,9 +97,6 @@ _FLOW_MAX_TRIALS = 64
 _STEP_CAP_FACTOR = 20.0
 # A short restart keeps the Krylov basis small beside the preconditioner.
 _KRYLOV_RESTART = 20
-# The Jacobian maps kept for reuse (see _build_assembly): a disk ladder's
-# levels and the grids of a few more problems.
-_ASSEMBLY_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -195,148 +192,148 @@ def remove_null_modes(grid: FiberGrid, delta: np.ndarray) -> np.ndarray:
     return (blocks - blocks.mean(axis=tuple(classes), keepdims=True)).reshape(delta.shape)
 
 
-class _Assembly(NamedTuple):
-    """A Jacobian pattern, the map of node coefficients onto its ``data``, and its keys.
+class _RingClass(NamedTuple):
+    """Consecutive unknown rings whose rows share one table (see :func:`_assemble`).
 
-    ``diagonal`` and ``pinned`` are the pattern positions of the diagonal
-    and of the entries in a pinned row or column, and ``cell`` holds the
-    unknowns of the cell that pins the null space.  On a closed fiber
-    centered differences annihilate the constants and the fields
-    alternating in sign along each even axis.  Their values on the cell
-    at the origin (two nodes along even axes, one along odd ones)
-    determine them, so pinning those nodes leaves a nonsingular matrix.
-    Disks have no null space and pin nothing.  ``keys`` and ``shape``
-    place each entry in the averaged stencil (see :func:`_stencil_of`).
-    Every problem on one grid shares one, so its arrays are read-only.
+    Each row stores one entry per ``(ring, *periodic)`` step in ``offsets``,
+    the zero step first, at ``span`` in the pattern's ``data``: the reads
+    times ``table``, where ``copies`` gather each read, a node coefficient
+    at one step from every row, as ``(destination, source)`` index pairs.
     """
 
-    coeff_map: csc_matrix
+    rings: slice
+    span: slice
+    copies: tuple[tuple[tuple, tuple], ...]
+    table: np.ndarray
+    offsets: np.ndarray
+
+
+class _Assembly(NamedTuple):
+    """A problem's Jacobian pattern, laid out in ring classes.
+
+    Each row stores its entries in its class's offset order, so its columns
+    are not sorted and its first entry, at ``diagonal``, is the diagonal.
+    ``pinned`` are the positions of the entries in a pinned row or column,
+    and ``cell`` the unknowns of the cell that pins the null space: on a
+    closed fiber centered differences annihilate the constants and the
+    fields alternating in sign along each even axis, which their values on
+    the cell at the origin (two nodes along even axes, one along odd ones)
+    determine.  Disks pin nothing.  Every Jacobian of the problem shares
+    these arrays, so they are read-only.  ``layout`` is the unknowns'
+    ``(rings, *periodic)`` and ``band`` the largest radial offset.
+    """
+
     indices: np.ndarray
     indptr: np.ndarray
     diagonal: np.ndarray
     pinned: np.ndarray
     cell: np.ndarray
-    keys: np.ndarray
-    shape: tuple[int, ...]
+    classes: tuple[_RingClass, ...]
+    layout: tuple[int, ...]
+    band: int
 
 
-@lru_cache(maxsize=_ASSEMBLY_CACHE_SIZE)
-def _build_assembly(grid: FiberGrid, varying: bool) -> _Assembly:
-    """The Jacobian's pattern, the map onto it and their keys, keyed on exactly what they read.
+def _difference_offsets(grid: FiberGrid, axis: int) -> list[tuple[tuple[int, ...], list[float]]]:
+    """:func:`pmclab.geometry.partial_into` along ``axis``, as ``(step, weight per node ring)``.
 
-    That is the grid and whether the warping varies (see
-    :func:`_coefficient_map`), so problems on equal grids share one cached
-    entry, whatever their metrics.  The map is built in a function of its
-    own so that its temporaries are freed before the keys are made: held
-    together, they would raise a fine grid's peak memory.
+    Steps are ``(ring, *periodic)``: a torus is one ring.  The disk's radial
+    difference reaches below ring 0 to ring 0 half a turn away, and closes
+    one-sided at the rim.
     """
-    # a tiny grid spacing multiplies its weights out of range; the Jacobians
-    # built on such a map are not finite, so the solve ends diverged
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeff_map, indices, indptr = _coefficient_map(grid, varying)
-    mask = grid.interior_mask.ravel()
-    n = indptr.size - 1
-    row_of = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+    w, nodes = 1.0 / (2.0 * grid.spacings[axis]), 1 if grid.closed else grid.shape[0]
+    if grid.periodic_axes[axis]:
+        unit = tuple(int(k == axis + grid.closed) for k in range(grid.ndim + grid.closed))
+        return [(unit, [w] * nodes), (tuple(-k for k in unit), [-w] * nodes)]
+    # the weights on ring 0, on the middle rings and on the rim
+    weights = {(1, 0): (1, 1, 0), (-1, 0): (0, -1, -4), (0, grid.shape[1] // 2): (-1, 0, 0),
+               (0, 0): (0, 0, 3), (-2, 0): (0, 0, 1)}
+    return [(step, [w * a, *[w * b] * (nodes - 2), w * c]) for step, (a, b, c) in weights.items()]
+
+
+def _assemble(grid: FiberGrid, varying: bool) -> _Assembly:
+    """The Jacobian's pattern, and for each class of rings the table that fills it.
+
+    :meth:`_Problem.jacobian` writes ``s J`` as ``sum_b L_b diag(x_b) R_b``
+    over blocks of node coefficients ``x_b``: ``m_ac`` with ``L = D_a`` and
+    ``R = D_c``, then for a varying warping ``s e_c`` with ``L = I`` and
+    ``R = D_c``, on the unknown rows and columns.  Every difference
+    commutes with the periodic shifts, so the entry at row ``i`` and
+    offset ``p + q`` sums ``w_p[i] w_q[i + p] x_b[i + p]`` over the steps
+    ``p`` of ``L_b`` and ``q`` of ``R_b``.  The weights change only on the
+    first and the last node ring, so the rings beyond the stencil's reach
+    from both ends share one table: a torus is one class, a disk five.
+    """
+    d = grid.ndim
+    # the unknowns as (rings, *periodic): a disk's rings but the rim, a torus as one ring
+    rings, *periodic = (1, *grid.shape) if grid.closed else (grid.shape[0] - 1, grid.shape[1])
+    pairs = list(combinations_with_replacement(range(d), 2))
+    partials = [_difference_offsets(grid, axis) for axis in range(d)]
+    blocks = [(pairs.index((min(a, c), max(a, c))), partials[a], partials[c])
+              for a in range(d) for c in range(d)]
+    identity = [((0,) * (1 + len(periodic)), [1.0] * (rings + 1))]  # the drift's left factor
+    blocks += [(len(pairs) + c, identity, partials[c]) for c in range(d) if varying]
+    # a middle row reads within half the reach of its ring and writes within it,
+    # so each ring nearer an end than the reach is a class of its own
+    reach = 2 * max([abs(p[0]) for partial in partials for p, w in partial if any(w[1:-1])] or [0])
+    bounds = sorted({0, rings, *range(1, reach + 1), *range(rings - reach, rings)})
+    # to read x[i + p] into y[i] rotates each periodic axis: two slices where p is not 0
+    rotations = {}
+    for p, _ in (step for partial in (*partials, identity) for step in partial):
+        cuts = [[(slice(None),) * 2] if k % n == 0 else
+                [(slice(0, n - k % n), slice(k % n, n)), (slice(n - k % n, n), slice(0, k % n))]
+                for k, n in zip(p[1:], periodic)]
+        rotations[p[1:]] = [tuple(zip(*pieces)) for pieces in product(*cuts)]
+    # each product of two steps: the read (coefficient, p), both weights and the offset p + q
+    products = [((coeff, p), left, right, p[0], q[0],
+                 (p[0] + q[0], *((a + b) % n for a, b, n in zip(p[1:], q[1:], periodic))))
+                for coeff, lefts, rights in blocks
+                for (p, left), (q, right) in product(lefts, rights)]
+    classes, columns, end = [], [], 0
+    for start, stop in zip(bounds, bounds[1:]):
+        # the reads and offsets by position, and the weight of each pair
+        reads, offsets, weights = {}, {(0,) * (1 + len(periodic)): 0}, {}
+        for read, left, right, p, q, offset in products:
+            mid = start + p
+            if left[start] and 0 <= mid <= rings and right[mid] and 0 <= mid + q < rings:
+                key = (reads.setdefault(read, len(reads)), offsets.setdefault(offset, len(offsets)))
+                weights[key] = weights.get(key, 0.0) + left[start] * right[mid]
+        copies = [((t, slice(None), *dst), (coeff, slice(start + p[0], stop + p[0]), *src))
+                  for t, (coeff, p) in enumerate(reads) for dst, src in rotations[p[1:]]]
+        table, offsets = np.zeros((len(reads), len(offsets))), np.array(list(offsets))
+        for key, weight in weights.items():
+            table[key] = weight
+        # an entry's column: the number of its ring plus one part per periodic axis
+        parts = [(np.arange(start, stop)[:, None] + offsets[:, 0]) * math.prod(periodic)]
+        parts += [(np.arange(n)[:, None] + offsets[:, k + 1]) % n * math.prod(periodic[k + 1:])
+                  for k, n in enumerate(periodic)]
+        columns.append(sum(x.reshape([len(x) if j == k else 1 for j in range(len(parts))] + [-1])
+                           for k, x in enumerate(parts)))
+        classes.append(_RingClass(slice(start, stop), slice(end, end + columns[-1].size),
+                                  tuple(copies), table, offsets))
+        end += columns[-1].size
+    indices = np.concatenate([c.ravel() for c in columns], dtype=np.int32 if end < 2**31 else int)
+    counts = np.concatenate([np.full(c.size // c.shape[-1], c.shape[-1]) for c in columns])
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(indices.dtype)
     # the cell at the origin: two nodes along even axes, one along odd ones
-    cell = np.zeros(grid.shape, dtype=bool)
-    if grid.closed:
-        cell[tuple(slice(0, 2 - k % 2) for k in grid.shape)] = True
-    cell = np.flatnonzero(cell.ravel()[mask])
-    pinned = np.zeros(n, dtype=bool)
+    cell = (np.ravel_multi_index(np.indices([2 - n % 2 for n in grid.shape]), grid.shape).ravel()
+            if grid.closed else np.empty(0, dtype=np.intp))
+    pinned = np.zeros(counts.size, dtype=bool)
     pinned[cell] = True
-    asm = _Assembly(coeff_map, indices, indptr, np.flatnonzero(row_of == indices),
-                    np.flatnonzero(pinned[row_of] | pinned[indices]), cell,
-                    *_stencil_of(grid, row_of, indices))
-    for array in (coeff_map.data, coeff_map.indices, coeff_map.indptr, asm.indices, asm.indptr,
-                  asm.diagonal, asm.pinned, asm.cell, asm.keys):
+    # the entries in a pinned row or column; a disk pins nothing
+    pinned = np.flatnonzero(np.repeat(pinned, counts) | pinned[indices]) if cell.size else cell
+    asm = _Assembly(indices, indptr, indptr[:-1], pinned, cell, tuple(classes), (rings, *periodic),
+                    max(int(np.abs(cls.offsets[:, 0]).max()) for cls in classes))
+    for array in asm[:5]:
         array.setflags(write=False)
     return asm
 
 
-def _coefficient_map(grid: FiberGrid, varying: bool) -> tuple[csc_matrix, np.ndarray, np.ndarray]:
-    """The map of node coefficients onto the Jacobian's pattern, and the pattern's indices.
-
-    :meth:`_Problem.jacobian` writes ``s J`` as
-    ``sum_b L_b diag(x_b) R_b`` over blocks ``b`` of node coefficients
-    ``x_b``: ``m_ac`` with ``L = D_a`` and ``R = D_c`` for every
-    ``a, c``, then, for a varying warping, ``s e_c`` with ``L`` the
-    restriction to the unknowns and ``R = D_c``.  ``L_b`` keeps the
-    unknown rows and ``R_b`` the unknown columns.  So entry ``(i, j)`` is
-    ``sum_b sum_k L_b[i, k] R_b[k, j] x_b[k]``, and the map holds each
-    product ``L_b[i, k] R_b[k, j]`` at row ``(i, j)`` and column
-    ``(b, k)``.  The pattern is the union of those entries and the
-    diagonal, with sorted rows.
-    """
-    mask = grid.interior_mask.ravel()
-    unknown = np.flatnonzero(mask)
-    n, nodes = unknown.size, mask.size
-    lefts, rights = [], []
-    for axis in range(grid.ndim):
-        partial = partial_matrix(grid, axis)
-        lefts.append(partial[unknown].tocsc())
-        rights.append(partial[:, unknown])
-    if varying:
-        lefts.append(csc_matrix((np.ones(n), (np.arange(n), unknown)), shape=(n, nodes)))
-    diagonal = csr_matrix((np.ones(n, dtype=bool), np.arange(n), np.arange(n + 1)),
-                          shape=(n, n))
-    pattern = (sum(m.astype(bool) for m in lefts)
-               @ sum(m.astype(bool) for m in rights) + diagonal).tocsr()
-    pattern.sort_indices()
-    indptr, indices = pattern.indptr, pattern.indices
-    # entry (i, j) of this matrix is the position of (i, j) in the pattern
-    lookup = csr_matrix((np.arange(indices.size, dtype=float), indices, indptr), shape=(n, n))
-    # the map is stored by columns: each block's products come grouped by k,
-    # written into arrays sized up front so that no second copy is made
-    blocks = [(left, right) for left in lefts for right in rights]
-    ends = np.concatenate(([0], np.cumsum(np.concatenate(
-        [np.diff(left.indptr) * np.diff(right.indptr) for left, right in blocks]))))
-    values = np.empty(ends[-1])
-    positions = np.empty(ends[-1], dtype=indices.dtype)
-    for b, (left, right) in enumerate(blocks):
-        span = slice(ends[b * nodes], ends[(b + 1) * nodes])
-        i, j, value = _products(left, right)
-        values[span] = value
-        positions[span] = np.asarray(lookup[i, j]).ravel()
-    coeff_map = csc_matrix((values, positions, ends), shape=(indices.size, len(ends) - 1))
-    return coeff_map, indices, indptr
-
-
-def _stencil_of(grid: FiberGrid, row_of: np.ndarray,
-                indices: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Each pattern entry's place in the averaged stencil, and the stencil's shape.
-
-    ``row_of`` and ``indices`` are the row and column of each entry, and
-    the keys take the dtype of ``indices``.
-
-    The shape is ``(rings, 2 b + 1, *periodic)``.  Along each periodic
-    axis an entry is placed by its offset ``(j - i) mod n``.  A disk's
-    unknowns are every ring but the pinned rim, and its entries are
-    also placed by the ring of their row and by their radial offset,
-    which lies in ``-b..b`` with ``b`` = 2: the across-center pair
-    joins ring 0 to rings 0 and 1 half a turn away, inside the band.
-    A torus is one ring with ``b`` = 0.
-    """
-    periodic = grid.periodic_axes
-    dims = tuple(n if p else n - 1 for n, p in zip(grid.shape, periodic))
-    rows = np.unravel_index(row_of, dims)
-    step = np.subtract(np.unravel_index(indices, dims), rows)
-    wrapped = [o % n for o, n, p in zip(step, dims, periodic) if p]
-    ring, radial, rings, band = 0, 0, 1, 0
-    if not grid.closed:
-        ring, radial, rings = rows[0], step[0], dims[0]
-        band = int(np.abs(radial).max())
-    shape = (rings, 2 * band + 1, *(n for n, p in zip(dims, periodic) if p))
-    keys = np.ravel_multi_index((ring, radial + band, *wrapped), shape)
-    return keys.astype(indices.dtype), shape
-
-
 class _Problem:
-    """Packing, guarded residual evaluation, the Jacobian's assembly map, and the kept factor.
+    """Packing, guarded residual evaluation, the Jacobian's pattern, and the kept factor.
 
-    The assembly map (:meth:`_assembly`) is read on the first Jacobian
-    from a process-wide cache (:func:`_build_assembly`), which builds it
-    once for each grid, and serves every later one; the kept factor
-    serves the linear solves (:meth:`kept_solve`), which count in
+    The pattern (:meth:`_assembly`) is built by :func:`_assemble` on the
+    first Jacobian and serves every later one of the problem; the kept
+    factor serves the linear solves (:meth:`kept_solve`), which count in
     ``factorizations`` and ``krylov_iterations``.  The residual and the
     Jacobian read the arrays the product ``wp`` prepared, and :func:`_exit`
     reads ``wp``, the ``target`` and both counts.
@@ -386,11 +383,14 @@ class _Problem:
 
     @cached_property
     def _assembly(self) -> _Assembly:
-        """The Jacobian map of this problem's grid, shared by every problem on it."""
-        return _build_assembly(self.grid, self.wp.dh is not None)
+        """The pattern of this problem's Jacobians, and the tables that fill it."""
+        # a tiny grid spacing multiplies its weights out of range; the Jacobians
+        # filled from such tables are not finite, so the solve ends diverged
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _assemble(self.grid, self.wp.dh is not None)
 
     def _on_pattern(self, data: np.ndarray) -> csr_matrix:
-        """A matrix over the unknowns with ``data`` on the shared pattern."""
+        """A matrix over the unknowns with ``data`` on the problem's pattern."""
         asm = self._assembly
         return csr_matrix((data, asm.indices, asm.indptr), shape=(self.n_dof, self.n_dof))
 
@@ -404,30 +404,38 @@ class _Problem:
         ``J = diag(1/s) sum_ac D_a diag(m_ac) D_c``, plus
         ``sum_c diag(e_c) D_c`` for the drift of a varying warping, with
         ``e_c = sum_a dh_a (sigma^{ac} / W - h^2 g^a g^c / W^3)``.  Only
-        the unknown rows and columns are kept.  The stencil never changes,
-        so only the coefficients ``m_ac`` and ``s e_c`` are computed here;
-        the map of :func:`_build_assembly` carries them onto the entries of
-        ``s J`` on one pattern, which every Jacobian on the same grid
-        shares, and one scale of each row by ``1/s`` gives ``J``.
+        the unknown rows and columns are kept.  Only the coefficients are
+        computed here, ``m_ac`` once for ``a <= c`` since ``m_ca`` equals it,
+        and ``s e_c``; each ring class of :func:`_assemble` reads them at its
+        steps, multiplies them by its table and scales each row by ``1/s``.
         """
         wp, asm = self.wp, self._assembly
         d = self.grid.ndim
-        coeffs = np.empty((d + (wp.dh is not None), d) + self.grid.shape)
+        pairs = list(combinations_with_replacement(range(d), 2))
+        coeffs = np.empty((len(pairs) + d * (wp.dh is not None),) + self.grid.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             _, gu, _, W = wp.tilt(u_arr)
             flux = wp.sqrt_det * wp.h / W
             bend = wp.h2 / W**2
-            for a in range(d):
-                for c in range(d):
-                    np.multiply(flux, wp.inv[a][c] - bend * gu[a] * gu[c], out=coeffs[a, c])
+            for out, (a, c) in zip(coeffs, pairs):
+                np.multiply(flux, wp.inv[a][c] - bend * gu[a] * gu[c], out=out)
             if wp.dh is not None:
                 pull = sum(wp.dh[a] * gu[a] for a in range(d)) * bend
-                for c in range(d):
+                for out, c in zip(coeffs[len(pairs):], range(d)):
                     np.divide(sum(wp.dh[a] * wp.inv[a][c] for a in range(d)) - pull * gu[c], W,
-                              out=coeffs[d, c])
-                coeffs[d] *= wp.sqrt_det
-            data = asm.coeff_map @ coeffs.ravel()
-            data *= np.repeat(1.0 / self.pack(wp.sqrt_det), np.diff(asm.indptr))
+                              out=out)
+                coeffs[len(pairs):] *= wp.sqrt_det
+            rings, *periodic = asm.layout
+            fields = coeffs.reshape(len(coeffs), -1, *periodic)  # node rings, then periodic
+            inv_s = (1.0 / self.pack(wp.sqrt_det)).reshape(rings, -1)
+            data = np.empty(asm.indices.size)
+            for cls in asm.classes:
+                reads = np.empty((len(cls.table), cls.rings.stop - cls.rings.start, *periodic))
+                for dst, src in cls.copies:
+                    reads[dst] = fields[src]
+                block = data[cls.span].reshape(-1, len(cls.offsets))
+                np.matmul(reads.reshape(len(reads), -1).T, cls.table, out=block)
+                block *= inv_s[cls.rings].reshape(-1, 1)
         return self._on_pattern(data) if np.isfinite(data).all() else None
 
     def linear_step(self, jac: csr_matrix, f_dof: np.ndarray) -> tuple[np.ndarray, int]:
@@ -482,9 +490,8 @@ class _Problem:
     def _averaged_inverse(self, data: np.ndarray):
         """The exact inverse of the averaged stencil of ``data`` on the pattern, or None.
 
-        Averaging each entry over the periodic axes, placed as in
-        :func:`_stencil_of`, gives weights ``w[r, o]`` on ring ``r`` and
-        offset ``o``, and an operator
+        Averaging each offset of a ring class over the rows of one ring
+        gives weights ``w[r, o]`` on ring ``r`` and offset ``o``, an operator
         ``x[r] -> sum_o w[r, o] x[r + o_ring][. + o_periodic]`` that
         commutes with every periodic shift.  So each Fourier mode along
         the periodic axes is mapped to itself, through a band matrix in
@@ -496,27 +503,29 @@ class _Problem:
         is two FFTs and a division.  A singular or non-finite factor, or a
         zero or non-finite entry on a torus, gives None.
         """
-        keys, shape = self._assembly.keys, self._assembly.shape
-        rings, width, *periodic = shape
-        band = width // 2
-        stencil = np.bincount(keys, weights=data, minlength=math.prod(shape)) / math.prod(periodic)
-        bands = np.conj(np.fft.rfftn(stencil.reshape(shape), axes=tuple(range(2, len(shape)))))
+        rings, *periodic = self._assembly.layout
+        band = self._assembly.band
+        # as LAPACK stores a band of kl = ku = b below its b rows of fill: the
+        # weight A[r, r + o] of ring r at radial step o at row b - o of column r + o
+        stencil = np.zeros((2 * band + 1, rings, *periodic))
+        mean = np.full(math.prod(periodic), 1.0 / math.prod(periodic))  # over a ring's rows
+        for cls in self._assembly.classes:
+            radial, *steps = cls.offsets.T
+            rows = np.arange(rings)[cls.rings, None]
+            stencil[(band - radial, rows + radial, *steps)] = mean @ data[cls.span].reshape(
+                len(rows), len(mean), -1)
+        bands = np.conj(np.fft.rfftn(stencil, axes=tuple(range(2, stencil.ndim))))
         modes = bands.shape[2:]
-        axes = tuple(range(1, len(shape) - 1))
+        axes = tuple(range(1, stencil.ndim - 1))
         if band:
-            # LAPACK band storage of kl = ku = b: A[i, j] at row 2 b + i - j of
-            # column j; the columns take the rings of mode 0, then of mode 1, ...
-            bands = bands.reshape(rings, width, -1)
-            ab = np.zeros((3 * band + 1, rings, bands.shape[2]), dtype=complex, order="F")
-            for o in range(-band, band + 1):
-                ring = slice(max(o, 0), rings + min(o, 0))
-                ab[2 * band - o, ring] = bands[ring.start - o:ring.stop - o, o + band]
-            lu, pivots, info = zgbtrf(ab.reshape(3 * band + 1, -1, order="F"), band, band,
-                                      overwrite_ab=True)
+            # the columns take the rings of mode 0, then of mode 1, ...
+            ab = np.zeros((3 * band + 1, bands[0].size), dtype=complex, order="F")
+            ab[band:] = bands.reshape(2 * band + 1, -1, order="F")
+            lu, pivots, info = zgbtrf(ab, band, band, overwrite_ab=True)
             if info or not np.isfinite(lu).all():
                 return None
         else:
-            diagonal = bands[:, 0]
+            diagonal = bands[0, 0]
             if not (np.isfinite(diagonal).all() and diagonal.all()):
                 return None
 
@@ -596,17 +605,6 @@ class _Problem:
             if not residual * residual <= _LINEAR_RTOL * last:  # NaN stops it too
                 break
         return x, info
-
-
-def _products(left: csc_matrix, right: csr_matrix):
-    """``i``, ``j`` and ``left[i, k] * right[k, j]`` for every pair of stored entries, by ``k``."""
-    k = np.repeat(np.arange(left.shape[1], dtype=left.indices.dtype), np.diff(left.indptr))
-    count = np.diff(right.indptr)[k]
-    ends = np.cumsum(count)
-    # product t reads right's stored entry at index[t]
-    index = np.arange(int(count.sum())) + np.repeat(right.indptr[k] - (ends - count), count)
-    return (np.repeat(left.indices, count), right.indices[index],
-            np.repeat(left.data, count) * right.data[index])
 
 
 def _factor(matrix):

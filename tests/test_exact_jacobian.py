@@ -1,22 +1,24 @@
 """The Newton Jacobian as the exact derivative of the discrete residual.
 
-``_Problem.jacobian`` assembles ``J`` from the difference matrices of
-:func:`pmclab.geometry.partial_matrix` by the chain rule, through a map
-from node coefficients onto one sparse pattern per grid and a scale of
-each row by ``1/sqrt_det``.  The matrices must be the stencils the
+``_Problem.jacobian`` assembles ``J`` by the chain rule from node
+coefficients shifted by the stencil's offsets, onto one sparse pattern per
+problem, and scales each row by ``1/sqrt_det``.  The difference matrices
+of :func:`pmclab.geometry.partial_matrix` must be the stencils the
 residual applies, and ``J v`` must be the limit of centered differences
 of the residual: their gap shrinks at second order in the step, on every
 row kind (drift, off-diagonal metric, the third axis, the disk's axis
-ring and the ring next to its rim).  The map must give the chain-rule
-product of the sparse matrices themselves, kept here as the oracle, and
-the matrices that Newton and the flow solve must be the ones their
-formulas name.  The averaged-stencil preconditioner must be the exact
+ring and the ring next to its rim).  The entries must be those of the
+chain-rule product of the sparse matrices themselves, kept here as the
+oracle, and each row must store the columns of that product's pattern,
+on the smallest grids too, and the matrices that Newton and the flow
+solve must be the ones their formulas name.  The averaged-stencil preconditioner must be the exact
 inverse of a circulant matrix on a torus pattern and of an
 angle-invariant matrix on a disk pattern, of a random ring-varying disk
 stencil too, with row swaps where a ring's diagonal vanishes; a singular
 or non-finite stencil gives None without a warning.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -39,7 +41,7 @@ from pmclab import (
     newton_solve,
 )
 from pmclab.geometry import partial_into, partial_matrix
-from pmclab.solver import _build_assembly, _factor, _Problem
+from pmclab.solver import _factor, _Problem
 
 _EPS = (1e-3, 1e-4, 1e-5)
 
@@ -57,9 +59,9 @@ def test_difference_matrices_are_the_residual_stencils(grid):
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max(), axis
 
 
-def _drift_torus():
+def _drift_torus(n=24):
     # a varying warping (drift rows) over a metric with an off-diagonal part
-    grid, _ = build_torus((24, 24))
+    grid, _ = build_torus((n, n))
     x1, x2 = grid.meshes()
     mat = np.zeros(grid.shape + (2, 2))
     mat[..., 0, 0] = 1.2 + 0.2 * np.sin(x2)
@@ -71,8 +73,8 @@ def _drift_torus():
     return prob, 0.8 * np.sin(x1) + 0.5 * np.cos(2.0 * x2), {"all": slice(None)}
 
 
-def _lifted_torus():
-    grid, metric = build_torus((12, 12, 12))
+def _lifted_torus(n=12):
+    grid, metric = build_torus((n, n, n))
     x1, x2, x3 = grid.meshes()
     warping = ScalarField(grid, 1.0 + 0.3 * np.cos(x1) + 0.2 * np.sin(x3))
     wp = WarpedProduct(grid, metric, warping)
@@ -91,10 +93,10 @@ def _hyperbolic_disk():
     return prob, u, {"axis": slice(0, 1), "rim": slice(-1, None)}
 
 
-def _drift_disk():
+def _drift_disk(dims=(16, 32)):
     # a varying warping on a polar disk: drift rows on the axis ring and
     # next to the rim
-    grid, metric = build_polar_disk(16, 32, 1.5)
+    grid, metric = build_polar_disk(*dims, 1.5)
     rho, theta = grid.meshes()
     warping = ScalarField(grid, 1.0 + 0.2 * rho * np.cos(theta) + 0.1 * rho**2)
     wp = WarpedProduct(grid, metric, warping)
@@ -103,9 +105,14 @@ def _drift_disk():
     return prob, u, {"axis": slice(0, 1), "rim": slice(-1, None)}
 
 
+# the smallest admitted grids last: on the 8x16 disk the across-center
+# offsets n/2 +- 2 come closest to a regular angular offset
 _FIBERS = pytest.mark.parametrize(
-    "build", [_drift_torus, _lifted_torus, _hyperbolic_disk, _drift_disk],
-    ids=["drift_torus", "lifted_torus", "hyperbolic_disk", "drift_disk"])
+    "build", [_drift_torus, _lifted_torus, _hyperbolic_disk, _drift_disk,
+              functools.partial(_drift_torus, 8), functools.partial(_lifted_torus, 8),
+              functools.partial(_drift_disk, (8, 16))],
+    ids=["drift_torus", "lifted_torus", "hyperbolic_disk", "drift_disk",
+         "drift_torus_8", "lifted_torus_8", "drift_disk_8x16"])
 
 
 def _chain_rule_jacobian(prob, u):
@@ -128,6 +135,16 @@ def _chain_rule_jacobian(prob, u):
     return jac
 
 
+def _chain_rule_pattern(prob):
+    """The chain-rule product's pattern: the products of stored stencil entries and the diagonal."""
+    partials = [partial_matrix(prob.grid, axis).astype(bool) for axis in range(prob.grid.ndim)]
+    left = sum(p[prob.mask] for p in partials)
+    if prob.wp.dh is not None:
+        left = left + identity(prob.mask.size, dtype=bool, format="csr")[prob.mask]
+    return (left @ sum(p[:, prob.mask] for p in partials)
+            + identity(prob.n_dof, dtype=bool)).tocsr()
+
+
 @_FIBERS
 def test_jacobian_matches_the_chain_rule_product(build):
     prob, u, _ = build()
@@ -136,17 +153,27 @@ def test_jacobian_matches_the_chain_rule_product(build):
     assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
-def test_a_hyperbolic_disk_on_a_flat_disk_map_is_the_chain_rule_product():
-    # the map carries no metric: a flat polar disk warms it, and the
-    # hyperbolic disk on an equal grid reads it and scales its rows
-    _build_assembly.cache_clear()
+@_FIBERS
+def test_each_row_stores_the_columns_of_the_chain_rule_product(build):
+    prob, u, _ = build()
+    got, expected = prob.jacobian(u), _chain_rule_pattern(prob)
+    for row in range(prob.n_dof):
+        stored = got.indices[got.indptr[row]:got.indptr[row + 1]]
+        assert stored.size == np.unique(stored).size, row
+        columns = expected.indices[expected.indptr[row]:expected.indptr[row + 1]]
+        assert set(stored) == set(columns), row
+
+
+def test_a_hyperbolic_disk_has_the_flat_disk_pattern_and_the_chain_rule_product():
+    # the pattern carries no metric: a hyperbolic disk stores the columns of
+    # a flat polar disk on an equal grid, and only its entries differ
     grid, metric = build_polar_disk(16, 32, 0.875)
     flat = _Problem(WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0)),
                     ScalarField.constant(grid, 0.0))
-    warm = flat._assembly
     prob, u, _ = _hyperbolic_disk()
     assert prob.grid == grid
-    assert prob._assembly is warm
+    for part in ("indices", "indptr"):
+        np.testing.assert_array_equal(getattr(prob._assembly, part), getattr(flat._assembly, part))
     expected = _chain_rule_jacobian(prob, u).toarray()
     got = prob.jacobian(u).toarray()
     assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
@@ -175,6 +202,28 @@ def test_companion_and_flow_matrix_are_their_formulas_bit_for_bit(build, monkeyp
                                   (identity(prob.n_dof) - dt * jac).toarray())
 
 
+def _stencil_keys(prob):
+    """Each stored entry's place in the averaged stencil, and the stencil's shape.
+
+    The shape is ``(rings, 2 b + 1, *periodic)``.  Along each periodic axis
+    an entry is placed by its offset ``(j - i) mod n``; on a disk also by
+    the ring of its row and its radial offset in ``-b..b``.  A torus is one
+    ring with ``b`` = 0.
+    """
+    grid, asm = prob.grid, prob._assembly
+    periodic = grid.periodic_axes
+    dims = tuple(n if p else n - 1 for n, p in zip(grid.shape, periodic))
+    rows = np.unravel_index(np.repeat(np.arange(prob.n_dof), np.diff(asm.indptr)), dims)
+    step = np.subtract(np.unravel_index(asm.indices, dims), rows)
+    wrapped = [o % n for o, n, p in zip(step, dims, periodic) if p]
+    ring, radial, rings, band = 0, 0, 1, 0
+    if not grid.closed:
+        ring, radial, rings = rows[0], step[0], dims[0]
+        band = int(np.abs(radial).max())
+    shape = (rings, 2 * band + 1, *(n for n, p in zip(dims, periodic) if p))
+    return np.ravel_multi_index((ring, radial + band, *wrapped), shape), shape
+
+
 @pytest.mark.parametrize("build", [_drift_torus, _lifted_torus], ids=["drift_torus", "torus3d"])
 def test_fourier_inverse_undoes_a_circulant_matrix_on_the_pattern(build):
     # entries that depend on their periodic offset alone make a circulant
@@ -184,7 +233,7 @@ def test_fourier_inverse_undoes_a_circulant_matrix_on_the_pattern(build):
     rng = np.random.default_rng(11)
     stencil = 0.02 * rng.standard_normal(prob.n_dof)
     stencil[0] = 1.0
-    data = stencil[prob._assembly.keys]
+    data = stencil[_stencil_keys(prob)[0]]
     x = rng.standard_normal(prob.n_dof)
     got = prob._averaged_inverse(data)(prob._on_pattern(data) @ x)
     assert np.abs(got - x).max() <= 1e-13 * np.abs(x).max()
@@ -211,10 +260,11 @@ def _disk_stencil_problem(dims, seed):
     prob = _Problem(WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0)),
                     ScalarField.constant(grid, 0.0))
     rng = np.random.default_rng(seed)
-    rings, width, _ = prob._assembly.shape
-    stencil = 0.02 * rng.standard_normal(prob._assembly.shape)
+    keys, shape = _stencil_keys(prob)
+    rings, width, _ = shape
+    stencil = 0.02 * rng.standard_normal(shape)
     stencil[:, width // 2, 0] = 1.0 + rng.random(rings)
-    return prob, stencil, rng
+    return prob, stencil, keys, rng
 
 
 @pytest.mark.parametrize("dims", [(16, 32), (64, 128)], ids=["16x32", "64x128"])
@@ -223,8 +273,8 @@ def test_averaged_inverse_undoes_a_ring_varying_disk_stencil(dims):
     # offsets alone make a matrix that is its own averaged stencil: a
     # different band matrix for every angular mode, which the averaged
     # inverse must undo to rounding
-    prob, stencil, rng = _disk_stencil_problem(dims, 13)
-    data = stencil.ravel()[prob._assembly.keys]
+    prob, stencil, keys, rng = _disk_stencil_problem(dims, 13)
+    data = stencil.ravel()[keys]
     x = rng.standard_normal(prob.n_dof)
     got = prob._averaged_inverse(data)(prob._on_pattern(data) @ x)
     assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
@@ -234,11 +284,11 @@ def test_averaged_inverse_swaps_rows_where_a_ring_diagonal_vanishes():
     # ring 0 has no diagonal weight at any angular offset, so every mode's
     # band matrix has a zero first pivot; coupled to ring 1 both ways it
     # stays nonsingular, and a row swap inverts it to rounding
-    prob, stencil, rng = _disk_stencil_problem((16, 32), 14)
-    band = prob._assembly.shape[1] // 2
+    prob, stencil, keys, rng = _disk_stencil_problem((16, 32), 14)
+    band = stencil.shape[1] // 2
     stencil[0, band] = 0.0
     stencil[0, band + 1, 0] = stencil[1, band - 1, 0] = 1.0
-    data = stencil.ravel()[prob._assembly.keys]
+    data = stencil.ravel()[keys]
     n_theta = prob.grid.shape[1]
     assert not data[prob._assembly.diagonal[:n_theta]].any()
     x = rng.standard_normal(prob.n_dof)

@@ -159,7 +159,9 @@ def _every_step_drift(wp, target, u0, opts, t_max):
     span, rejected = 1.0 / 16, 0
     while np.abs(f).max() > opts.tol_abs and times[-1] < 1.0:
         jac = prob.jacobian(u)
-        slack = eps * (1.0 + np.abs(u).max()) * abs(jac).sum(axis=1).max()
+        # abs() sorts the columns of its input in place, and a Jacobian's are
+        # unsorted and shared with the problem's other matrices: so it takes a copy
+        slack = eps * (1.0 + np.abs(u).max()) * abs(jac.copy()).sum(axis=1).max()
         while True:
             step = min(span, 1.0 - times[-1])
             trial = u + prob.scatter(prob.flow_step(jac, step * t_max, f))

@@ -559,15 +559,8 @@ def test_disk_boundary_row_enters_the_initial_field():
     json.dumps(BUILTIN_SCENARIOS["hyperbolic_counterexample"]),
 ], ids=["random_torus", "hyperbolic_counterexample"])
 def test_report_is_deterministic_up_to_wall_time(text):
-    # the first run builds its Jacobian maps, the second reads them from the
-    # process-wide cache, and the third builds them again after a clear
-    solver._build_assembly.cache_clear()
-    first = run_scenario(parse_config(text))
-    hits = solver._build_assembly.cache_info().hits
-    second = run_scenario(parse_config(text))
-    assert solver._build_assembly.cache_info().hits > hits
-    solver._build_assembly.cache_clear()
-    third = run_scenario(parse_config(text))
+    # three runs in one process: each problem builds its own Jacobian pattern
+    first, second, third = (run_scenario(parse_config(text)) for _ in range(3))
     assert _without_wall_time(first) == _without_wall_time(second) == _without_wall_time(third)
     # the echoed config re-parses to an equivalent config
     echo = json.dumps(first.config)
@@ -575,19 +568,15 @@ def test_report_is_deterministic_up_to_wall_time(text):
 
 
 def test_a_flat_torus_after_a_scaled_one_reports_as_it_does_cold():
-    # both metrics on one grid read one Jacobian map: the scaled run warms it,
-    # and the flat run that follows must not see that run's metric
+    # both metrics on one grid have one Jacobian pattern: the flat run that
+    # follows the scaled one must not see that run's metric
     flat = _cfg(fiber={"kind": "torus", "dims": [16, 16]}, warping="1+0.3*cos(x1)",
                 initial="0.3*sin(x1)+0.1*cos(x2)")
     scaled = json.loads(flat)
     scaled["metric"] = "1+0.3*sin(x1)*cos(x2)"
-    solver._build_assembly.cache_clear()
     cold = run_scenario(parse_config(flat))
-    solver._build_assembly.cache_clear()
     run_scenario(parse_config(json.dumps(scaled)))
-    hits = solver._build_assembly.cache_info().hits
     warm = run_scenario(parse_config(flat))
-    assert solver._build_assembly.cache_info().hits > hits
     assert cold.solve.verdict == "converged"
     assert _without_wall_time(warm) == _without_wall_time(cold)
 
@@ -1182,6 +1171,23 @@ def test_cli_a_report_path_that_cannot_be_written_exits_2(monkeypatch, tmp_path,
     _one_line_refusal(capsys, "cannot write report: ")
     assert main([*command, "--out", str(tmp_path)]) == 2
     _one_line_refusal(capsys, "cannot write report: ")
+
+
+@pytest.mark.parametrize("dump,out", [("d", "d"), ("a/b", "a/b"), ("a/b", "a/missing/r.json")],
+                         ids=["same", "nested", "nested_missing"])
+def test_cli_a_refused_report_path_leaves_no_directory_it_made(monkeypatch, tmp_path, capsys,
+                                                             dump, out):
+    _forbid_runs(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for fields in (dump, f"kept/{dump}"):
+        report = out if fields == dump else f"kept/{out}"
+        assert main(["scenario", "obstruction_torus", "--dump-fields", fields,
+                     "--out", report]) == 2
+        _one_line_refusal(capsys, "cannot write report: ")
+    # only the directory that was there before the runs is left
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["kept"]
 
 
 def _forbid_runs(monkeypatch):

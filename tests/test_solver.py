@@ -1,6 +1,8 @@
 """Damped Newton and relaxation flow for the prescribed-curvature equation."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -440,71 +442,75 @@ def _flat_torus_problem(n, warping=1.0, scale=None):
     return _Problem(wp, ScalarField.constant(grid, 0.0))
 
 
-def test_problems_on_equal_grids_and_metrics_share_one_assembly():
+def _pattern(prob):
+    asm = prob._assembly
+    return asm.indices, asm.indptr, asm.diagonal, asm.pinned, asm.cell
+
+
+def test_problems_on_equal_grids_build_equal_patterns():
     first, second = _flat_torus_problem(16), _flat_torus_problem(16)
     assert first.grid is not second.grid
-    assert first._assembly is second._assembly
+    # each problem builds its own pattern, and nothing is kept between them
+    assert first._assembly is not second._assembly
+    for mine, theirs in zip(_pattern(first), _pattern(second)):
+        np.testing.assert_array_equal(mine, theirs)
     # so does a disk on two equal hyperbolic metrics
     disks = [_Problem(WarpedProduct(grid, metric, ScalarField.constant(grid, 1.0)),
                       ScalarField.constant(grid, 0.0))
              for grid, metric in (build_hyperbolic_disk(8, 16, 0.875) for _ in range(2))]
-    assert disks[0]._assembly is disks[1]._assembly
+    for mine, theirs in zip(*map(_pattern, disks)):
+        np.testing.assert_array_equal(mine, theirs)
 
 
-def test_a_conformal_scale_shares_the_map_and_a_varying_warping_gets_a_longer_one():
+def test_a_conformal_scale_keeps_the_pattern_and_a_varying_warping_widens_it():
     flat = _flat_torus_problem(16)
     x1, x2 = flat.grid.meshes()
     scaled = _flat_torus_problem(16, scale=1.0 + 0.3 * np.sin(x1) * np.cos(x2))
     varying = _flat_torus_problem(16, warping=1.0 + 0.3 * np.cos(x1))
     # the metric enters through the node coefficients and a row scale only
-    assert scaled._assembly is flat._assembly
-    assert varying._assembly is not flat._assembly
-    # the drift blocks of a varying warping lengthen the map
-    assert varying._assembly.coeff_map.shape[1] > flat._assembly.coeff_map.shape[1]
+    for mine, theirs in zip(_pattern(scaled), _pattern(flat)):
+        np.testing.assert_array_equal(mine, theirs)
+    # the drift blocks of a varying warping add the radius-one offsets
+    assert set(np.diff(flat._assembly.indptr)) == {9}
+    assert set(np.diff(varying._assembly.indptr)) == {13}
 
 
 @pytest.mark.parametrize("index", range(2), ids=["fix_mean", "disk"])
-def test_a_jacobian_from_a_warm_map_equals_one_from_a_fresh_build(index):
-    name, warm, u = _assembly_problems()[index]
-    assert warm._assembly is not None
-    from_cache = _assembly_problems()[index][1]
-    assert from_cache._assembly is warm._assembly, name
-    solver._build_assembly.cache_clear()
+def test_a_jacobian_of_a_fresh_problem_equals_one_of_a_used_problem(index):
+    name, used, u = _assembly_problems()[index]
+    used.jacobian(0.5 * u)
     fresh = _assembly_problems()[index][1]
-    assert fresh._assembly is not warm._assembly, name
-    jac, jac_fresh = from_cache.jacobian(u), fresh.jacobian(u)
+    jac, jac_fresh = used.jacobian(u), fresh.jacobian(u)
     for part in ("data", "indices", "indptr"):
-        np.testing.assert_array_equal(getattr(jac, part), getattr(jac_fresh, part))
-    np.testing.assert_array_equal(fresh._assembly.keys, warm._assembly.keys)
-    np.testing.assert_array_equal(fresh._assembly.cell, warm._assembly.cell)
+        np.testing.assert_array_equal(getattr(jac, part), getattr(jac_fresh, part), name)
+    np.testing.assert_array_equal(fresh._assembly.cell, used._assembly.cell)
 
 
-def test_the_cache_never_holds_more_maps_than_its_bound():
-    bound = solver._ASSEMBLY_CACHE_SIZE
-    solver._build_assembly.cache_clear()
-    for n in range(8, 8 + bound + 3):
-        assert _flat_torus_problem(n)._assembly is not None
-        assert solver._build_assembly.cache_info().currsize == min(n - 7, bound)
+def test_a_pattern_is_freed_with_its_problem():
+    # the solver keeps no pattern of its own once its problem is gone
+    prob = _flat_torus_problem(16)
+    indices = weakref.ref(prob._assembly.indices)
+    assert prob.jacobian(np.zeros(prob.grid.shape)).indices.base is indices()
+    del prob
+    gc.collect()
+    assert indices() is None
 
 
 def test_a_shared_pattern_cannot_be_edited_in_place():
     prob = _flat_torus_problem(16)
     jac = prob.jacobian(np.zeros(prob.grid.shape))
     asm = prob._assembly
-    for array in (jac.indices, jac.indptr, asm.cell, asm.keys):
+    for array in (jac.indices, jac.indptr, asm.cell):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
-    arrays = (asm.coeff_map.data, asm.coeff_map.indices, asm.coeff_map.indptr, asm.indices,
-              asm.indptr, asm.diagonal, asm.pinned, asm.cell, asm.keys)
+    arrays = (asm.indices, asm.indptr, asm.diagonal, asm.pinned, asm.cell)
     assert not any(array.flags.writeable for array in arrays)
 
 
 @pytest.mark.parametrize("index", range(2), ids=["fix_mean", "disk"])
-def test_stencil_keys_take_the_pattern_index_dtype(index):
+def test_the_pattern_takes_int32_indices(index):
     asm = _assembly_problems()[index][1]._assembly
-    assert asm.indices.dtype == np.int32
-    assert asm.keys.dtype == asm.indices.dtype
-    assert asm.keys.max() < np.prod(asm.shape)
+    assert asm.indices.dtype == asm.indptr.dtype == np.int32
 
 
 def test_gauge_projection_removes_the_mean():
