@@ -10,11 +10,12 @@ matched the scenario's expectation and every check passed, 2 for validation
 problems (a config file that cannot be read as UTF-8, a config or formulas
 nested too deeply, a torus kind that contradicts its dims, a negative
 ``--refine`` or ``--seed``, grids or refinements over the node budget, an
-unknown option, a report or field dump that cannot be written), 3 when the
-solver diverged or ran out of iterations, 4 for failed checks or a verdict
-that contradicts the expectation.  Reports are strict JSON: non-finite
-numbers are written as the strings ``"inf"``, ``"-inf"`` and ``"nan"``.  No
-environment variables are consulted.
+unknown option, a report or field dump that cannot be written, a report
+path that names a dumped field), 3 when the solver diverged or ran out of
+iterations, 4 for failed checks or a verdict that contradicts the
+expectation.  Reports are strict JSON: non-finite numbers are written as
+the strings ``"inf"``, ``"-inf"`` and ``"nan"``.  No environment variables
+are consulted.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .geometry import ConstructionError, GridMismatchError, ModelDomainError
 from .formulas import FormulaError
 from .scenarios import (
     BUILTIN_SCENARIOS,
+    DUMP_FILES,
     ValidationError,
     builtin_config,
     parse_config,
@@ -103,6 +105,19 @@ def _make_dirs(path: str) -> list[str]:
     return made
 
 
+def _report_refusal(out: str, dumps: list[str | None]) -> str | None:
+    """Why the report cannot be written to ``out`` beside the field dumps ``dumps``, or None."""
+    fields = {os.path.realpath(os.path.join(dump, name))
+              for dump in filter(None, dumps) for name in DUMP_FILES}
+    if os.path.realpath(out) in fields:
+        return "would overwrite a dumped field"
+    out_dir = os.path.dirname(os.path.abspath(out))
+    if (os.path.isdir(out) or not os.path.isdir(out_dir)
+            or not os.access(out_dir, os.W_OK | os.X_OK)):
+        return "is not a writable file path"
+    return None
+
+
 def _refuse(message: str) -> int:
     """Print the one-line ``message`` to stderr; the exit code 2 of a refused run."""
     print(message, file=sys.stderr)
@@ -130,12 +145,11 @@ def main(argv=None) -> int:
         made = [path for dump in sorted(filter(None, dumps), key=os.path.isfile, reverse=True)
                 for path in _make_dirs(dump)]
         # the dumps are made first: the report may be written into one of them
-        out_dir = os.path.dirname(os.path.abspath(args.out or "."))
-        if args.out is not None and (os.path.isdir(args.out) or not os.path.isdir(out_dir)
-                                     or not os.access(out_dir, os.W_OK | os.X_OK)):
+        refusal = None if args.out is None else _report_refusal(args.out, dumps)
+        if refusal is not None:
             for path in sorted(made, key=len, reverse=True):  # a child before its parent
                 os.rmdir(path)
-            return _refuse(f"cannot write report: {args.out!r} is not a writable file path")
+            return _refuse(f"cannot write report: {args.out!r} {refusal}")
         reports = [run_scenario(config, scenario_name=name, dump_dir=dump,
                                 refine=args.refine, seed_override=args.seed)
                    for (name, config), dump in zip(runs, dumps)]

@@ -627,6 +627,10 @@ def _observe(level: _Level) -> dict:
             "checks": {name: _run_check(name, state, level.config) for name in checks}}
 
 
+# the files a field dump writes into its directory: the final height and its residual
+DUMP_FILES = ("height.csv", "residual.csv")
+
+
 def run_scenario(config: ScenarioConfig, *, scenario_name: str | None = None,
                  dump_dir=None, refine: int = 0, seed_override: int | None = None
                  ) -> RunReport:
@@ -638,8 +642,8 @@ def run_scenario(config: ScenarioConfig, *, scenario_name: str | None = None,
     as its ``refinements``.
     ``seed_override`` replaces the seed of a ``random(...)`` initial field;
     PCG64 takes only non-negative seeds, so a negative one is rejected.
-    ``dump_dir`` writes final height and residual fields as CSV, unless
-    the solve lost its height.
+    ``dump_dir`` writes final height and residual fields as CSV, to its
+    ``DUMP_FILES``, unless the solve lost its height.
     """
     if seed_override is not None and seed_override < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed_override}")
@@ -656,8 +660,8 @@ def run_scenario(config: ScenarioConfig, *, scenario_name: str | None = None,
 
     if dump_dir is not None and base.state is not None:
         os.makedirs(dump_dir, exist_ok=True)
-        dump_field_csv(base.state.height, os.path.join(dump_dir, "height.csv"))
-        dump_field_csv(base.state.residual, os.path.join(dump_dir, "residual.csv"))
+        for name, values in zip(DUMP_FILES, (base.state.height, base.state.residual)):
+            dump_field_csv(values, os.path.join(dump_dir, name))
 
     refinements = [{"dims": list(level.config.grid.dims), "solve": level.report.to_json_dict(),
                     "start": level.start, "coarse_solves": level.coarse_solves, **_observe(level)}

@@ -26,7 +26,7 @@ Two drivers share one residual, that of the product, prepared once per product:
   of the Jacobian's entries on the same pattern.
   Non-existence is declared before iterating when the warping is
   constant and the compatibility integral cannot vanish, and
-  behaviorally when damped steps stagnate at the minimum step length.
+  behaviorally at the first stalled step (see :func:`newton_solve`).
 * :func:`flow_solve` is the parabolic relaxation ``du/dt = F(u)``, whose
   equilibria are exactly the solved graphs, taken in linearly implicit
   (Rosenbrock-Euler) steps on the same Jacobian, with at most 16 steps
@@ -76,10 +76,8 @@ class Verdict(str, Enum):
 
 
 _MACHINE_EPS = float(np.finfo(np.float64).eps)
-_STAGNATION_LIMIT = 10
-# Newton's line search: the Armijo sufficient-decrease constant, and the
-# length below which it tries no shorter step (newton_solve says when a step
-# counts as stagnated).
+# Newton's line search: the Armijo sufficient-decrease constant, and the length
+# below which it tries no step (newton_solve states when a step stalls).
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-6
 # GMRES on Newton's companion or the flow's I - dt J aims at this relative
@@ -125,12 +123,14 @@ class SolveOptions:
 class SolveReport:
     """Outcome of one solve: verdict plus convergence diagnostics.
 
-    ``residual_history`` holds sup norms over unknown nodes, starting from
-    the initial guess.  ``mean_drift_rate`` is populated by the flow driver
-    (zero for Newton): the rate at which the mean height is pushed, with
-    the sign chosen so an obstructed ``H > 0`` problem reports a positive
-    rate equal to ``n * integral(H) / Vol``.  ``obstruction_witness`` is
-    set only when non-existence was declared analytically.
+    ``iterations`` counts the accepted steps, of Newton or of the flow,
+    and ``residual_history`` holds the sup norms over unknown nodes of the
+    initial guess and of each accepted step.  ``mean_drift_rate`` is set
+    by the flow (zero for Newton): the rate at which the mean height is
+    pushed, with the sign chosen so an obstructed ``H > 0`` problem
+    reports a positive rate equal to ``n * integral(H) / Vol``.
+    ``obstruction_witness`` is set only when non-existence was declared
+    analytically.
     ``factorizations`` counts the sparse LU factors the solve built: one
     for each linear solve, Newton step or flow trial, that neither a
     factor kept from an earlier one nor the inverse of its matrix's
@@ -408,6 +408,10 @@ class _Problem:
         computed here, ``m_ac`` once for ``a <= c`` since ``m_ca`` equals it,
         and ``s e_c``; each ring class of :func:`_assemble` reads them at its
         steps, multiplies them by its table and scales each row by ``1/s``.
+        The columns are unsorted and ``indices`` shared read-only (see
+        :class:`_Assembly`), so what sorts them in place (``abs``, ``.max()``,
+        ``.power``, ``sum_duplicates``) raises ``ValueError`` and changes
+        nothing; on ``jac.copy()`` it works.
         """
         wp, asm = self.wp, self._assembly
         d = self.grid.ndim
@@ -624,8 +628,8 @@ def _factor(matrix):
 
 
 def _exit(prob: _Problem, u_arr: np.ndarray, verdict: Verdict, history: list[float] | None,
-          iterations: int = 0, drift: float = 0.0,
-          witness: float | None = None) -> tuple[GraphState | None, SolveReport]:
+          drift: float = 0.0, witness: float | None = None
+          ) -> tuple[GraphState | None, SolveReport]:
     """The final state and report of a solve of ``prob`` that ends at height ``u_arr``.
 
     The product and the target of the state, and the report's
@@ -633,9 +637,9 @@ def _exit(prob: _Problem, u_arr: np.ndarray, verdict: Verdict, history: list[flo
     A finite height can still overflow its derived fields (a near-max
     float spike does).  Divergence must be reported, not raised, so when
     the height or its residual is not finite the state is None and the
-    height oscillation and gradient sup read infinite.  ``history`` None
-    stands for the one entry of an unstarted solve: the state's residual
-    sup.
+    height oscillation and gradient sup read infinite.  ``iterations`` is
+    one less than the length of ``history``; None stands for the one entry
+    of an unstarted solve: the state's residual sup.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -645,7 +649,7 @@ def _exit(prob: _Problem, u_arr: np.ndarray, verdict: Verdict, history: list[flo
         state, osc, gsup = None, math.inf, math.inf
     if history is None:
         history = [math.inf if state is None else state.interior_residual_sup()]
-    return state, SolveReport(verdict, iterations, history, osc, drift, gsup,
+    return state, SolveReport(verdict, len(history) - 1, history, osc, drift, gsup,
                               prob.factorizations, prob.krylov_iterations, witness)
 
 
@@ -654,29 +658,28 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
     """Damped Newton iteration on the prescribed-curvature residual.
 
     Each step assembles the exact sparse Jacobian (see
-    :meth:`_Problem.jacobian`) and solves for the step by GMRES on its
-    pinned companion (see :meth:`_Problem.linear_step`): on a disk,
-    preconditioned by the inverse of the Jacobian's averaged stencil; on
-    a closed fiber, by the LU factor of an earlier step's companion while
-    GMRES on it converges (see :meth:`_Problem._cycled_gmres`), by its own
-    otherwise.
-    :func:`remove_null_modes` then makes the step mean-free on closed
-    fibers.  Damping is Armijo backtracking on half the squared residual
-    norm, the merit: the step length halves from 1 until a trial meets
-    the sufficient decrease.  A step is *stagnated* when no trial meets it
-    down to the shortest, ``2**-19`` (the last length not below
-    ``_MIN_STEP``); that shortest trial is still taken when it lowers the
-    merit, and the height stays where it was otherwise.  Verdicts:
-    ``converged`` (sup residual at or below ``tol_abs``), ``obstructed``
-    (declared from the compatibility witness before iterating, or after
-    ``_STAGNATION_LIMIT`` consecutive stagnated steps), ``diverged``
-    (non-finite iterate, tilt, Jacobian entry or step, or a singular
-    factor), ``max_iter`` otherwise, which includes a linear solve that
-    does not converge: its step is not taken.  The witness decides only
-    a constant warping; the stagnation verdict serves a varying one, and
-    its report carries no ``obstruction_witness``.  On divergence the
-    returned state holds the last representable iterate; if none is, the
-    state is None and the diagnostics read infinite.
+    :meth:`_Problem.jacobian`) and solves for the step by GMRES on its pinned
+    companion (see :meth:`_Problem.linear_step`): on a disk, preconditioned by
+    the inverse of the Jacobian's averaged stencil; on a closed fiber, by the
+    LU factor of an earlier step's companion while GMRES on it converges (see
+    :meth:`_Problem._cycled_gmres`), by its own otherwise.
+    :func:`remove_null_modes` then makes the step mean-free on closed fibers.
+    Damping is Armijo backtracking on half the squared residual norm, the
+    merit, along the step, negated when the merit rises along it: the length
+    halves from 1 until a trial meets the sufficient decrease, and that trial
+    is taken.  The stop rule: a step *stalls* when its slope is zero, or when
+    no trial meets Armijo down to the shortest, ``2**-19`` (the last length
+    not below ``_MIN_STEP``); the first stalled step ends the solve
+    ``obstructed`` at the height it started from, and adds nothing to the
+    history.  Verdicts: ``converged`` (sup residual at or below ``tol_abs``),
+    ``obstructed`` (from the compatibility witness before iterating, or at a
+    stalled step), ``diverged`` (non-finite iterate, tilt, Jacobian entry or
+    step, or a singular factor), ``max_iter`` otherwise, which includes a
+    linear solve that does not converge: its step is not taken.  The witness
+    decides only a constant warping; the stalled step serves a varying one,
+    and its report carries no ``obstruction_witness``.  On divergence the
+    returned state holds the last representable iterate; if none is, the state
+    is None and the diagnostics read infinite.
     """
     wp.fiber.require_same(u0.grid, "initial height")
     prob = _Problem(wp, target_curvature)
@@ -687,10 +690,9 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
     if f_dof is None:
         return _exit(prob, u, Verdict.diverged, history)
     verdict = Verdict.max_iter
-    stagnation = 0
 
     for _ in range(opts.max_newton):
-        if history[-1] <= opts.tol_abs or stagnation >= _STAGNATION_LIMIT:
+        if history[-1] <= opts.tol_abs:
             break
         jac = prob.jacobian(u)
         if jac is None:
@@ -711,12 +713,12 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
             delta *= cap / delta_sup
 
         slope = float(f_dof @ (jac @ delta))
-        if slope >= 0.0:
+        if slope > 0.0:
             delta = -delta
             slope = -slope
         merit = 0.5 * float(f_dof @ f_dof)
 
-        step = 1.0
+        step = 1.0 if slope != 0.0 else 0.0  # each trial would meet Armijo, with no decrease
         while step >= _MIN_STEP:
             trial = u + step * prob.scatter(delta)
             trial_res = prob.residual_full(trial)
@@ -724,22 +726,19 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
                 verdict = Verdict.diverged
                 break
             trial_dof = prob.pack(trial_res)
-            trial_merit = 0.5 * float(trial_dof @ trial_dof)
-            armijo = trial_merit <= merit + _ARMIJO_C * step * slope
-            if armijo or (step * 0.5 < _MIN_STEP and trial_merit < merit):
+            if 0.5 * float(trial_dof @ trial_dof) <= merit + _ARMIJO_C * step * slope:
                 u, f_dof = trial, trial_dof
                 break
             step *= 0.5
-        if verdict is Verdict.diverged:
+        else:
+            verdict = Verdict.obstructed
+        if verdict is not Verdict.max_iter:
             break
         history.append(float(np.abs(f_dof).max()))
-        stagnation = 0 if armijo else stagnation + 1
 
     if history[-1] <= opts.tol_abs:
         verdict = Verdict.converged
-    elif stagnation >= _STAGNATION_LIMIT:
-        verdict = Verdict.obstructed
-    return _exit(prob, u, verdict, history, len(history) - 1)
+    return _exit(prob, u, verdict, history)
 
 
 def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField,
@@ -823,7 +822,7 @@ def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField
     if last >= 1:
         k0 = min(int(0.8 * last), last - 1)
         drift = -(means[last] - means[k0]) / ((times[last] - times[k0]) * t_max)
-    return _exit(prob, u, verdict, history, last, drift)
+    return _exit(prob, u, verdict, history, drift)
 
 
 def maximum_principle_check(state_a: GraphState, state_b: GraphState,

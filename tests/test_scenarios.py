@@ -1190,6 +1190,31 @@ def test_cli_a_refused_report_path_leaves_no_directory_it_made(monkeypatch, tmp_
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["kept"]
 
 
+@pytest.mark.parametrize("names,out", [
+    (["obstruction_torus"], "d/height.csv"),
+    (["obstruction_torus"], "d/missing/../residual.csv"),
+    (["obstruction_torus", "ricci_sign"], "d/ricci_sign/height.csv"),
+], ids=["height", "residual", "second_run"])
+def test_cli_a_report_over_a_dumped_field_is_refused_before_any_run(monkeypatch, tmp_path,
+                                                                    capsys, names, out):
+    _forbid_runs(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert main(["scenario", *names, "--dump-fields", "d", "--out", out]) == 2
+    _one_line_refusal(capsys, "cannot write report: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_a_report_elsewhere_in_a_dump_directory_is_written_beside_the_fields(
+        monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert main(["scenario", "obstruction_torus", "--dump-fields", "d",
+                 "--out", "d/report.json"]) == 0
+    for name in ("height.csv", "residual.csv"):
+        assert (tmp_path / "d" / name).read_text().startswith("i,j,x1,x2,value\n")
+    assert json.loads((tmp_path / "d" / "report.json").read_text())["scenario"] == (
+        "obstruction_torus")
+
+
 def _forbid_runs(monkeypatch):
     monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: pytest.fail("a run started"))
     monkeypatch.setattr(cli, "run_verification_suite", lambda: pytest.fail("the battery started"))
@@ -1268,10 +1293,10 @@ def test_cli_a_varying_warping_obstructs_by_stagnation_without_a_witness(tmp_pat
     payload = json.loads(out.read_text())
     coarse = [(level["dims"], level["verdict"], level["iterations"])
               for level in payload["coarse_solves"]]
-    assert coarse == [([8, 8], "obstructed", 19), ([16, 16], "obstructed", 15)]
+    assert coarse == [([8, 8], "obstructed", 9), ([16, 16], "obstructed", 5)]
     finest = payload["solve"]
-    assert (finest["verdict"], finest["iterations"]) == ("obstructed", 15)
-    assert finest["iterations"] >= solver._STAGNATION_LIMIT
+    assert (finest["verdict"], finest["iterations"]) == ("obstructed", 5)
+    assert finest["residual_history"][-1] != finest["residual_history"][-2]
     assert "obstruction_witness" not in finest
     assert payload["checks"]["compatibility"]["pass"] is True
     assert payload["expectation"]["matched"] is True

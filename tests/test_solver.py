@@ -217,6 +217,22 @@ def test_a_non_finite_trial_ends_newton_diverged_at_its_start(monkeypatch):
     np.testing.assert_array_equal(state.height.values, u0.values)
 
 
+def test_a_zero_step_ends_newton_obstructed_at_its_start(monkeypatch):
+    # a zero step has zero slope, so each trial would meet Armijo with no
+    # decrease: the step stalls, and the solve ends obstructed where it began
+    monkeypatch.setattr(_Problem, "linear_step",
+                        lambda prob, jac, f_dof: (np.zeros(prob.n_dof), 0))
+    wp, zero = _torus_problem(16)
+    x1, x2 = wp.fiber.meshes()
+    u0 = ScalarField(wp.fiber, 0.3 * np.sin(x1) + 0.1 * np.cos(x2))
+    state, report = newton_solve(wp, zero, u0, SolveOptions())
+    assert report.verdict == "obstructed"
+    assert report.iterations == 0
+    assert len(report.residual_history) == 1
+    assert report.obstruction_witness is None
+    np.testing.assert_array_equal(state.height.values, u0.values)
+
+
 @pytest.mark.parametrize("solve", [newton_solve, flow_solve], ids=["newton", "flow"])
 @pytest.mark.parametrize("fiber", ["torus", "disk"])
 def test_no_solve_prepares_its_product_again(monkeypatch, solve, fiber):
@@ -505,6 +521,26 @@ def test_a_shared_pattern_cannot_be_edited_in_place():
             array[0] = 1
     arrays = (asm.indices, asm.indptr, asm.diagonal, asm.pinned, asm.cell)
     assert not any(array.flags.writeable for array in arrays)
+
+
+@pytest.mark.parametrize("call", [abs, lambda m: m.max(), lambda m: m.power(2),
+                                  lambda m: m.sum_duplicates()],
+                         ids=["abs", "max", "power", "sum_duplicates"])
+def test_a_call_that_sorts_the_columns_in_place_needs_a_copy_of_the_jacobian(call):
+    # the columns are unsorted and the indices the pattern's, shared read-only:
+    # scipy's in-place sort refuses them and changes nothing; a copy sorts its own
+    wp, zero = _torus_problem(16)
+    prob = _Problem(wp, zero)
+    jac = prob.jacobian(_smooth_start(wp.fiber, 5).values)
+    indices, data = prob._assembly.indices.copy(), jac.data.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        call(jac)
+    np.testing.assert_array_equal(prob._assembly.indices, indices)
+    np.testing.assert_array_equal(jac.indices, indices)
+    np.testing.assert_array_equal(jac.data, data)
+    copy = jac.copy()
+    call(copy)
+    np.testing.assert_array_equal(copy.toarray(), jac.toarray())
 
 
 @pytest.mark.parametrize("index", range(2), ids=["fix_mean", "disk"])
