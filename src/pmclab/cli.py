@@ -11,7 +11,8 @@ problems (a config file that cannot be read as UTF-8, a config or formulas
 nested too deeply, a torus kind that contradicts its dims, a negative
 ``--refine`` or ``--seed``, grids or refinements over the node budget, an
 unknown option, a report or field dump that cannot be written, a report
-path that names a dumped field), 3 when the solver diverged or ran out of
+path that names a dumped field or the config file, a field dump that would
+overwrite the config file), 3 when the solver diverged or ran out of
 iterations, 4 for failed checks or a verdict that contradicts the
 expectation.  Reports are strict JSON: non-finite numbers are written as
 the strings ``"inf"``, ``"-inf"`` and ``"nan"``.  No environment variables
@@ -105,12 +106,17 @@ def _make_dirs(path: str) -> list[str]:
     return made
 
 
-def _report_refusal(out: str, dumps: list[str | None]) -> str | None:
-    """Why the report cannot be written to ``out`` beside the field dumps ``dumps``, or None."""
-    fields = {os.path.realpath(os.path.join(dump, name))
-              for dump in filter(None, dumps) for name in DUMP_FILES}
-    if os.path.realpath(out) in fields:
+def _report_refusal(out: str, dumped: set[str], config: str | None) -> str | None:
+    """Why the report cannot be written to ``out``, or None.
+
+    ``dumped`` holds the real paths of the dumped fields, and ``config``
+    is the config file read, if any.
+    """
+    target = os.path.realpath(out)
+    if target in dumped:
         return "would overwrite a dumped field"
+    if config is not None and target == os.path.realpath(config):
+        return "would overwrite the config"
     out_dir = os.path.dirname(os.path.abspath(out))
     if (os.path.isdir(out) or not os.path.isdir(out_dir)
             or not os.access(out_dir, os.W_OK | os.X_OK)):
@@ -141,11 +147,17 @@ def main(argv=None) -> int:
         dumps = [os.path.join(args.dump_fields, name)
                  if args.dump_fields is not None and len(runs) > 1 else args.dump_fields
                  for name, _ in runs]
+        dumped = {os.path.realpath(os.path.join(dump, name))
+                  for dump in filter(None, dumps) for name in DUMP_FILES}
+        config = args.config if args.command == "solve" else None
+        if config is not None and os.path.realpath(config) in dumped:
+            return _refuse(f"cannot write fields: {args.dump_fields!r} would overwrite "
+                           f"the config")
         # a dump path taken by a file goes first, so that its refusal makes no directory
         made = [path for dump in sorted(filter(None, dumps), key=os.path.isfile, reverse=True)
                 for path in _make_dirs(dump)]
         # the dumps are made first: the report may be written into one of them
-        refusal = None if args.out is None else _report_refusal(args.out, dumps)
+        refusal = None if args.out is None else _report_refusal(args.out, dumped, config)
         if refusal is not None:
             for path in sorted(made, key=len, reverse=True):  # a child before its parent
                 os.rmdir(path)

@@ -315,14 +315,14 @@ class MetricField:
                 node = tuple(int(i) for i in np.argwhere(lopsided)[0])
                 raise ConstructionError(
                     f"metric is not symmetric at node {node} (asymmetry {skew[node]:.3e})")
-        sym = np.empty_like(mat)
-        for i in range(d):
-            for j in range(i, d):
-                sym[..., i, j] = sym[..., j, i] = 0.5 * (mat[..., i, j] + mat[..., j, i])
-        given, mat = mat, sym
-        # products of large or small entries may leave the float range;
-        # the check below names the node
+        # sums and products of large or small entries may leave the float
+        # range; the check below names the node
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            sym = np.empty_like(mat)
+            for i in range(d):
+                for j in range(i, d):
+                    sym[..., i, j] = sym[..., j, i] = 0.5 * (mat[..., i, j] + mat[..., j, i])
+            given, mat = mat, sym
             cofactors, minors = _cofactors(mat)
             det = minors[-1]
             # a minor that overflowed to nan fails its comparison as well; a
@@ -537,11 +537,39 @@ def norm_sq(X: VectorField, metric: MetricField) -> ScalarField:
     return ScalarField(metric.grid, np.maximum(vals, 0.0))
 
 
+def _exact_sum(values: list[float]) -> float:
+    """The sum of ``values`` rounded once, where ``math.fsum`` raises instead.
+
+    ``fsum`` raises when a partial sum leaves the float range, even if the
+    exact sum does not, and when opposite infinities meet (the sum is nan
+    here).  Every finite float is a whole multiple of ``2**-1074``, so the
+    exact sum is an integer count of that unit; one beyond the float range
+    reads as the infinity of its sign.
+    """
+    specials = [x for x in values if not math.isfinite(x)]
+    if specials:
+        return sum(specials)
+    unit = 1 << 1074
+    count = sum(n * (unit // d) for n, d in map(float.as_integer_ratio, values))
+    try:
+        return count / unit  # correctly rounded
+    except OverflowError:
+        return math.inf if count > 0 else -math.inf
+
+
 def integrate(f: ScalarField, metric: MetricField) -> float:
-    """Volume integral with density ``sqrt(det sigma)``, exact-accumulation order."""
+    """Volume integral with density ``sqrt(det sigma)``, exact-accumulation order.
+
+    The weighted values are summed exactly and rounded once (see
+    :func:`_exact_sum`), so the integral never raises.
+    """
     metric.grid.require_same(f.grid, "integrate")
-    weighted = f.values * metric.sqrt_det
-    return math.fsum(weighted.ravel().tolist()) * metric.grid.cell_volume
+    weighted = (f.values * metric.sqrt_det).ravel().tolist()
+    try:
+        total = math.fsum(weighted)
+    except (OverflowError, ValueError):
+        total = _exact_sum(weighted)
+    return total * metric.grid.cell_volume
 
 
 def volume(metric: MetricField) -> float:

@@ -487,7 +487,7 @@ class RunReport:
     ``solve`` describes the finest solve; ``start`` says whether it began
     from the config's ``initial`` field or from the coarser solution, and
     ``coarse_solves`` lists the coarser levels solved on the way, coarsest
-    first.
+    first; a flow lists none.
     """
 
     scenario: str | None
@@ -502,18 +502,8 @@ class RunReport:
     wall_time_s: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "config": self.config,
-            "solve": self.solve.to_json_dict(),
-            "start": self.start,
-            "coarse_solves": self.coarse_solves,
-            "graph": self.graph,
-            "checks": self.checks,
-            "expectation": self.expectation,
-            "refinements": self.refinements,
-            "wall_time_s": self.wall_time_s,
-        }
+        """The fields in order, the finest solve by its own JSON form."""
+        return {**vars(self), "solve": self.solve.to_json_dict()}
 
     def exit_code(self) -> int:
         if self.solve.verdict in (Verdict.diverged, Verdict.max_iter):
@@ -526,7 +516,7 @@ class RunReport:
 
 
 class _Level(NamedTuple):
-    """One solved grid: its config, final state and report, how it started, and the levels below.
+    """One solved grid: its config, final state and report, and how it started.
 
     The state is None when the solve lost its height (see :func:`newton_solve`).
     """
@@ -535,16 +525,6 @@ class _Level(NamedTuple):
     state: GraphState | None
     report: SolveReport
     start: str
-    coarse_solves: list
-
-    def below_next(self) -> list:
-        """The ``coarse_solves`` of the next finer level: these plus this one."""
-        return self.coarse_solves + [{
-            "dims": list(self.config.grid.dims), "verdict": self.report.verdict.value,
-            "iterations": self.report.iterations,
-            "factorizations": self.report.factorizations,
-            "krylov_iterations": self.report.krylov_iterations,
-        }]
 
 
 def _resized_config(config: ScenarioConfig, dims) -> ScenarioConfig:
@@ -597,33 +577,41 @@ def _solve_level(config: ScenarioConfig, seed_override: int | None,
 
     Newton starts from the prolonged solution of ``previous`` when that
     converged, and from ``initial`` otherwise.  The flow always starts from
-    ``initial`` and lists no levels below.
+    ``initial``.
     """
     u0 = config.initial_values(seed_override)
     if config.method == "flow":
         state, report = flow_solve(config.warped, config.target, ScalarField(config.grid, u0),
                                    config.solver_opts, t_max=config.t_max)
-        return _Level(config, state, report, "initial", [])
-    below, start = [], "initial"
-    if previous is not None:
-        below = previous.below_next()
-        if previous.report.verdict is Verdict.converged:
-            u0, start = _coarse_start(config, previous.state, u0), "coarse"
+        return _Level(config, state, report, "initial")
+    start = "initial"
+    if previous is not None and previous.report.verdict is Verdict.converged:
+        u0, start = _coarse_start(config, previous.state, u0), "coarse"
     state, report = newton_solve(config.warped, config.target, ScalarField(config.grid, u0),
                                  config.solver_opts)
-    return _Level(config, state, report, start, below)
+    return _Level(config, state, report, start)
 
 
-def _observe(level: _Level) -> dict:
-    """What one solved grid reports beyond its solve: the graph angle range and the checks."""
+def _observe(levels: list[_Level], index: int) -> dict:
+    """What the solved grid ``levels[index]`` reports, with the Newton levels below it.
+
+    Its solve, start, ``coarse_solves`` (the levels solved before it,
+    coarsest first; none for a flow), graph angle range and checks.
+    """
+    level = levels[index]
     state, checks = level.state, level.config.checks
+    below = levels[:index] if level.config.method == "newton" else []
+    seen = {"solve": level.report, "start": level.start, "coarse_solves": [{
+        "dims": list(b.config.grid.dims), "verdict": b.report.verdict.value,
+        "iterations": b.report.iterations, "factorizations": b.report.factorizations,
+        "krylov_iterations": b.report.krylov_iterations} for b in below]}
     if state is None:
-        return {"graph": {"theta_min": math.nan, "theta_max": math.nan},
+        return {**seen, "graph": {"theta_min": math.nan, "theta_max": math.nan},
                 "checks": {name: {"precondition": "the solve left no representable height "
                                   "to check", "pass": False} for name in checks}}
     # the angle function h/W; the vertical normal 1/(h W) may overflow
     angle = state.warped.h / state.W
-    return {"graph": {"theta_min": float(angle.min()), "theta_max": float(angle.max())},
+    return {**seen, "graph": {"theta_min": float(angle.min()), "theta_max": float(angle.max())},
             "checks": {name: _run_check(name, state, level.config) for name in checks}}
 
 
@@ -649,31 +637,28 @@ def run_scenario(config: ScenarioConfig, *, scenario_name: str | None = None,
         raise ValidationError(f"seed must be a non-negative integer, got {seed_override}")
     _check_budget(config.grid.dims, refine)
     start = time.perf_counter()
-    ladder = _ladder(config, refine)
-    reported = len(ladder) - 1 - refine  # the index of config itself
-    level, levels = None, []
-    for index, rung in enumerate(ladder):
-        level = _solve_level(rung, seed_override, level)
-        if index >= reported:
-            levels.append(level)
-    base, *above = levels
+    levels: list[_Level] = []
+    for rung in _ladder(config, refine):
+        levels.append(_solve_level(rung, seed_override, levels[-1] if levels else None))
+    reported = len(levels) - 1 - refine  # the index of config itself
+    base = levels[reported]
 
     if dump_dir is not None and base.state is not None:
         os.makedirs(dump_dir, exist_ok=True)
         for name, values in zip(DUMP_FILES, (base.state.height, base.state.residual)):
             dump_field_csv(values, os.path.join(dump_dir, name))
 
-    refinements = [{"dims": list(level.config.grid.dims), "solve": level.report.to_json_dict(),
-                    "start": level.start, "coarse_solves": level.coarse_solves, **_observe(level)}
-                   for level in above]
-    seen = _observe(base)
+    refinements = []
+    for index in range(reported + 1, len(levels)):
+        seen = _observe(levels, index)
+        refinements.append({"dims": list(levels[index].config.grid.dims), **seen,
+                            "solve": seen["solve"].to_json_dict()})
     observed = base.report.verdict.value
     expectation = {"expected": config.expect, "observed": observed,
                    "matched": observed == config.expect}
-    wall = time.perf_counter() - start
-    return RunReport(scenario_name, config.normalized, base.report, base.start,
-                     base.coarse_solves, seen["graph"], seen["checks"], expectation,
-                     refinements, wall)
+    return RunReport(scenario_name, config.normalized, **_observe(levels, reported),
+                     expectation=expectation, refinements=refinements,
+                     wall_time_s=time.perf_counter() - start)
 
 
 # --------------------------------------------------------------------------

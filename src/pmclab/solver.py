@@ -130,7 +130,10 @@ class SolveReport:
     pushed, with the sign chosen so an obstructed ``H > 0`` problem
     reports a positive rate equal to ``n * integral(H) / Vol``.
     ``obstruction_witness`` is set only when non-existence was declared
-    analytically.
+    analytically.  ``obstruction_source`` says how an ``obstructed``
+    verdict was reached: ``"witness"`` when the compatibility witness
+    decided before iterating, ``"stalled_step"`` at Newton's first stalled
+    step (see :func:`newton_solve`); it is unset for every other verdict.
     ``factorizations`` counts the sparse LU factors the solve built: one
     for each linear solve, Newton step or flow trial, that neither a
     factor kept from an earlier one nor the inverse of its matrix's
@@ -153,23 +156,15 @@ class SolveReport:
     factorizations: int = 0
     krylov_iterations: int = 0
     obstruction_witness: float | None = None
+    obstruction_source: str | None = None
 
     def __post_init__(self) -> None:
         self.verdict = Verdict(self.verdict)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "verdict": self.verdict.value,
-            "iterations": self.iterations,
-            "residual_history": [float(r) for r in self.residual_history],
-            "u_oscillation": self.u_oscillation,
-            "mean_drift_rate": self.mean_drift_rate,
-            "grad_sup": self.grad_sup,
-            "factorizations": self.factorizations,
-            "krylov_iterations": self.krylov_iterations,
-        }
-        if self.obstruction_witness is not None:
-            out["obstruction_witness"] = self.obstruction_witness
+        """The fields in order, the verdict by its value; an unset optional field is left out."""
+        out = {name: value for name, value in vars(self).items() if value is not None}
+        out["verdict"] = self.verdict.value
         return out
 
 
@@ -639,7 +634,9 @@ def _exit(prob: _Problem, u_arr: np.ndarray, verdict: Verdict, history: list[flo
     the height or its residual is not finite the state is None and the
     height oscillation and gradient sup read infinite.  ``iterations`` is
     one less than the length of ``history``; None stands for the one entry
-    of an unstarted solve: the state's residual sup.
+    of an unstarted solve: the state's residual sup.  An ``obstructed``
+    verdict came from the witness when ``witness`` is set, else from a
+    stalled step.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -649,8 +646,10 @@ def _exit(prob: _Problem, u_arr: np.ndarray, verdict: Verdict, history: list[flo
         state, osc, gsup = None, math.inf, math.inf
     if history is None:
         history = [math.inf if state is None else state.interior_residual_sup()]
+    source = (None if verdict is not Verdict.obstructed
+              else "stalled_step" if witness is None else "witness")
     return state, SolveReport(verdict, len(history) - 1, history, osc, drift, gsup,
-                              prob.factorizations, prob.krylov_iterations, witness)
+                              prob.factorizations, prob.krylov_iterations, witness, source)
 
 
 def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField,

@@ -389,7 +389,8 @@ def check_superharmonic(state: GraphState, tol_solve: float = 1e-8) -> float:
     if wp.fiber.kind is GridKind.torus2d:
         factor = ScalarField(wp.fiber, wp.warping.values**4)
         return float(circle_lift_laplacian(u, prime, factor).values.max())
-    factor = ScalarField(wp.fiber, np.full(wp.fiber.shape, wp.h_sup**4))
+    # a numpy power overflows to inf, which the field refuses, where a float's raises
+    factor = ScalarField(wp.fiber, np.full(wp.fiber.shape, np.float64(wp.h_sup) ** 4))
     lap = laplace_beltrami(u, conformal_scale(prime, factor)).values
     return float(lap[wp.fiber.interior_mask].max())
 

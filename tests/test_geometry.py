@@ -190,6 +190,37 @@ def test_divergence_theorem_on_closed_fiber():
         assert abs(total) < 1e-12
 
 
+def test_integrate_is_the_exact_sum_where_partial_sums_leave_the_float_range():
+    # fsum raises "intermediate overflow" on these, though the first sum fits
+    grid, metric = build_torus((8, 8))
+    cell = grid.cell_volume
+    alternating = np.zeros(grid.shape)
+    alternating[0, :3] = [1e308, 1e308, -1e308]
+    assert integrate(ScalarField(grid, alternating), metric) == 1e308 * cell
+    huge = ScalarField.constant(grid, 1e308)
+    assert integrate(huge, metric) == math.inf
+    assert integrate(ScalarField(grid, -huge.values), metric) == -math.inf
+    # a tiny entry is not lost beside cancelling huge ones
+    alternating[0, 3:5] = [-1e308, 5e-324]
+    assert integrate(ScalarField(grid, alternating), metric) == 5e-324 * cell
+    # weighted values beyond the float range of both signs, where fsum raises
+    # "-inf + inf": their sum is undefined
+    scaled = MetricField(grid, 1e10 * metric.mat)
+    opposite = np.zeros(grid.shape)
+    opposite[0, :2] = [1e300, -1e300]
+    with np.errstate(over="ignore"):
+        assert math.isnan(integrate(ScalarField(grid, opposite), scaled))
+
+
+def test_integrate_keeps_every_sum_that_fsum_returns():
+    grid, metric = build_hyperbolic_disk(8, 16, 0.875)
+    rng = np.random.default_rng(5)
+    for scale in (1e-300, 1.0, 1e150, 1e305):
+        f = ScalarField(grid, scale * rng.standard_normal(grid.shape))
+        expected = math.fsum((f.values * metric.sqrt_det).ravel().tolist()) * grid.cell_volume
+        assert integrate(f, metric) == expected
+
+
 def test_integration_by_parts_on_closed_fiber():
     # <grad f, X> integrates to -<f, div X> in the discrete pairing
     grid, metric = build_torus((32, 32))

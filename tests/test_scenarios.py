@@ -1100,6 +1100,48 @@ def test_cli_overflowed_set_up_ends_diverged_without_a_warning(tmp_path, capsys,
     assert _strict_report(captured.out)["solve"]["verdict"] == "diverged"
 
 
+@pytest.mark.parametrize("overrides,code,verdict", [
+    # the witness integrates H = 1e308: its partial sums overflow, and so does the integral
+    ({"H_target": "1e308", "expect": "obstructed", "checks": ["compatibility"]},
+     4, "obstructed"),
+    # the flow's mean height integrates u = 1e308 at its start
+    ({"initial": "1e308", "solver": {"method": "flow", "t_max": 1}}, 0, "converged"),
+], ids=["witness", "flow_mean"])
+def test_cli_an_integral_beyond_the_float_range_ends_in_a_report(tmp_path, capsys, overrides,
+                                                                 code, verdict):
+    config = tmp_path / "run.json"
+    config.write_text(_cfg(**overrides))
+    assert main(["solve", str(config)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    solve = _strict_report(captured.out)["solve"]
+    assert solve["verdict"] == verdict
+    if verdict == "obstructed":
+        assert (solve["obstruction_witness"], solve["obstruction_source"]) == ("-inf", "witness")
+
+
+def test_cli_a_disk_superharmonic_check_beyond_the_float_range_says_so(tmp_path, capsys):
+    # h_sup^4 overflows: the disk fails the check as the torus does, with a report
+    config = tmp_path / "run.json"
+    config.write_text(_disk_cfg(warping="1e154", checks=["superharmonic"]))
+    assert main(["solve", str(config)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    entry = _strict_report(captured.out)["checks"]["superharmonic"]
+    assert entry["pass"] is False
+    assert entry["precondition"].startswith("the check's arithmetic left the float range: ")
+
+
+def test_cli_a_metric_whose_symmetrization_overflows_is_refused_in_one_line(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(_cfg(metric="1e308"))
+    assert main(["solve", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invalid config: metric determinant or inverse is out of "
+                            "floating-point range at node (0, 0)\n")
+
+
 def test_non_finite_initial_formula_is_rejected_at_parse_by_name(tmp_path, capsys):
     with pytest.raises(ValidationError, match=r"initial evaluates to a non-finite value"):
         parse_config(_cfg(initial="ln(x1)"))
@@ -1204,6 +1246,27 @@ def test_cli_a_report_over_a_dumped_field_is_refused_before_any_run(monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("config,args,refusal", [
+    ("c.json", ["--out", "c.json"], "cannot write report: "),
+    ("c.json", ["--out", "missing/../c.json"], "cannot write report: "),
+    ("c.json", ["--dump-fields", "new/d", "--out", "c.json"], "cannot write report: "),
+    ("d/height.csv", ["--dump-fields", "d"], "cannot write fields: "),
+    ("d/residual.csv", ["--dump-fields", "./d", "--out", "r.json"], "cannot write fields: "),
+], ids=["report", "report_dotdot", "report_beside_a_new_dump", "height", "residual"])
+def test_cli_an_output_over_the_config_is_refused_before_any_run(monkeypatch, tmp_path, capsys,
+                                                                  config, args, refusal):
+    _forbid_runs(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / config).write_text(_cfg())
+    assert main(["solve", config, *args]) == 2
+    _one_line_refusal(capsys, refusal)
+    assert (tmp_path / config).read_text() == _cfg()
+    # nothing but the config is left: no report, no field, no directory the run made
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == sorted(
+        {"d", config})
+
+
 def test_cli_a_report_elsewhere_in_a_dump_directory_is_written_beside_the_fields(
         monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
@@ -1298,6 +1361,7 @@ def test_cli_a_varying_warping_obstructs_by_stagnation_without_a_witness(tmp_pat
     assert (finest["verdict"], finest["iterations"]) == ("obstructed", 5)
     assert finest["residual_history"][-1] != finest["residual_history"][-2]
     assert "obstruction_witness" not in finest
+    assert finest["obstruction_source"] == "stalled_step"
     assert payload["checks"]["compatibility"]["pass"] is True
     assert payload["expectation"]["matched"] is True
 
@@ -1311,6 +1375,8 @@ def test_cli_scenarios_with_field_dumps(tmp_path):
     assert [r["scenario"] for r in payload] == ["obstruction_torus", "ricci_sign"]
     assert abs(payload[0]["solve"]["obstruction_witness"]) == pytest.approx(
         0.1 * 2.0 * 4.0 * math.pi**2)
+    assert payload[0]["solve"]["obstruction_source"] == "witness"
+    assert "obstruction_source" not in payload[1]["solve"]  # converged
     for name in ("obstruction_torus", "ricci_sign"):
         assert (tmp_path / "fields" / name / "height.csv").exists()
 

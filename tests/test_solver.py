@@ -97,8 +97,9 @@ def test_report_json_shape():
     assert payload["verdict"] == "converged"
 
     witnessed = SolveReport("obstructed", 0, [0.2], 0.0, 0.0, 0.0,
-                            obstruction_witness=-7.9)
-    assert witnessed.to_json_dict()["obstruction_witness"] == -7.9
+                            obstruction_witness=-7.9, obstruction_source="witness")
+    payload = witnessed.to_json_dict()
+    assert (payload["obstruction_witness"], payload["obstruction_source"]) == (-7.9, "witness")
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +231,7 @@ def test_a_zero_step_ends_newton_obstructed_at_its_start(monkeypatch):
     assert report.iterations == 0
     assert len(report.residual_history) == 1
     assert report.obstruction_witness is None
+    assert report.obstruction_source == "stalled_step"
     np.testing.assert_array_equal(state.height.values, u0.values)
 
 
