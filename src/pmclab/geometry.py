@@ -564,7 +564,8 @@ def integrate(f: ScalarField, metric: MetricField) -> float:
     :func:`_exact_sum`), so the integral never raises.
     """
     metric.grid.require_same(f.grid, "integrate")
-    weighted = (f.values * metric.sqrt_det).ravel().tolist()
+    with np.errstate(over="ignore"):  # an overflowed product is an infinity to sum
+        weighted = (f.values * metric.sqrt_det).ravel().tolist()
     try:
         total = math.fsum(weighted)
     except (OverflowError, ValueError):

@@ -582,8 +582,11 @@ class _Problem:
         ``_LINEAR_RTOL`` times the previous cycle's (1 before the first).
         So a slow or stalled run, and one that rounding keeps above
         ``_LINEAR_RTOL``, ends short, and the caller builds a factor or
-        refuses the step.  Each action of ``matrix`` counts in
-        ``krylov_iterations``.
+        refuses the step.  GMRES runs on ``rhs`` scaled by the power of two
+        that brings its sup near 1, and the solution is scaled back, so the
+        run is that on ``rhs`` itself, bit for bit, while its norms stay in
+        the float range; a solution beyond it reads inf.  Each action of
+        ``matrix`` counts in ``krylov_iterations``.
         """
         restart = min(_KRYLOV_RESTART, _MAX_LINEAR)
         cycles = -(-_MAX_LINEAR // restart)
@@ -593,7 +596,8 @@ class _Problem:
             return inverse(matrix @ z)
 
         A = LinearOperator(matrix.shape, matvec=matvec, dtype=float)
-        target = inverse(rhs)
+        e = math.frexp(float(np.abs(rhs).max()))[1]
+        target = inverse(np.ldexp(rhs, -e))
         x, residual = None, 1.0
         for cycle in range(cycles):
             x, info = gmres(A, target, x0=x, rtol=_LINEAR_RTOL, atol=0.0, restart=restart,
@@ -603,7 +607,8 @@ class _Problem:
             last, residual = residual, np.linalg.norm(target - A @ x) / np.linalg.norm(target)
             if not residual * residual <= _LINEAR_RTOL * last:  # NaN stops it too
                 break
-        return x, info
+        with np.errstate(over="ignore"):  # a solution beyond the float range reads inf
+            return np.ldexp(x, e), info
 
 
 def _factor(matrix):
@@ -622,7 +627,7 @@ def _factor(matrix):
         return None
 
 
-def _exit(prob: _Problem, u_arr: np.ndarray, verdict: Verdict, history: list[float] | None,
+def _exit(prob: _Problem, u_arr: np.ndarray, verdict: Verdict, history: list[float],
           drift: float = 0.0, witness: float | None = None
           ) -> tuple[GraphState | None, SolveReport]:
     """The final state and report of a solve of ``prob`` that ends at height ``u_arr``.
@@ -633,10 +638,8 @@ def _exit(prob: _Problem, u_arr: np.ndarray, verdict: Verdict, history: list[flo
     float spike does).  Divergence must be reported, not raised, so when
     the height or its residual is not finite the state is None and the
     height oscillation and gradient sup read infinite.  ``iterations`` is
-    one less than the length of ``history``; None stands for the one entry
-    of an unstarted solve: the state's residual sup.  An ``obstructed``
-    verdict came from the witness when ``witness`` is set, else from a
-    stalled step.
+    one less than the length of ``history``.  An ``obstructed`` verdict
+    came from the witness when ``witness`` is set, else from a stalled step.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -644,8 +647,6 @@ def _exit(prob: _Problem, u_arr: np.ndarray, verdict: Verdict, history: list[flo
             osc, gsup = float(u_arr.max() - u_arr.min()), state.grad_sup
     except ConstructionError:
         state, osc, gsup = None, math.inf, math.inf
-    if history is None:
-        history = [math.inf if state is None else state.interior_residual_sup()]
     source = (None if verdict is not Verdict.obstructed
               else "stalled_step" if witness is None else "witness")
     return state, SolveReport(verdict, len(history) - 1, history, osc, drift, gsup,
@@ -666,7 +667,11 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
     Damping is Armijo backtracking on half the squared residual norm, the
     merit, along the step, negated when the merit rises along it: the length
     halves from 1 until a trial meets the sufficient decrease, and that trial
-    is taken.  The stop rule: a step *stalls* when its slope is zero, or when
+    is taken.  The merit, its slope and each trial's merit are those of the
+    residual times ``2**-e``, with ``2**e`` the power of two just above the
+    step's sup residual: a power of two scales exactly, so the decisions are
+    those of the residual itself wherever its merit does not overflow.  The
+    stop rule: a step *stalls* when its slope is zero, or when
     no trial meets Armijo down to the shortest, ``2**-19`` (the last length
     not below ``_MIN_STEP``); the first stalled step ends the solve
     ``obstructed`` at the height it started from, and adds nothing to the
@@ -682,62 +687,59 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
     """
     wp.fiber.require_same(u0.grid, "initial height")
     prob = _Problem(wp, target_curvature)
+    u, f_dof, history = prob.start(u0)
     witness = obstruction_witness(wp, target_curvature)
     if witness is not None:
-        return _exit(prob, u0.values, Verdict.obstructed, None, witness=witness)
-    u, f_dof, history = prob.start(u0)
+        return _exit(prob, u, Verdict.obstructed, history, witness=witness)
     if f_dof is None:
         return _exit(prob, u, Verdict.diverged, history)
-    verdict = Verdict.max_iter
 
     for _ in range(opts.max_newton):
         if history[-1] <= opts.tol_abs:
             break
         jac = prob.jacobian(u)
         if jac is None:
-            verdict = Verdict.diverged
-            break
+            return _exit(prob, u, Verdict.diverged, history)
         delta, info = prob.linear_step(jac, f_dof)
         if not np.isfinite(delta).all():
-            verdict = Verdict.diverged
-            break
+            return _exit(prob, u, Verdict.diverged, history)
         if info != 0:
             # an unconverged linear solve gives no Newton step to take
-            verdict = Verdict.max_iter
-            break
+            return _exit(prob, u, Verdict.max_iter, history)
         delta = remove_null_modes(prob.grid, delta)
         cap = _STEP_CAP_FACTOR * (1.0 + float(np.abs(u).max()))
         delta_sup = float(np.abs(delta).max())
         if delta_sup > cap:
             delta *= cap / delta_sup
 
-        slope = float(f_dof @ (jac @ delta))
+        e = math.frexp(history[-1])[1]
+        f_scaled = np.ldexp(f_dof, -e)
+        slope = math.ldexp(float(f_scaled @ (jac @ delta)), -e)
         if slope > 0.0:
             delta = -delta
             slope = -slope
-        merit = 0.5 * float(f_dof @ f_dof)
+        merit = 0.5 * float(f_scaled @ f_scaled)
 
         step = 1.0 if slope != 0.0 else 0.0  # each trial would meet Armijo, with no decrease
         while step >= _MIN_STEP:
             trial = u + step * prob.scatter(delta)
             trial_res = prob.residual_full(trial)
             if trial_res is None:
-                verdict = Verdict.diverged
-                break
+                return _exit(prob, u, Verdict.diverged, history)
             trial_dof = prob.pack(trial_res)
-            if 0.5 * float(trial_dof @ trial_dof) <= merit + _ARMIJO_C * step * slope:
+            with np.errstate(over="ignore"):  # an overflowed trial merit fails Armijo
+                trial_scaled = np.ldexp(trial_dof, -e)
+                trial_merit = 0.5 * float(trial_scaled @ trial_scaled)
+            if trial_merit <= merit + _ARMIJO_C * step * slope:
                 u, f_dof = trial, trial_dof
                 break
             step *= 0.5
         else:
-            verdict = Verdict.obstructed
-        if verdict is not Verdict.max_iter:
-            break
+            return _exit(prob, u, Verdict.obstructed, history)
         history.append(float(np.abs(f_dof).max()))
 
-    if history[-1] <= opts.tol_abs:
-        verdict = Verdict.converged
-    return _exit(prob, u, verdict, history)
+    return _exit(prob, u, Verdict.converged if history[-1] <= opts.tol_abs else Verdict.max_iter,
+                 history)
 
 
 def flow_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarField,

@@ -82,10 +82,10 @@ class WarpedProduct:
         self.h_sup = float(h.max())
         d = fiber.ndim
         self.h = h
-        # a huge warping squares to inf, which a solve reports as diverged
-        with np.errstate(over="ignore"):
+        # a huge warping squares, or differences, to inf or NaN, which a solve reports as diverged
+        with np.errstate(over="ignore", invalid="ignore"):
             self.h2 = h**2
-        dh = coordinate_partials(warping)
+            dh = coordinate_partials(warping)
         self.dh = [np.ascontiguousarray(dh[..., i]) for i in range(d)] if dh.any() else None
         self.inv = [[metric.inv[..., i, j] for j in range(d)] for i in range(d)]
         self.sqrt_det = metric.sqrt_det

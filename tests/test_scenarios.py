@@ -1120,6 +1120,29 @@ def test_cli_an_integral_beyond_the_float_range_ends_in_a_report(tmp_path, capsy
         assert (solve["obstruction_witness"], solve["obstruction_source"]) == ("-inf", "witness")
 
 
+@pytest.mark.parametrize("config", [
+    # Newton's merit and slope square a residual of 2e154
+    _disk_cfg(H_target="1e154"),
+    # the flow's GMRES right side has a squared norm past the float range
+    _cfg(H_target="1e200", solver={"method": "flow", "t_max": 1}),
+    # the warping's differences overflow
+    _disk_cfg(warping="1e308"),
+    # the preconditioned right side overflows unless scaled first, and so does
+    # the product of the witness's integral
+    _cfg(metric="1e10", H_target="1e300*sin(x1)"),
+], ids=["disk_merit", "torus_flow", "disk_warping", "torus_metric"])
+def test_cli_data_near_the_float_range_ends_in_a_report_without_a_warning(tmp_path, capsys,
+                                                                         config):
+    path = tmp_path / "run.json"
+    path.write_text(config)
+    assert main(["solve", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    solve = _strict_report(captured.out)["solve"]
+    # no overflow passes for a stalled step
+    assert solve["verdict"] in ("max_iter", "diverged")
+
+
 def test_cli_a_disk_superharmonic_check_beyond_the_float_range_says_so(tmp_path, capsys):
     # h_sup^4 overflows: the disk fails the check as the torus does, with a report
     config = tmp_path / "run.json"

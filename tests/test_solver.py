@@ -451,6 +451,24 @@ def test_a_kept_factor_that_finishes_in_a_later_cycle_is_kept(monkeypatch):
     assert np.abs(jac @ delta + rhs).max() <= 1e-8 * np.abs(rhs).max()
 
 
+@pytest.mark.parametrize("preconditioner", ["averaged", "factor"])
+def test_a_right_side_scaled_by_a_power_of_two_scales_the_solution_exactly(preconditioner):
+    # GMRES runs on the right side scaled to about unit size, so 2**600 times
+    # it, whose squared norm overflows, gives 2**600 times the solution bit
+    # for bit, in as many matvecs
+    _, prob, u = _assembly_problems()[1]
+    jac = prob.jacobian(u)
+    inverse = (prob._averaged_inverse(jac.data) if preconditioner == "averaged"
+               else solver._factor(jac).solve)
+    rhs = -prob.pack(prob.residual_full(u))
+    x, info = prob._cycled_gmres(jac, rhs, inverse)
+    matvecs = prob.krylov_iterations
+    scaled, scaled_info = prob._cycled_gmres(jac, 2.0**600 * rhs, inverse)
+    assert info == scaled_info == 0
+    assert prob.krylov_iterations == 2 * matvecs
+    np.testing.assert_array_equal(scaled, 2.0**600 * x)
+
+
 def _flat_torus_problem(n, warping=1.0, scale=None):
     """A problem on a freshly built ``n x n`` torus, optionally conformally scaled."""
     grid, metric = build_torus((n, n))
