@@ -396,6 +396,9 @@ def parse_config(text: str) -> ScenarioConfig:
     expect = raw.get("expect", "converged")
     if expect not in _EXPECTATIONS:
         raise ValidationError(f"expect must be one of {_EXPECTATIONS}, got {expect!r}")
+    if expect == "obstructed" and not grid.closed:
+        raise ValidationError("expect 'obstructed' only applies to closed fibers: "
+                              "no solve on a disk ends obstructed")
 
     normalized = {
         "fiber": fiber_echo,

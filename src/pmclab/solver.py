@@ -24,9 +24,11 @@ Two drivers share one residual, that of the product, prepared once per product:
   that fails), and is then made free of them, hence mean-free.  The
   companion, like the flow's ``I - dt J``, is an edit
   of the Jacobian's entries on the same pattern.
-  Non-existence is declared before iterating when the warping is
-  constant and the compatibility integral cannot vanish, and
-  behaviorally at the first stalled step (see :func:`newton_solve`).
+  Non-existence is declared only on a closed fiber: before iterating
+  when the warping is constant and the compatibility integral cannot
+  vanish, and behaviorally at the first stalled step (see
+  :func:`newton_solve`).  A disk has no such certificate, so a stalled
+  step there ends ``max_iter``.
 * :func:`flow_solve` is the parabolic relaxation ``du/dt = F(u)``, whose
   equilibria are exactly the solved graphs, taken in linearly implicit
   (Rosenbrock-Euler) steps on the same Jacobian, with at most 16 steps
@@ -134,6 +136,7 @@ class SolveReport:
     verdict was reached: ``"witness"`` when the compatibility witness
     decided before iterating, ``"stalled_step"`` at Newton's first stalled
     step (see :func:`newton_solve`); it is unset for every other verdict.
+    Only a closed fiber ends ``obstructed``.
     ``factorizations`` counts the sparse LU factors the solve built: one
     for each linear solve, Newton step or flow trial, that neither a
     factor kept from an earlier one nor the inverse of its matrix's
@@ -638,8 +641,9 @@ def _exit(prob: _Problem, u_arr: np.ndarray, verdict: Verdict, history: list[flo
     float spike does).  Divergence must be reported, not raised, so when
     the height or its residual is not finite the state is None and the
     height oscillation and gradient sup read infinite.  ``iterations`` is
-    one less than the length of ``history``.  An ``obstructed`` verdict
-    came from the witness when ``witness`` is set, else from a stalled step.
+    one less than the length of ``history``.  An ``obstructed`` verdict,
+    given on a closed fiber only, came from the witness when ``witness`` is
+    set, else from a stalled step.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -673,17 +677,19 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
     those of the residual itself wherever its merit does not overflow.  The
     stop rule: a step *stalls* when its slope is zero, or when
     no trial meets Armijo down to the shortest, ``2**-19`` (the last length
-    not below ``_MIN_STEP``); the first stalled step ends the solve
-    ``obstructed`` at the height it started from, and adds nothing to the
-    history.  Verdicts: ``converged`` (sup residual at or below ``tol_abs``),
-    ``obstructed`` (from the compatibility witness before iterating, or at a
-    stalled step), ``diverged`` (non-finite iterate, tilt, Jacobian entry or
-    step, or a singular factor), ``max_iter`` otherwise, which includes a
-    linear solve that does not converge: its step is not taken.  The witness
-    decides only a constant warping; the stalled step serves a varying one,
-    and its report carries no ``obstruction_witness``.  On divergence the
-    returned state holds the last representable iterate; if none is, the state
-    is None and the diagnostics read infinite.
+    not below ``_MIN_STEP``); the first stalled step ends the solve at the
+    height it started from, and adds nothing to the history.  Verdicts:
+    ``converged`` (sup residual at or below ``tol_abs``), ``obstructed``
+    (on a closed fiber only: from the compatibility witness before
+    iterating, or at a stalled step), ``diverged`` (non-finite iterate,
+    tilt, Jacobian entry or step, or a singular factor), ``max_iter``
+    otherwise, which includes a linear solve that does not converge (its
+    step is not taken) and a stalled step on a disk, where no certificate
+    of non-existence exists: a rough start can stall there though a graph
+    exists.  The witness decides only a constant warping; the stalled step
+    serves a varying one, and its report carries no ``obstruction_witness``.
+    On divergence the returned state holds the last representable iterate;
+    if none is, the state is None and the diagnostics read infinite.
     """
     wp.fiber.require_same(u0.grid, "initial height")
     prob = _Problem(wp, target_curvature)
@@ -735,7 +741,9 @@ def newton_solve(wp: WarpedProduct, target_curvature: ScalarField, u0: ScalarFie
                 break
             step *= 0.5
         else:
-            return _exit(prob, u, Verdict.obstructed, history)
+            # a disk has no certificate of non-existence: its stall is exhaustion
+            return _exit(prob, u, Verdict.obstructed if prob.grid.closed else Verdict.max_iter,
+                         history)
         history.append(float(np.abs(f_dof).max()))
 
     return _exit(prob, u, Verdict.converged if history[-1] <= opts.tol_abs else Verdict.max_iter,

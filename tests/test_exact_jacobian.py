@@ -19,6 +19,7 @@ or non-finite stencil gives None without a warning.
 """
 
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -392,11 +393,24 @@ def test_non_finite_jacobian_entry_ends_the_flow_as_diverged():
     np.testing.assert_array_equal(state.height.values, 0.0)
 
 
-def test_python_dash_m_runs_the_command_line():
+def test_python_dash_m_runs_the_command_line(tmp_path):
     src = os.path.dirname(os.path.dirname(pmclab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-m", "pmclab", "verify", "--help"],
-                          env=env, capture_output=True, text=True, timeout=60)
+
+    def pmclab_main(*args):
+        return subprocess.run([sys.executable, "-W", "error", "-m", "pmclab", *args],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    done = pmclab_main("verify", "--help")
     assert done.returncode == 0, done.stderr
     assert "usage: pmclab verify" in done.stdout
+    # one solve through __main__, cli.run and sys.exit with every warning an
+    # error: Newton's merit would overflow, and the run ends in a report
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"fiber": {"kind": "disk", "dims": [8, 16], "R": 0.5},
+                                  "H_target": "1e154"}))
+    done = pmclab_main("solve", str(config))
+    assert (done.returncode, done.stderr) == (3, "")
+    report = json.loads(done.stdout, parse_constant=lambda c: pytest.fail(f"not strict: {c}"))
+    assert report["solve"]["verdict"] == "max_iter"

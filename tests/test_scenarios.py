@@ -529,6 +529,10 @@ def test_retired_flow_dt_safety_names_its_replacement(method):
 def test_expectation_keyword_validated():
     with pytest.raises(ValidationError, match="expect must be one of"):
         parse_config(_cfg(expect="maybe"))
+    # no solve on a disk ends obstructed, so such a config could never pass
+    with pytest.raises(ValidationError, match="only applies to closed fibers"):
+        parse_config(_disk_cfg(expect="obstructed"))
+    assert parse_config(_cfg(expect="obstructed")).expect == "obstructed"
 
 
 def test_random_initial_seed_and_override():
@@ -897,12 +901,13 @@ def test_refinement_companions_double_every_axis():
 
 
 def test_dump_fields_writes_height_and_residual_csv(tmp_path):
-    run_scenario(parse_config(_cfg()), dump_dir=str(tmp_path))
-    height = (tmp_path / "height.csv").read_text().splitlines()
-    residual = (tmp_path / "residual.csv").read_text().splitlines()
-    assert height[0] == "i,j,x1,x2,value"
-    assert len(height) == 1 + 8 * 8
-    assert len(residual) == 1 + 8 * 8
+    # one row per node, the pinned rim of the disk too
+    for name, text, nodes in (("torus", _cfg(), 8 * 8), ("disk", _disk_cfg(), 8 * 16)):
+        run_scenario(parse_config(text), dump_dir=str(tmp_path / name))
+        for field in ("height.csv", "residual.csv"):
+            lines = (tmp_path / name / field).read_text().splitlines()
+            assert lines[0] == "i,j,x1,x2,value"
+            assert len(lines) == 1 + nodes
 
 
 @pytest.mark.parametrize("fiber,boundary,metric", [
@@ -1085,7 +1090,7 @@ def test_cli_overflowed_tilt_ends_diverged_without_a_warning(tmp_path, capsys, m
 
 @pytest.mark.parametrize("method", ["newton", "flow"])
 @pytest.mark.parametrize("overrides", [
-    # the Jacobian map multiplies difference weights 1/(2 dx) past the float range
+    # the Jacobian's stencil tables multiply difference weights 1/(2 dx) past the float range
     {"fiber": {"kind": "torus", "dims": [8, 8], "extents": [1e-160, 1e-160]}},
     # the residual kernel squares the warping past the float range
     {"warping": "1e200*(2+cos(x1))"},
@@ -1387,6 +1392,18 @@ def test_cli_a_varying_warping_obstructs_by_stagnation_without_a_witness(tmp_pat
     assert finest["obstruction_source"] == "stalled_step"
     assert payload["checks"]["compatibility"]["pass"] is True
     assert payload["expectation"]["matched"] is True
+
+
+def test_cli_a_stalled_step_on_a_disk_ends_max_iter_not_obstructed(tmp_path, capsys):
+    # u = 0 solves this disk, yet Newton from the rough start stalls; with no
+    # certificate of non-existence on a disk the stall is exhaustion
+    config = tmp_path / "rough.json"
+    config.write_text(_disk_cfg(initial="random(3, 0.05)"))
+    assert main(["solve", str(config)]) == 3
+    solve = _strict_report(capsys.readouterr().out)["solve"]
+    assert (solve["verdict"], solve["iterations"]) == ("max_iter", 9)
+    assert solve["residual_history"][-1] > solve["residual_history"][0]
+    assert "obstruction_source" not in solve
 
 
 def test_cli_scenarios_with_field_dumps(tmp_path):
